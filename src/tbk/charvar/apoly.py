@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ..exactnum import MultiPoly, poly_resultant, poly_squarefree_part
 from ..exactnum.multipoly import poly_content_in
@@ -125,7 +126,12 @@ class _PointCache:
 def _slice_squarefree(cache, m, p):
     """Monic squarefree part of Res_u(phi(m), L*c - P(m)) over GF(p)[L].
 
-    Returns None for degenerate slices (degree drops mod p)."""
+    Returns None for degenerate slices (degree drops mod p).
+
+    -P(m) is reduced mod phi(m) once, not at every L-node: with
+    r = g mod f, Res(f, g) = lc(f)^(deg g - deg r) * Res(f, r), and that
+    factor is the same at every node, so it cancels in the monic result.
+    """
     phim, pm, c = cache.get(m)
     if len(phim) - 1 != cache.du_phi:
         return None
@@ -135,18 +141,16 @@ def _slice_squarefree(cache, m, p):
     cp = c % p
     if cp == 0:
         return None
-    base = [(-x) % p for x in pm]
-    if not base:
-        base = [0]
+    base = _modp.ptrim([(-x) % p for x in pm]) or [0]
+    rem = _modp.pdivmod(base, fm, p)[1] or [0]
     vals = []
     ls = list(range(cache.du_phi + 1))
     for ell in ls:
-        g = list(base)
-        g[0] = (g[0] + cp * ell) % p
-        g = _modp.ptrim(g)
-        if not g:
+        if len(base) == 1 and (base[0] + cp * ell) % p == 0:
             return None  # L-slice hit the zero polynomial
-        vals.append(_modp.resultant_scalar(fm, g, p))
+        g = list(rem)
+        g[0] = (g[0] + cp * ell) % p
+        vals.append(_modp.resultant_scalar(fm, _modp.ptrim(g), p))
     r = _modp.newton_interp(ls, vals, p)
     if len(r) - 1 != cache.du_phi:
         return None
@@ -305,18 +309,13 @@ def _apoly_modular(phi, p11, length):
 
     denom = 1
     for f in candidate.values():
-        denom = denom * f.denominator // _gcd(denom, f.denominator)
+        denom = denom * f.denominator // gcd(denom, f.denominator)
     terms = {}
     for (j, k), f in candidate.items():
         terms[(j, k)] = int(f * denom)
     out = MultiPoly(("L", "M"), terms).primitive_part().sign_normalized()
     _verify_vanishing(out, cache, points=6)
     return out
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 def _verify_vanishing(apoly, cache, points=6):
@@ -631,7 +630,7 @@ def _series_to_poly(cols, m0):
     denom = 1
     for series in cols:
         for c in series:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // gcd(denom, c.denominator)
     for j, series in enumerate(cols):
         # polynomial in t -> polynomial in M via binomial shift
         dense = [c * denom for c in series]

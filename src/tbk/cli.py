@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
+3 A-polynomial elimination failure.
 """
 
 from __future__ import annotations
@@ -252,6 +253,15 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # only the engine raises EliminationError, so charvar is loaded by
+        # then; any other RuntimeError (RecursionError too) propagates
+        from .charvar import EliminationError
+
+        if not isinstance(exc, EliminationError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

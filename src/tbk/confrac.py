@@ -114,22 +114,35 @@ def _admissible_tails(x: Fraction):
 
     The head entry a of [a, tail] satisfies a = 1/x - value(tail) with
     |value(tail)| < 1, so a lies in the open interval (1/x - 1, 1/x + 1);
-    recursion is on the leftover 1/x - a, whose denominator strictly
-    decreases.
+    the walk goes on with the leftover 1/x - a, whose denominator strictly
+    decreases.  Expansions can be thousands of entries long, so the walk
+    is a loop over an explicit stack, not a recursion: each visited entry
+    is a node (entry, parent node), and a finished expansion is read back
+    along the parent links.  Lists come out in depth-first order, smallest
+    head entry first.
     """
-    c = 1 / x
-    lo = math.floor(c - 1) + 1
-    hi = math.ceil(c + 1) - 1
+    nodes = []
     found = []
-    for a in range(lo, hi + 1):
-        if abs(a) < 2:
+    stack = [(x, -1)]  # (leftover value, node it hangs from); 0 = finished
+    while stack:
+        x, node = stack.pop()
+        if x == 0:
+            entries = []
+            while node >= 0:
+                a, node = nodes[node]
+                entries.append(a)
+            found.append(tuple(reversed(entries)))
             continue
-        t = c - a
-        if t == 0:
-            found.append((a,))
-        elif abs(t) < 1:
-            for tail in _admissible_tails(t):
-                found.append((a,) + tail)
+        c = 1 / x
+        lo = math.floor(c - 1) + 1
+        hi = math.ceil(c + 1) - 1
+        for a in range(hi, lo - 1, -1):  # pushed largest first, popped smallest first
+            if abs(a) < 2:
+                continue
+            t = c - a
+            if t == 0 or abs(t) < 1:
+                nodes.append((a, node))
+                stack.append((t, len(nodes) - 1))
     return found
 
 

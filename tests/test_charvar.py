@@ -103,11 +103,37 @@ def test_a_polynomial_figure_eight_exact():
     assert a_polynomial(Fraction(2, 5)).poly == known
 
 
+def reduced_fractions(q_max):
+    from math import gcd
+
+    for q in range(3, q_max + 1, 2):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                yield p, q
+
+
 def test_a_polynomial_engines_agree():
-    for pq in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(2, 7)):
+    # every knot fraction with q <= 9: 18 of them
+    fractions = [Fraction(p, q) for p, q in reduced_fractions(9)]
+    assert len(fractions) == 18
+    for pq in fractions:
         direct = a_polynomial(pq, engine="direct").poly
         modular = a_polynomial(pq, engine="modular").poly
         assert direct == modular, pq
+
+
+def test_a_polynomial_knot_symmetries():
+    # p/q and p^-1 mod q / q are the same knot; the mirror (q-p)/q
+    # reverses the meridian: A'(L, M) = M^deg_M(A) * A(L, 1/M)
+    apolys = {(p, q): a_polynomial(Fraction(p, q)).poly
+              for p, q in reduced_fractions(11)}
+    assert len(apolys) == 28
+    for (p, q), A in apolys.items():
+        assert apolys[(pow(p, -1, q), q)] == A, (p, q)
+        dM = A.degree("M")
+        reversed_m = MultiPoly(("L", "M"),
+                               {(i, dM - j): c for (i, j), c in A.terms.items()})
+        assert apolys[(q - p, q)] == reversed_m, (p, q)
 
 
 def test_a_polynomial_numeric_oracle():

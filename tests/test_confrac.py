@@ -166,6 +166,18 @@ def test_enumerate_matches_oracle_small():
         assert mine == oracle, fraction
 
 
+def test_enumerate_long_expansions():
+    # 1/1749 - 1 = [-2,2,...,-2,-3]: 1748 entries, deeper than the default
+    # recursion limit, so the walk must not recurse once per entry
+    expansions = enumerate_admissible(Fraction(1, 1749))
+    assert [len(e) for e in expansions] == [1748, 1]
+    assert expansions[1] == cf(1749)
+    long = expansions[0]
+    assert long.admissible
+    assert long.entries[:-1] == (-2, 2) * 873 + (-2,)
+    assert evaluate(long) == Fraction(1, 1749) - 1
+
+
 def test_enumerate_invalid_inputs():
     for bad in (Fraction(1, 4), Fraction(5, 3), Fraction(0), Fraction(1)):
         with pytest.raises(InvalidFractionError):

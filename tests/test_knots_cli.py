@@ -113,6 +113,40 @@ def test_cli_invalid_fraction_exit_code(capsys):
     assert main(["slopes", "nonsense"]) == 2
 
 
+def test_cli_slopes_long_expansion_exit_code():
+    # 3200/3203 has an admissible expansion of about 1,070 entries
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbk.cli", "slopes", "3200/3203", "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["knot"] == {"p": 3200, "q": 3203}
+    assert max(len(e["entries"]) for e in data["expansions"]) > 1000
+
+
+def test_cli_elimination_error_exit_code(monkeypatch, capsys):
+    from tbk.charvar import apoly
+
+    def fail(*args):
+        raise apoly.EliminationError("u-elimination produced the zero polynomial")
+
+    monkeypatch.setattr(apoly, "_apoly_direct", fail)
+    assert main(["apoly", "2/5"]) == 3
+    assert capsys.readouterr().err == (
+        "error: u-elimination produced the zero polynomial\n")
+
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    # other RuntimeErrors are not elimination failures and still propagate
+    monkeypatch.setattr(apoly, "_apoly_direct", overflow)
+    with pytest.raises(RecursionError):
+        main(["apoly", "2/5"])
+
+
 def test_cli_apoly_polygon_pipeline(tmp_path, capsys):
     out = tmp_path / "fig8.apoly"
     assert main(["apoly", "2/5", "--out", str(out)]) == 0
