@@ -5,7 +5,6 @@ from .apoly import (
     APoly,
     EliminationError,
     a_polynomial,
-    abelian_factor,
     longitude_data,
     split_components,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PresentationError",
     "APoly",
     "a_polynomial",
-    "abelian_factor",
     "split_components",
     "longitude_data",
     "EliminationError",

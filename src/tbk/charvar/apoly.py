@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ..exactnum import MultiPoly, poly_resultant, poly_squarefree_part
+from ..exactnum import MultiPoly, QPoly, poly_resultant, poly_squarefree_part
 from ..exactnum.multipoly import poly_content_in
 from . import _modp
 from .presentation import TwoBridgePresentation, presentation
@@ -43,7 +43,7 @@ class APoly:
     def __post_init__(self):
         if self.poly.is_zero():
             raise ValueError("A-polynomial must be nonzero")
-        if self.component_tag not in ("full", "canonical", "other", "abelian"):
+        if self.component_tag not in ("full", "canonical", "other"):
             raise ValueError(f"unknown component tag {self.component_tag!r}")
 
 
@@ -79,42 +79,28 @@ def _apoly_direct(phi, p11, length):
 # -- modular reconstruction engine -------------------------------------------
 
 
-def _dense_u_table(poly):
-    """Per u-power dense M-coefficient integer lists."""
-    table = []
-    for c in poly.coefficients_in("u"):
-        if c.is_zero():
-            table.append([])
-            continue
-        col = [0] * (c.degree("M") + 1)
-        for exps, coeff in c.terms.items():
-            e = dict(zip(c.variables, exps)).get("M", 0)
-            col[e] += coeff
-        table.append(col)
-    return table
-
-
-def _horner(col, m):
-    acc = 0
-    for c in reversed(col):
-        acc = acc * m + c
-    return acc
+def _in_M(c: MultiPoly) -> QPoly:
+    """A polynomial in M alone (the zero polynomial too) as a dense QPoly."""
+    col = [0] * (c.degree("M") + 1)
+    for exps, coeff in c.terms.items():
+        col[dict(zip(c.variables, exps)).get("M", 0)] += coeff
+    return QPoly(col)
 
 
 class _PointCache:
     """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes."""
 
     def __init__(self, phi, p11, length):
-        self.phi_tab = _dense_u_table(phi)
-        self.p_tab = _dense_u_table(p11)
+        self.phi_tab = [_in_M(c) for c in phi.coefficients_in("u")]
+        self.p_tab = [_in_M(c) for c in p11.coefficients_in("u")]
         self.length = length
         self.du_phi = len(self.phi_tab) - 1
         self._data = {}
 
     def get(self, m):
         if m not in self._data:
-            phim = [_horner(col, m) for col in self.phi_tab]
-            pm = [_horner(col, m) for col in self.p_tab]
+            phim = [col(m) for col in self.phi_tab]
+            pm = [col(m) for col in self.p_tab]
             while phim and phim[-1] == 0:
                 phim.pop()
             while pm and pm[-1] == 0:
@@ -329,40 +315,17 @@ def _verify_vanishing(apoly, cache, points=6):
         phim, pm, c = cache.get(m)
         if len(phim) - 1 != cache.du_phi or not phim:
             continue
-        lead = Fraction(phim[-1])
-        monic = [Fraction(x) / lead for x in phim]
-
-        def mulmod(a, b):
-            out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            # reduce by monic modulus
-            for k in range(len(out) - 1, len(monic) - 2, -1):
-                q = out[k]
-                if q:
-                    for i in range(len(monic)):
-                        out[k - len(monic) + 1 + i] -= q * monic[i]
-            out = out[:len(monic) - 1] or [Fraction(0)]
-            return out
-
-        pfrac = [Fraction(x) for x in pm] or [Fraction(0)]
-        pred = mulmod(pfrac, [Fraction(1)])
-        acc = [Fraction(0)]
-        power = [Fraction(1)]
+        modulus = QPoly(phim)
+        pred = QPoly(pm).divmod(modulus)[1]
+        acc = QPoly()
+        power = QPoly.const(1)
         for j in range(d + 1):
-            aj = Fraction(cols[j].evaluate({"M": Fraction(m)})) if not cols[j].is_zero() else Fraction(0)
-            scale = aj * Fraction(c) ** (d - j)
+            scale = cols[j].evaluate({"M": m}) * c ** (d - j)
             if scale:
-                term = [scale * x for x in power]
-                if len(acc) < len(term):
-                    acc += [Fraction(0)] * (len(term) - len(acc))
-                for i, x in enumerate(term):
-                    acc[i] += x
+                acc = acc + power * scale
             if j < d:
-                power = mulmod(power, pred)
-        if any(x != 0 for x in acc):
+                power = (power * pred).divmod(modulus)[1]
+        if not acc.is_zero():
             raise EliminationError(
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
         checked += 1
@@ -395,10 +358,6 @@ def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
         ab = MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1})
         poly = (poly * ab).sign_normalized()
     return APoly(poly, "full")
-
-
-def abelian_factor() -> APoly:
-    return APoly(MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1}), "abelian")
 
 
 # -- factor splitting ----------------------------------------------------------
@@ -456,79 +415,16 @@ def _int_poly_factors(coeffs):
 
 def _int_poly_div(a, b):
     """Exact division of integer coefficient lists; (quotient, ok)."""
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    if da < db or not b:
+    quot, rem = QPoly(a).divmod(QPoly(b))
+    if not rem.is_zero() or any(c.denominator != 1 for c in quot.coeffs):
         return [], False
-    q = [0] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        c, r = divmod(a[k + db], b[-1])
-        if r:
-            return [], False
-        q[k] = c
-        for i, d in enumerate(b):
-            a[k + i] -= c * d
-    if any(a):
-        return [], False
-    return q, True
-
-
-def _qpoly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 or 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    if len(a) - 1 < db:
-        return [Fraction(0)], a
-    q = [Fraction(0)] * (len(a) - db)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / b[-1]
-        q[k] = c
-        if c:
-            for i, d in enumerate(b):
-                a[k + i] -= c * d
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _qpoly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g over Q[x]."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(c != 0 for c in r1):
-        q, r = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        t0, t1 = t1, _qpoly_sub(t0, _qpoly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _qpoly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return [int(c) for c in quot.coeffs], True
 
 
 def _series_inverse(c, k):
     """Inverse of a power-series coefficient list mod t^k (c[0] != 0)."""
     inv = [Fraction(0)] * k
-    inv[0] = 1 / c[0]
+    inv[0] = 1 / Fraction(c[0])
     for i in range(1, k):
         acc = Fraction(0)
         for j in range(1, min(i, len(c) - 1) + 1):
@@ -538,28 +434,15 @@ def _series_inverse(c, k):
 
 
 def _shift_poly_in_M(poly, m0):
-    """Coefficient lists in t after substituting M = m0 + t.
-
-    Returns per-L-power lists of Fraction coefficients in t."""
-    out = []
-    for cm in poly.coefficients_in("L"):
-        dense = [Fraction(0)] * (cm.degree("M") + 1 if not cm.is_zero() else 1)
-        for exps, coeff in cm.terms.items():
-            e = dict(zip(cm.variables, exps)).get("M", 0)
-            dense[e] += coeff
-        shifted = [Fraction(0)]
-        for c in reversed(dense):  # Horner in (m0 + t)
-            shifted = _qpoly_mul(shifted, [Fraction(m0), Fraction(1)])
-            shifted[0] += c
-        out.append(shifted)
-    return out
+    """Coefficient tuples in t after substituting M = m0 + t, per L power."""
+    return [_in_M(c).shift(m0).coeffs for c in poly.coefficients_in("L")]
 
 
 def _hensel_bivariate(A: MultiPoly, g0, h0, m0, prec):
     """Lift a coprime seed factorization A(L, m0) ~ g0*h0 to Q[[M-m0]][L].
 
-    g0, h0 are monic Fraction coefficient lists in L.  Returns the lifted
-    monic g as a list (per L power) of t-series coefficient lists."""
+    g0, h0 are monic QPolys in L.  Returns the lifted g, times the leading
+    series of A, as a list (per L power) of t-series coefficient lists."""
     cols = _shift_poly_in_M(A, m0)
     dL = len(cols) - 1
     lead = cols[-1]
@@ -578,15 +461,10 @@ def _hensel_bivariate(A: MultiPoly, g0, h0, m0, prec):
     f = [tmul(c, lead_inv) for c in cols[:-1]]
     f.append([Fraction(1)] + [Fraction(0)] * (prec - 1))
 
-    _, s, t = _qpoly_xgcd(g0, h0)
-    # normalize Bezout: s*g0 + t*h0 = g (a constant)
-    gconst = _qpoly_add(_qpoly_mul(s, g0), _qpoly_mul(t, h0))
-    c0 = gconst[0]
-    s = [x / c0 for x in s]
-    t = [x / c0 for x in t]
+    _, s, t = g0.xgcd(h0)  # s*g0 + t*h0 = 1
 
-    g = [[c] + [Fraction(0)] * (prec - 1) for c in g0]
-    h = [[c] + [Fraction(0)] * (prec - 1) for c in h0]
+    g = [[c] + [Fraction(0)] * (prec - 1) for c in g0.coeffs]
+    h = [[c] + [Fraction(0)] * (prec - 1) for c in h0.coeffs]
 
     for k in range(1, prec):
         # e_k = coefficient of t^k in f - g*h, a polynomial in L
@@ -598,30 +476,20 @@ def _hensel_bivariate(A: MultiPoly, g0, h0, m0, prec):
                 for i in range(k + 1):
                     acc -= g[a][i] * h[b][k - i]
             e.append(acc)
-        while len(e) > 1 and e[-1] == 0:
-            e.pop()
-        if all(c == 0 for c in e):
+        e = QPoly(e)
+        if e.is_zero():
             continue
         # solve dg*h0 + dh*g0 = e with deg dg < deg g0
-        q, dg = _qpoly_divmod(_qpoly_mul(t, e), g0)
-        dh = _qpoly_add(_qpoly_mul(s, e), _qpoly_mul(q, h0))
-        for j, c in enumerate(dg):
+        q, dg = (t * e).divmod(g0)
+        dh = s * e + q * h0
+        for j, c in enumerate(dg.coeffs):
             if j < len(g) - 1 and c:
                 g[j][k] += c
-        for j, c in enumerate(dh):
+        for j, c in enumerate(dh.coeffs):
             if j < len(h) - 1 and c:
                 h[j][k] += c
     # multiply back by the leading series to clear the monic normalization
     return [tmul(gj, lead) for gj in g[:-1]] + [list(lead[:prec])]
-
-
-def _qpoly_add(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _series_to_poly(cols, m0):
@@ -632,15 +500,8 @@ def _series_to_poly(cols, m0):
         for c in series:
             denom = denom * c.denominator // gcd(denom, c.denominator)
     for j, series in enumerate(cols):
-        # polynomial in t -> polynomial in M via binomial shift
-        dense = [c * denom for c in series]
-        while len(dense) > 1 and dense[-1] == 0:
-            dense.pop()
-        acc = [Fraction(0)]
-        for c in reversed(dense):  # Horner at t = M - m0
-            acc = _qpoly_mul(acc, [Fraction(-m0), Fraction(1)])
-            acc[0] += c
-        for k, c in enumerate(acc):
+        shifted = QPoly([c * denom for c in series]).shift(-m0)
+        for k, c in enumerate(shifted.coeffs):
             if c:
                 assert c.denominator == 1
                 terms[(j, k)] = terms.get((j, k), 0) + int(c)
@@ -676,19 +537,15 @@ def _split_once(A: MultiPoly):
             for subset in itertools.combinations(range(n), r):
                 if 2 * r == n and 0 not in subset:
                     continue  # the complementary subset is the same split
-                g0 = [Fraction(1)]
-                h0 = [Fraction(1)]
+                g0 = h0 = QPoly.const(1)
                 for i in range(n):
-                    fi = [Fraction(c) for c in factors[i]]
                     if i in subset:
-                        g0 = _qpoly_mul(g0, fi)
+                        g0 = g0 * QPoly(factors[i])
                     else:
-                        h0 = _qpoly_mul(h0, fi)
-                g, _, _ = _qpoly_xgcd(g0, h0)
-                if len(g) > 1:
+                        h0 = h0 * QPoly(factors[i])
+                if g0.gcd(h0).degree() > 0:
                     continue  # seed factors not coprime at this m0
-                lifted = _hensel_bivariate(A, [c / g0[-1] for c in g0],
-                                           [c / h0[-1] for c in h0], m0, prec)
+                lifted = _hensel_bivariate(A, g0.monic(), h0.monic(), m0, prec)
                 cand = _series_to_poly(lifted, m0).primitive_part().sign_normalized()
                 if cand.degree("L") < 1:
                     continue
@@ -726,7 +583,7 @@ def split_components(ap: APoly, canonical_slopes=None):
     if canonical_slopes is not None and len(irreducible) == 2:
         from .newton import edge_slopes, newton_polygon
 
-        want = {s if isinstance(s, int) else s for s in canonical_slopes}
+        want = set(canonical_slopes)
         slope_sets = []
         for f in irreducible:
             ss = set()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..confrac import InvalidFractionError
+from ..confrac import _check_fraction
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,8 @@ class TwoBridgePresentation:
         return tuple(reversed(w)) + w + correction
 
 
-def _validated(p_over_q: Fraction) -> Fraction:
-    p_over_q = Fraction(p_over_q)
-    p, q = p_over_q.numerator, p_over_q.denominator
-    if q % 2 == 0:
-        raise InvalidFractionError(f"{p_over_q}: denominator must be odd")
-    if not (0 < p < q):
-        raise InvalidFractionError(f"{p_over_q}: need 0 < p < q")
-    return p_over_q
-
-
 def presentation(p_over_q: Fraction) -> TwoBridgePresentation:
-    p_over_q = _validated(p_over_q)
+    p_over_q = _check_fraction(p_over_q)
     p, q = p_over_q.numerator, p_over_q.denominator
     beta = p if p % 2 == 1 else p - q
     eps = tuple(-1 if ((i * beta) // q) % 2 else 1 for i in range(1, q))

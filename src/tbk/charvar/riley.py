@@ -13,7 +13,7 @@ stripped) is the Riley polynomial, of degree (q-1)/2 in u.
 from __future__ import annotations
 
 from ..exactnum import MultiPoly, poly_gcd, poly_prem
-from .presentation import TwoBridgePresentation, presentation
+from .presentation import TwoBridgePresentation
 
 _VARS = ("M", "u")
 
@@ -83,7 +83,3 @@ def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
             f"entry conditions for {pres.fraction} give gcd {candidate} "
             f"(expected u-degree {(q - 1) // 2})")
     return candidate
-
-
-def riley_for(p_over_q) -> MultiPoly:
-    return riley_polynomial(presentation(p_over_q))

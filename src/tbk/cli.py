@@ -24,7 +24,7 @@ from .knots import (
     TwoComponentLinkError,
     double_twist_to_two_bridge,
 )
-from .surfaces import slope_report
+from .surfaces import all_slopes, slope_report, symmetric_slopes
 from .valuation import (
     fixes_vertex,
     nontriviality_certificate,
@@ -63,8 +63,8 @@ def _knot_record(fraction: Fraction) -> dict:
             }
             for d in report
         ],
-        "symmetric_slopes": sorted({d.slope for d in report if d.symmetric}),
-        "all_slopes": sorted({d.slope for d in report}),
+        "symmetric_slopes": symmetric_slopes(report),
+        "all_slopes": all_slopes(report),
     }
 
 
@@ -113,16 +113,14 @@ def _cmd_jkl(args) -> int:
 
 def _cmd_apoly(args) -> int:
     from .charvar import a_polynomial
-    from .exactnum import format_apoly
+    from .exactnum import format_apoly, write_apoly
 
     fraction = _parse_fraction(args.fraction)
     ap = a_polynomial(fraction, keep_abelian=args.keep_abelian)
-    text = format_apoly(ap.poly)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        write_apoly(ap.poly, args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_apoly(ap.poly))
     return 0
 
 

@@ -66,10 +66,6 @@ def evaluate(cf: ContinuedFraction) -> Fraction:
     return cf.integer_part + x
 
 
-def evaluate_entries(entries) -> Fraction:
-    return evaluate(ContinuedFraction(tuple(entries)))
-
-
 def evaluate_with_tail(entries, x: Fraction) -> Fraction:
     """Value of [a1, ..., ak, x] with a rational x as the final entry."""
     if x == 0:

@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: rationals, sparse integer polynomials,
-resultant elimination and normalization.
+dense polynomials over Q, resultant elimination and normalization.
 
 ``Rational`` is the stdlib Fraction: arbitrary precision, always in lowest
 terms with positive denominator, which is exactly the canonical form the
@@ -12,44 +12,23 @@ from .multipoly import (
     ExactDivisionError,
     MultiPoly,
     merge_variables,
-    poly_cleanup,
-    poly_content,
     poly_gcd,
     poly_prem,
-    poly_primitive_part,
     poly_squarefree_part,
 )
 from .resultants import bareiss_determinant, poly_resultant
 from .textio import format_apoly, parse_apoly, read_apoly, write_apoly
-
-
-def rational_arithmetic(a: Rational, b: Rational, op: str) -> Rational:
-    """Four-function exact rational arithmetic with explicit errors."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
+from .upoly import QPoly
 
 __all__ = [
     "Rational",
-    "rational_arithmetic",
     "MultiPoly",
+    "QPoly",
     "ExactDivisionError",
     "merge_variables",
     "poly_gcd",
     "poly_prem",
     "poly_resultant",
-    "poly_cleanup",
-    "poly_content",
-    "poly_primitive_part",
     "poly_squarefree_part",
     "bareiss_determinant",
     "format_apoly",

@@ -97,11 +97,6 @@ class MultiPoly:
         i = self.variables.index(var)
         return max(k[i] for k in self.terms)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(k) for k in self.terms)
-
     def __len__(self):
         return len(self.terms)
 
@@ -262,22 +257,6 @@ class MultiPoly:
                 kk = k[:i] + (e,) + k[i:]
                 terms[kk] = terms.get(kk, 0) + coeff
         return cls(allvars, terms)
-
-    def substitute_int(self, var, value):
-        """Substitute an integer for one variable, exactly."""
-        if var not in self.variables:
-            return self
-        i = self.variables.index(var)
-        rest = self.variables[:i] + self.variables[i + 1:]
-        terms = {}
-        for k, c in self.terms.items():
-            kk = k[:i] + k[i + 1:]
-            s = terms.get(kk, 0) + c * value ** k[i]
-            if s:
-                terms[kk] = s
-            elif kk in terms:
-                del terms[kk]
-        return MultiPoly(rest, terms)
 
     def evaluate(self, assignment):
         """Fully evaluate at numeric values (Fraction, float or complex)."""
@@ -542,19 +521,6 @@ def poly_content_in(f, var):
     return _coeff_gcd(f.coefficients_in(var))
 
 
-def poly_content(f):
-    """Integer content of f as a constant polynomial."""
-    if f.is_zero():
-        raise ValueError("content of the zero polynomial")
-    return MultiPoly.constant(f.content())
-
-
-def poly_primitive_part(f):
-    if f.is_zero():
-        raise ValueError("primitive part of the zero polynomial")
-    return f.primitive_part()
-
-
 def poly_squarefree_part(f):
     """Product of the distinct irreducible factors of f (primitive, lex-positive).
 
@@ -571,15 +537,3 @@ def poly_squarefree_part(f):
         return f.primitive_part().sign_normalized()
     return f.exact_div(g.in_variables(f.variables)).primitive_part().sign_normalized()
 
-
-def poly_cleanup(f, mode):
-    """Normalization modes used on elimination output."""
-    if f.is_zero():
-        raise ValueError("poly_cleanup of the zero polynomial")
-    if mode == "content":
-        return poly_content(f)
-    if mode == "primitive_part":
-        return poly_primitive_part(f)
-    if mode == "squarefree_part":
-        return poly_squarefree_part(f)
-    raise ValueError(f"unknown cleanup mode {mode!r}")

@@ -1,0 +1,168 @@
+"""Dense univariate polynomials over Q.
+
+Coefficients are ascending and stored as a tuple without trailing zeros;
+ints and Fractions mix freely.  The constructor only trims: it never
+converts a coefficient, so integer polynomials stay integer through +, -,
+* and shift, and only the operations that divide (divmod, monic, gcd,
+xgcd) bring Fractions in.  Each of those divides by Fraction(lc), so an
+integer input never yields a float.  The algorithms are the classical
+dense ones (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+INFINITE_ORDER = math.inf
+
+
+class QPoly:
+    """Univariate polynomial over Q, ascending coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, *a):
+        raise AttributeError("QPoly is immutable")
+
+    @classmethod
+    def const(cls, c):
+        return cls((c,))
+
+    @classmethod
+    def t(cls):
+        return cls((0, 1))
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def valuation(self):
+        """Index of the lowest nonzero coefficient; inf for 0."""
+        for i, c in enumerate(self.coeffs):
+            if c != 0:
+                return i
+        return INFINITE_ORDER
+
+    def __call__(self, x):
+        """Value at x, by Horner's rule."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __eq__(self, other):
+        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return QPoly(out)
+
+    def __neg__(self):
+        return QPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QPoly([c * other for c in self.coeffs])
+        if self.is_zero() or other.is_zero():
+            return QPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPoly(out)
+
+    __rmul__ = __mul__
+
+    def divmod(self, other):
+        """(quotient, remainder) with deg remainder < deg other."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        div = other.coeffs
+        dq = len(rem) - len(div)
+        if dq < 0:
+            return QPoly(), self
+        quot = [0] * (dq + 1)
+        lc = Fraction(div[-1])
+        for k in range(dq, -1, -1):
+            c = rem[k + len(div) - 1] / lc
+            quot[k] = c
+            if c:
+                for i, d in enumerate(div):
+                    rem[k + i] -= c * d
+        return QPoly(quot), QPoly(rem)
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self * (1 / Fraction(self.coeffs[-1]))
+
+    def gcd(self, other):
+        """Monic greatest common divisor; 0 when both are 0."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def xgcd(self, other):
+        """(g, s, t) with s*self + t*other = g and g = gcd(self, other)
+        monic (0 when both are 0)."""
+        r0, r1 = self, other
+        s0, s1 = QPoly((1,)), QPoly()
+        t0, t1 = QPoly(), QPoly((1,))
+        while not r1.is_zero():
+            q, r = r0.divmod(r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        if r0.is_zero():
+            return r0, s0, t0
+        inv = 1 / Fraction(r0.coeffs[-1])
+        return r0 * inv, s0 * inv, t0 * inv
+
+    def shift(self, c):
+        """p(t + c), by the Horner-scheme Taylor shift."""
+        a = list(self.coeffs)
+        n = len(a) - 1
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                a[j] += c * a[j + 1]
+        return QPoly(a)
+
+    def __str__(self):
+        if self.is_zero():
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            elif i == 1:
+                parts.append(f"{c}*t" if abs(c) != 1 else ("t" if c > 0 else "-t"))
+            else:
+                parts.append(f"{c}*t^{i}" if abs(c) != 1 else
+                             (f"t^{i}" if c > 0 else f"-t^{i}"))
+        return " + ".join(parts).replace("+ -", "- ")

@@ -8,8 +8,9 @@ is generated by global negation (kj) -> (-kj) together with alternating
 negation (kj) -> ((-1)^j kj).
 
 Moduli are taken for |ni| (the residue ring of n and -n coincide), and
-alternating negation negates the odd positions (j counted from 1); both
-choices are configurable keywords.
+alternating negation negates the odd positions (j counted from 1).
+Negating the even positions instead gives the same group, since that
+map is the odd-position one composed with global negation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+from .surfaces import slope_report
 
 
 @dataclass(frozen=True)
@@ -26,16 +29,13 @@ class IdealPointClass:
     residues: tuple
 
 
-def _orbit(tup, moduli, parity):
+def _orbit(tup, moduli):
     negate_all = tuple((m - k) % m for k, m in zip(tup, moduli))
 
     def alt(t):
         out = []
         for j, (k, m) in enumerate(zip(t, moduli), start=1):
-            if (j % 2 == 1) == (parity == "odd"):
-                out.append((m - k) % m)
-            else:
-                out.append(k)
+            out.append((m - k) % m if j % 2 == 1 else k)
         return tuple(out)
 
     return {tup, negate_all, alt(tup), alt(negate_all)}
@@ -50,17 +50,17 @@ def _valid_tuples(moduli):
         yield tup
 
 
-def ideal_point_classes(expansion, parity="odd") -> list:
+def ideal_point_classes(expansion) -> list:
     """All residue-tuple classes of an admissible expansion, sorted by
     canonical representative."""
     if not expansion.admissible:
         raise ValueError(f"{expansion} is not admissible")
     moduli = tuple(abs(a) for a in expansion.entries)
-    reps = {min(_orbit(t, moduli, parity)) for t in _valid_tuples(moduli)}
+    reps = {min(_orbit(t, moduli)) for t in _valid_tuples(moduli)}
     return [IdealPointClass(r) for r in sorted(reps)]
 
 
-def count_classes_by_orbits(expansion, parity="odd") -> int:
+def count_classes_by_orbits(expansion) -> int:
     """Second, orbit-enumeration count (kept independent of the
     canonicalization path above for cross-checking)."""
     if not expansion.admissible:
@@ -70,7 +70,7 @@ def count_classes_by_orbits(expansion, parity="odd") -> int:
     count = 0
     while remaining:
         tup = remaining.pop()
-        remaining -= _orbit(tup, moduli, parity)
+        remaining -= _orbit(tup, moduli)
         count += 1
     return count
 
@@ -78,12 +78,7 @@ def count_classes_by_orbits(expansion, parity="odd") -> int:
 def detected_slopes_with_counts(p_over_q: Fraction) -> dict:
     """Total ideal-point count per boundary slope over all admissible
     expansions of p/q."""
-    from .confrac import enumerate_admissible
-    from .surfaces import BranchedSurface, boundary_slope
-
-    p_over_q = Fraction(p_over_q)
     totals = {}
-    for cf in enumerate_admissible(p_over_q):
-        slope = boundary_slope(BranchedSurface(cf, p_over_q))
-        totals[slope] = totals.get(slope, 0) + len(ideal_point_classes(cf))
+    for d in slope_report(p_over_q):
+        totals[d.slope] = totals.get(d.slope, 0) + d.ideal_point_count
     return dict(sorted(totals.items()))

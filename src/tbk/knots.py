@@ -46,9 +46,6 @@ class KnotId:
             candidates |= {q - p, q - inv}
         return cls(min(candidates), q)
 
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
-
     def __str__(self):
         return f"{self.p}/{self.q}"
 

@@ -31,23 +31,11 @@ class Slope:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    @classmethod
-    def from_fraction(cls, q) -> "Slope":
-        if isinstance(q, int):
-            return cls(q, 1)
-        q = Fraction(q)
-        return cls(q.numerator, q.denominator)
-
     INFINITY: "Slope" = None  # set below
 
     @property
     def is_infinite(self) -> bool:
         return self.den == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.is_infinite:
-            raise ValueError("1/0 is not a finite slope")
-        return Fraction(self.num, self.den)
 
     def _key(self):
         return (1, 0) if self.is_infinite else (0, Fraction(self.num, self.den))
@@ -77,14 +65,6 @@ class Slope:
 
     def __repr__(self):
         return f"Slope({self})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Slope":
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return cls(int(num), int(den))
-        return cls(int(text), 1)
 
 
 Slope.INFINITY = Slope(1, 0)

@@ -14,127 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactnum.upoly import INFINITE_ORDER, QPoly
 from .slopes import Slope
-
-INFINITE_ORDER = math.inf
-
-
-class QPoly:
-    """Univariate polynomial over Fraction, ascending coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("QPoly is immutable")
-
-    @classmethod
-    def const(cls, c):
-        return cls((Fraction(c),))
-
-    @classmethod
-    def t(cls):
-        return cls((0, 1))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def valuation(self):
-        """Index of the lowest nonzero coefficient; inf for 0."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return INFINITE_ORDER
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dq = len(rem) - len(div)
-        if dq < 0:
-            return QPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lc = div[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] / lc
-            quot[k] = c
-            if c:
-                for i, d in enumerate(div):
-                    rem[k + i] -= c * d
-        return QPoly(quot), QPoly(rem)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lc = self.coeffs[-1]
-        return QPoly([c / lc for c in self.coeffs])
-
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t" if abs(c) != 1 else ("t" if c > 0 else "-t"))
-            else:
-                parts.append(f"{c}*t^{i}" if abs(c) != 1 else
-                             (f"t^{i}" if c > 0 else f"-t^{i}"))
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def _qpoly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic() if not a.is_zero() else a
 
 
 class RatFunc:
@@ -155,11 +36,11 @@ class RatFunc:
         if num.is_zero():
             num, den = QPoly(), QPoly.const(1)
         else:
-            g = _qpoly_gcd(num, den)
+            g = num.gcd(den)
             if g.degree() > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            lc = den.coeffs[-1]
+            lc = Fraction(den.coeffs[-1])
             if lc != 1:
                 num = num * (1 / lc)
                 den = den * (1 / lc)
@@ -235,11 +116,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
-#: The element named in diagnostics: a rational function valued by its
-#: order of vanishing at t = 0.
-ValuedElement = RatFunc
 
 
 def ord_at_zero(f: RatFunc):

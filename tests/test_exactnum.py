@@ -8,10 +8,9 @@ from tbk.exactnum import (
     Rational,
     format_apoly,
     parse_apoly,
-    poly_cleanup,
     poly_gcd,
     poly_resultant,
-    rational_arithmetic,
+    poly_squarefree_part,
 )
 
 from oracles import random_multipoly
@@ -21,16 +20,9 @@ M = MultiPoly.variable("M")
 u = MultiPoly.variable("u")
 
 
-def test_rational_arithmetic_examples():
-    assert rational_arithmetic(Rational(1, 2), Rational(1, 3), "add") == Rational(5, 6)
-    assert rational_arithmetic(Rational(4, 15), Rational(15, 4), "mul") == 1
-    zero = rational_arithmetic(Rational(2, 3), Rational(2, 3), "sub")
-    assert zero == 0 and zero.denominator == 1
-
-
 def test_rational_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        rational_arithmetic(Rational(1), Rational(0), "div")
+        Rational(1) / Rational(0)
 
 
 def test_rational_canonical_form():
@@ -115,16 +107,16 @@ def test_resultant_multiplicative_in_first_argument():
 
 def test_cleanup_examples():
     f = 6 * M + 9 * L
-    assert poly_cleanup(f, "content") == 3
-    assert poly_cleanup(f, "primitive_part") == 2 * M + 3 * L
+    assert f.content() == 3
+    assert f.primitive_part() == 2 * M + 3 * L
     g = (L - 1) ** 2 * M
-    sq = poly_cleanup(g, "squarefree_part")
+    sq = poly_squarefree_part(g)
     assert sq == (L - 1) * M
 
 
 def test_squarefree_division_oracle():
     g = (L - 1) ** 2 * M
-    sq = poly_cleanup(g, "squarefree_part")
+    sq = poly_squarefree_part(g)
     # sq divides g, the cofactor divides sq, and sq^2 does not divide g
     cofactor = g.exact_div(sq)
     sq.exact_div(cofactor)
@@ -138,7 +130,7 @@ def test_squarefree_division_oracle():
 
 def test_cleanup_zero_is_error():
     with pytest.raises(ValueError):
-        poly_cleanup(MultiPoly.constant(0), "content")
+        poly_squarefree_part(MultiPoly.constant(0))
 
 
 def test_exact_division_failure():

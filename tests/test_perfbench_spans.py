@@ -1,0 +1,28 @@
+"""The benchmark tracer wraps tbk functions by (module, attribute) name.
+
+A refactor that moves or renames one of them leaves its per-layer rows
+reading 0 without any error, so every target must resolve.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_span_targets_resolve():
+    spans = _load_tracing().SPANS
+    targets = [(modname, attr) for modname, attr, _ in spans]
+    targets += [("tbk.idealpoints", "_valid_tuples"),
+                ("tbk.charvar.apoly", "_PointCache")]
+    missing = [f"{modname}.{attr}" for modname, attr in targets
+               if not callable(getattr(importlib.import_module(modname), attr, None))]
+    assert not missing, missing
