@@ -15,7 +15,12 @@ from .confrac import (
     expand_repetition,
     negate,
 )
-from .idealpoints import IdealPointClass, detected_slopes_with_counts, ideal_point_classes
+from .idealpoints import (
+    IdealPointClass,
+    detected_slopes_with_counts,
+    ideal_point_classes,
+    ideal_point_count,
+)
 from .knots import KnotId, double_twist_to_two_bridge, knot_equivalent
 from .regression import PaperReport, run_paper_suite
 from .slopes import Slope
@@ -48,6 +53,7 @@ __all__ = [
     "slope_report",
     "IdealPointClass",
     "ideal_point_classes",
+    "ideal_point_count",
     "detected_slopes_with_counts",
     "KnotId",
     "knot_equivalent",

@@ -414,7 +414,12 @@ def _int_poly_factors(coeffs):
 
 
 def _int_poly_div(a, b):
-    """Exact division of integer coefficient lists; (quotient, ok)."""
+    """Exact division of integer coefficient lists; (quotient, ok).
+
+    If b divides a in Z[x], b's leading and constant coefficients divide
+    a's; a candidate failing either test is refused without dividing."""
+    if a[-1] % b[-1] or (a[0] % b[0] if b[0] else a[0]):
+        return [], False
     quot, rem = QPoly(a).divmod(QPoly(b))
     if not rem.is_zero() or any(c.denominator != 1 for c in quot.coeffs):
         return [], False

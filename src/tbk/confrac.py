@@ -219,32 +219,49 @@ def all_positive_expansion(p_over_q: Fraction) -> ContinuedFraction:
 
 _GROUP = re.compile(r"\(([^()]*)\)_(\d+)")
 
+# Longest expansion parse_cf builds: far above the admissible expansions
+# met in practice (3200/3203 has one of about 1,070 entries).
+MAX_CF_ENTRIES = 100_000
+
+
+def _items(text):
+    return [p for p in text.split(",") if p]
+
 
 def parse_cf(text: str) -> ContinuedFraction:
     """Parse CF text like ``[4,-4]`` or ``[(-2,2)_3,-3]``.
 
-    ``(pattern)_k`` groups expand to the pattern repeated k times.  A
-    Unicode minus sign is accepted as well.
+    ``(pattern)_k`` groups expand to the pattern repeated k times; groups
+    may nest.  A Unicode minus sign is accepted as well.  Text that
+    expands to more than MAX_CF_ENTRIES entries raises ValueError; the
+    size is checked before each round of group expansion, so a huge
+    repetition count is refused without being built.
     """
     s = text.replace("−", "-").replace(" ", "")
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"expected [...] continued fraction, got {text!r}")
     body = s[1:-1]
 
+    def check_size(size):
+        if size > MAX_CF_ENTRIES:
+            raise ValueError(f"continued fraction {text[:40]!r} expands to "
+                             f"more than {MAX_CF_ENTRIES} entries")
+
     def expand(match):
         pattern, k = match.group(1), int(match.group(2))
-        items = [p for p in pattern.split(",") if p]
-        return ",".join(items * k)
+        return ",".join(_items(pattern) * k)
 
-    prev = None
-    while prev != body:
-        prev = body
+    while groups := list(_GROUP.finditer(body)):
+        # innermost groups are expanded first; outer text keeps its size
+        check_size(len(_items(_GROUP.sub("", body))) + sum(
+            len(_items(g.group(1))) * int(g.group(2)) for g in groups))
         body = _GROUP.sub(expand, body)
-    body = re.sub(",+", ",", body).strip(",")
-    if not body:
+    items = _items(body)
+    if not items:
         raise ValueError(f"empty continued fraction {text!r}")
+    check_size(len(items))
     try:
-        entries = tuple(int(p) for p in body.split(","))
+        entries = tuple(int(p) for p in items)
     except ValueError:
         raise ValueError(f"malformed continued fraction {text!r}") from None
     return ContinuedFraction(entries)

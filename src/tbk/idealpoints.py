@@ -11,6 +11,21 @@ Moduli are taken for |ni| (the residue ring of n and -n coincide), and
 alternating negation negates the odd positions (j counted from 1).
 Negating the even positions instead gives the same group, since that
 map is the odd-position one composed with global negation.
+
+The number of classes has a closed form by Burnside's lemma over the
+Klein four-group {id, neg, alt, neg∘alt}.  With mi = |ni| and
+E = [every mi is even] (the all-half tuple is then the excluded one):
+
+    |X|           = prod(mi - 1) - E
+    Fix(neg)      = 0   (only the all-half tuple is fixed, and it is excluded)
+    Fix(alt)      = prod_{j odd} [mj even] * prod_{j even} (mj - 1) - E
+    Fix(neg∘alt)  = prod_{j odd} (mj - 1) * prod_{j even} [mj even] - E
+
+    classes = (|X| + Fix(alt) + Fix(neg∘alt)) / 4
+
+``ideal_point_count`` evaluates it in O(N) integer steps; the orbit walk
+``count_classes_by_orbits`` is its oracle, and ``ideal_point_classes``
+still enumerates the class representatives.
 """
 
 from __future__ import annotations
@@ -18,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 from .surfaces import slope_report
 
@@ -58,6 +74,21 @@ def ideal_point_classes(expansion) -> list:
     moduli = tuple(abs(a) for a in expansion.entries)
     reps = {min(_orbit(t, moduli)) for t in _valid_tuples(moduli)}
     return [IdealPointClass(r) for r in sorted(reps)]
+
+
+def ideal_point_count(expansion) -> int:
+    """Number of residue-tuple classes of an admissible expansion, by the
+    Burnside formula of the module docstring; equals
+    ``len(ideal_point_classes(expansion))`` without walking the tuples."""
+    if not expansion.admissible:
+        raise ValueError(f"{expansion} is not admissible")
+    moduli = [abs(a) for a in expansion.entries]
+    odd_pos, even_pos = moduli[0::2], moduli[1::2]  # positions 1, 3, ... and 2, 4, ...
+    all_half = all(m % 2 == 0 for m in moduli)
+    total = prod(m - 1 for m in moduli) - all_half
+    fix_alt = all(m % 2 == 0 for m in odd_pos) * prod(m - 1 for m in even_pos) - all_half
+    fix_neg_alt = prod(m - 1 for m in odd_pos) * all(m % 2 == 0 for m in even_pos) - all_half
+    return (total + fix_alt + fix_neg_alt) // 4
 
 
 def count_classes_by_orbits(expansion) -> int:

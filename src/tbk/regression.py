@@ -21,6 +21,7 @@ from .idealpoints import (
     count_classes_by_orbits,
     detected_slopes_with_counts,
     ideal_point_classes,
+    ideal_point_count,
 )
 from .knots import KnotId, double_twist_fraction
 from .surfaces import BranchedSurface, boundary_slope, flip, is_symmetric
@@ -136,15 +137,19 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
         {e1: e1, e2: e3, e3: e2, e4: e4},
         flips))
 
-    counts = {e: len(ideal_point_classes(surfaces[e].expansion))
-              for e in (e2, e3)}
+    counts = {e: ideal_point_count(surfaces[e].expansion) for e in (e2, e3)}
     checks.append(_check(
         "ideal-points-per-minus-4n",
         {e2: n - 1, e3: n - 1},
         counts))
-    orbit_counts = {e: count_classes_by_orbits(surfaces[e].expansion)
-                    for e in (e2, e3)}
-    checks.append(_check("ideal-point-count-methods-agree", counts, orbit_counts))
+    # closed form against both enumerations: (classes, orbits) per expansion
+    enumerated = {e: (len(ideal_point_classes(surfaces[e].expansion)),
+                      count_classes_by_orbits(surfaces[e].expansion))
+                  for e in (e2, e3)}
+    checks.append(_check(
+        "ideal-point-count-methods-agree",
+        {e: (c, c) for e, c in counts.items()},
+        enumerated))
 
     detected = detected_slopes_with_counts(fraction)
     checks.append(_check(

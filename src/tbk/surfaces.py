@@ -93,18 +93,32 @@ def is_symmetric(surface: BranchedSurface) -> bool:
 
 
 def slope_report(p_over_q: Fraction) -> list:
-    """One SlopeDatum per admissible expansion of p/q."""
-    from .idealpoints import ideal_point_classes
+    """One SlopeDatum per admissible expansion of p/q.
+
+    Gives the same data as ``boundary_slope``, ``is_symmetric`` and
+    ``ideal_point_classes`` on each expansion's surface, more cheaply: the
+    knot's all-even sign balance is computed once for the whole report,
+    symmetry compares the entries with their flip (reversed, and negated
+    when the length is even) without building the flipped surface, and
+    the ideal points are counted in closed form.
+    """
+    from .idealpoints import ideal_point_count
 
     p_over_q = Fraction(p_over_q)
+    expansions = enumerate_admissible(p_over_q)
+    n0_pos, n0_neg = _sign_counts(all_even_expansion(p_over_q).entries)
     data = []
-    for cf in enumerate_admissible(p_over_q):
-        surf = BranchedSurface(cf, p_over_q)
+    for cf in expansions:
+        BranchedSurface(cf, p_over_q)  # each expansion must evaluate to p/q mod Z
+        n_pos, n_neg = _sign_counts(cf.entries)
+        flipped = cf.entries[::-1]
+        if len(flipped) % 2 == 0:
+            flipped = tuple(-a for a in flipped)
         data.append(SlopeDatum(
-            slope=boundary_slope(surf),
+            slope=2 * ((n_pos - n_neg) - (n0_pos - n0_neg)),
             expansion=cf,
-            symmetric=is_symmetric(surf),
-            ideal_point_count=len(ideal_point_classes(cf)),
+            symmetric=flipped == cf.entries,
+            ideal_point_count=ideal_point_count(cf),
         ))
     return data
 

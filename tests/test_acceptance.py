@@ -28,6 +28,7 @@ from tbk.idealpoints import (
     count_classes_by_orbits,
     detected_slopes_with_counts,
     ideal_point_classes,
+    ideal_point_count,
 )
 from tbk.knots import double_twist_fraction
 from tbk.regression import expected_expansions, published_component_corners, published_full_corners
@@ -162,10 +163,11 @@ def test_criterion_5_ideal_point_counts():
             for cf in enumerate_admissible(fraction):
                 by_canon = len(ideal_point_classes(cf))
                 by_orbits = count_classes_by_orbits(cf)
-                assert by_canon == by_orbits, (n, cf)
+                assert ideal_point_count(cf) == by_canon == by_orbits, (n, cf)
             _, e2, e3, _ = expected_expansions(n)
             assert len(ideal_point_classes(e2)) == n - 1
             assert len(ideal_point_classes(e3)) == n - 1
+            assert ideal_point_count(e2) == ideal_point_count(e3) == n - 1
 
 
 def test_criterion_6_detected_slopes():

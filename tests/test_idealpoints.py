@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from tbk.idealpoints import (
     count_classes_by_orbits,
     detected_slopes_with_counts,
     ideal_point_classes,
+    ideal_point_count,
 )
 
 from oracles import orbit_count_oracle
@@ -39,6 +41,10 @@ def test_class_representatives_are_canonical():
 def test_rejects_non_admissible():
     with pytest.raises(ValueError):
         ideal_point_classes(cf(1, 3))
+    with pytest.raises(ValueError):
+        ideal_point_count(cf(1, 3))
+    with pytest.raises(ValueError):
+        ideal_point_count(cf(4, -1, 2))
 
 
 def test_detected_slopes_examples():
@@ -82,3 +88,39 @@ def test_parity_convention_agrees_on_reference_counts():
     for entries in ((3, 2, -2, 2), (5, 2, -2, 2, -2, 2), (4, -4), (2, -2)):
         c = cf(*entries)
         assert len(ideal_point_classes(c)) == orbit_count_oracle(c, parity="even")
+
+
+def assert_count_matches_enumeration(c):
+    assert ideal_point_count(c) == count_classes_by_orbits(c) == len(ideal_point_classes(c)), c
+
+
+def test_closed_form_count_random_expansions():
+    # lengths 1-7, |entries| 2-9, random signs; expansions with more than
+    # 1500 residue tuples are redrawn to keep the enumerations cheap
+    rng = random.Random(401)
+    lengths = {n: 0 for n in range(1, 8)}
+    checked = 0
+    while checked < 500:
+        length = rng.randint(1, 7)
+        entries = [rng.choice((-1, 1)) * rng.randint(2, 9) for _ in range(length)]
+        if prod(abs(a) - 1 for a in entries) > 1500:
+            continue
+        assert_count_matches_enumeration(cf(*entries))
+        lengths[length] += 1
+        checked += 1
+    assert all(lengths.values()), lengths
+
+
+def test_closed_form_count_forced_cases():
+    rng = random.Random(402)
+    for _ in range(60):
+        length = rng.randint(1, 4)
+        signs = [rng.choice((-1, 1)) for _ in range(length)]
+        evens = [s * rng.choice((2, 4, 6, 8)) for s in signs]  # all-half excluded
+        odds = [s * rng.choice((3, 5, 7, 9)) for s in signs]
+        assert_count_matches_enumeration(cf(*evens))
+        assert_count_matches_enumeration(cf(*odds))
+    for a in range(-9, 10):
+        if abs(a) >= 2:
+            assert_count_matches_enumeration(cf(a))  # a single entry
+    assert ideal_point_count(cf(2, -2)) == 0

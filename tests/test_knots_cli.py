@@ -215,3 +215,31 @@ def test_cli_verify_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["records"][0]["n"] == 2
     assert all(c["passed"] for c in data["records"][0]["checks"])
+
+
+def test_cli_slopes_stress_fraction(capsys):
+    # 166408/1845493 has an expansion [11,11,11,11,11,11]: 10^6 residue
+    # tuples, counted in closed form
+    assert main(["slopes", "166408/1845493", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["expansions"]) == 21
+    assert sum(e["ideal_points"] for e in data["expansions"]) == 461669
+    assert data["all_slopes"] == [-66, -44, -22, 0, 22, 44, 66]
+    assert data["symmetric_slopes"] == []
+
+
+def test_cli_expand_refuses_huge_repetition():
+    # (2)_100000000 would be built in memory without the entry cap; the
+    # address-space limit turns a missing cap into a failure, not a hang
+    import resource
+    import subprocess
+    import sys
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbk.cli", "expand", "[(2)_100000000]"],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "100000 entries" in proc.stderr

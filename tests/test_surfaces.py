@@ -109,3 +109,15 @@ def test_double_twist_flip_exchange():
         assert flip(b).expansion == a.expansion
         fixed = [d for d in report if d.slope != -4 * n]
         assert all(d.symmetric for d in fixed)
+
+
+def test_slope_report_matches_surface_oracles_up_to_q45():
+    # slope_report's shared all-even balance and entry-level flip against
+    # boundary_slope and is_symmetric on each expansion's own surface
+    for fraction in all_reduced_fractions(45):
+        report = slope_report(fraction)
+        assert [d.expansion for d in report] == enumerate_admissible(fraction)
+        for d in report:
+            s = BranchedSurface(d.expansion, fraction)
+            assert d.slope == boundary_slope(s), d
+            assert d.symmetric == is_symmetric(s), d
