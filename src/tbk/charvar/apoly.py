@@ -7,8 +7,8 @@ M^len is the longitude eigenvalue.  Eliminating the Riley variable u from
 
     { riley(M, u),  L * M^len - P(M, u) }
 
-and normalizing (integer content, pure-M and pure-L factors, repeated
-factors) yields the nonabelian A-polynomial.  Small cases run through the
+and normalizing (integer content, pure-M factors, repeated factors)
+yields the nonabelian A-polynomial.  Small cases run through the
 exact subresultant engine directly; larger ones are reconstructed from
 modular images: per prime and per integer M-value the resultant is a cheap
 scalar computation, the squarefree monic part of each slice is a rational
@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import gcd
 
 from ..exactnum import MultiPoly, QPoly, poly_resultant, poly_squarefree_part
-from ..exactnum.multipoly import poly_content_in
 from . import _modp
 from .presentation import TwoBridgePresentation, presentation
 from .riley import riley_polynomial, scaled_word_matrix
@@ -56,24 +55,24 @@ def longitude_data(pres: TwoBridgePresentation):
 # -- exact small-case engine -------------------------------------------------
 
 
-def _cleanup_nonabelian(r: MultiPoly) -> MultiPoly:
-    """Primitive, pure-factor-free, squarefree normalization of a resultant."""
-    r = r.primitive_part()
-    for var in ("L", "M"):
-        if r.degree(var) > 0:
-            cont = poly_content_in(r, var)
-            if not (cont.is_constant() and abs(cont.constant_value()) == 1):
-                r = r.exact_div(cont.in_variables(r.variables))
-    return poly_squarefree_part(r).drop_unused().in_variables(("L", "M"))
-
-
 def _apoly_direct(phi, p11, length):
+    """Res_u(phi, L*M^length - P) with pure-M and repeated factors removed.
+
+    The resultant's leading L-coefficient is lc_u(phi)^deg_u(P) times a
+    power of M.  With lc_u(phi) a monomial that coefficient vanishes at no
+    M = a != 0, so no factor (M - a) divides the resultant: its only
+    pure-M factors are integers and powers of M."""
+    lead = phi.coefficients_in("u")[-1]
+    if len(lead) != 1:
+        raise EliminationError(
+            f"leading u-coefficient {lead} of the Riley polynomial "
+            "is not a monomial")
     lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
-    g = lm - p11
-    r = poly_resultant(phi, g, "u")
+    r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
-    return _cleanup_nonabelian(r)
+    r = poly_squarefree_part(r.strip_monomial())
+    return r.drop_unused().in_variables(("L", "M"))
 
 
 # -- modular reconstruction engine -------------------------------------------
@@ -149,9 +148,12 @@ _MAX_RECON_DEGREE = 512
 def _ahat_mod_p(cache, p, degree_hint=8):
     """Normalized image of the A-polynomial mod p.
 
-    Returns (d, dden, coeffs) with coeffs mapping (L-power, M-power) to
-    residues, normalized so the (d, dden) coefficient is 1; None when the
-    prime misbehaves."""
+    Returns (d, dden, coeffs, degree) with coeffs mapping (L-power,
+    M-power) to residues, normalized so the (d, dden) coefficient is 1,
+    and degree the largest numerator or denominator degree of the
+    reconstructed coefficient functions, the next prime's degree_hint;
+    None when the prime misbehaves.  Cauchy interpolation starts at
+    degree bound degree_hint and doubles it until the fit holds."""
     slices = {}
     cursor = [0]
 
@@ -235,7 +237,8 @@ def _ahat_mod_p(cache, p, degree_hint=8):
         for k, c in enumerate(cj):
             if c:
                 coeffs[(j, k)] = c
-    return d, dden, coeffs
+    degree = max(len(f) - 1 for pair in recon for f in pair)
+    return d, dden, coeffs, degree
 
 
 _MAX_PRIMES = 400  # ~7000 digits of CRT capacity; far beyond honest use
@@ -256,8 +259,8 @@ def _apoly_modular(phi, p11, length):
         image = _ahat_mod_p(cache, p, degree_hint)
         if image is None:
             continue
-        d, dden, coeffs = image
-        degree_hint = max(8, dden // 2 + 1)
+        d, dden, coeffs, degree = image
+        degree_hint = max(degree, 1)  # doubling would never grow a 0 bound
         if signature is None:
             signature = (d, dden)
         elif (d, dden) != signature:

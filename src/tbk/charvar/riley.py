@@ -5,14 +5,16 @@ Generators go to
     g1 -> [[M, 1], [0, 1/M]],      g2 -> [[M, 0], [-u, 1/M]],
 
 and every word of length n is computed as M^n times its image, clearing
-all denominators.  Imposing the relation w g1 = g2 w yields four entry
-conditions in Z[M, u]; their gcd (with monomial and integer content
-stripped) is the Riley polynomial, of degree (q-1)/2 in u.
+all denominators.  With W = M^n rho(w) = [[w11, w12], [w21, w22]], the
+relation w g1 = g2 w gives four entry conditions in Z[M, u]: d11 = 0,
+d22 = M (w21 + u w12), which vanishes for a two-bridge relator, and then
+d21 = u d12 with d12 = M w11 + (1 - M^2) w12.  So d12, with monomial and
+integer content stripped, is the Riley polynomial, of degree (q-1)/2 in u.
 """
 
 from __future__ import annotations
 
-from ..exactnum import MultiPoly, poly_gcd, poly_prem
+from ..exactnum import MultiPoly
 from .presentation import TwoBridgePresentation
 
 _VARS = ("M", "u")
@@ -49,37 +51,20 @@ class PresentationError(ValueError):
     """The relator entry conditions degenerated (convention bug guard)."""
 
 
-def _normalized(poly):
-    return poly.strip_monomial().primitive_part().sign_normalized()
-
-
 def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
-    """Generating polynomial of the relator entry conditions, in (M, u)."""
+    """The Riley polynomial of the presentation, in (M, u)."""
     w, _ = scaled_word_matrix(pres.relator_word())
-    a = _LETTERS[(0, 1)]
-    b = _LETTERS[(1, 1)]
-    lhs = _mat_mul(w, a)
-    rhs = _mat_mul(b, w)
-    entries = [x - y for x, y in zip(lhs, rhs)]
-
-    candidate = None
-    d11, d12, d21, d22 = entries
-    if d11.is_zero() and d22.is_zero() and not d12.is_zero() and not d21.is_zero():
-        # usual shape: off-diagonal conditions share the full gcd
-        cand = _normalized(d12)
-        rem = poly_prem(d21, cand, "u")
-        if rem.is_zero():
-            candidate = cand
-    if candidate is None:
-        g = MultiPoly.constant(0)
-        for e in entries:
-            if not e.is_zero():
-                g = poly_gcd(g, e)
-        candidate = _normalized(g)
+    lhs = _mat_mul(w, _LETTERS[(0, 1)])
+    rhs = _mat_mul(_LETTERS[(1, 1)], w)
+    d11, d12, _, d22 = (x - y for x, y in zip(lhs, rhs))
+    if not (d11.is_zero() and d22.is_zero()):
+        raise PresentationError(
+            f"diagonal entry conditions for {pres.fraction} do not vanish")
+    phi = d12.strip_monomial().primitive_part().sign_normalized()
 
     q = pres.fraction.denominator
-    if candidate.is_constant() or candidate.degree("u") != (q - 1) // 2:
+    if phi.is_constant() or phi.degree("u") != (q - 1) // 2:
         raise PresentationError(
-            f"entry conditions for {pres.fraction} give gcd {candidate} "
+            f"entry condition for {pres.fraction} gives {phi} "
             f"(expected u-degree {(q - 1) // 2})")
-    return candidate
+    return phi

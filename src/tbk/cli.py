@@ -14,16 +14,12 @@ from fractions import Fraction
 from .confrac import (
     ContinuedFraction,
     InvalidFractionError,
+    _check_fraction,
     evaluate,
     format_cf,
     parse_cf,
 )
-from .knots import (
-    KnotId,
-    NotHyperbolicError,
-    TwoComponentLinkError,
-    double_twist_to_two_bridge,
-)
+from .knots import KnotId, double_twist_to_two_bridge
 from .surfaces import all_slopes, slope_report, symmetric_slopes
 from .valuation import (
     fixes_vertex,
@@ -111,11 +107,21 @@ def _cmd_jkl(args) -> int:
     return 0
 
 
+# Largest Riley polynomial u-degree (q-1)/2 that ``tbk apoly`` eliminates,
+# refused before any elimination starts.  It admits q <= 101, so the
+# double twist knot J(10,10) = 10/99 (degree 49) too.
+MAX_RILEY_DEGREE = 50
+
+
 def _cmd_apoly(args) -> int:
     from .charvar import a_polynomial
     from .exactnum import format_apoly, write_apoly
 
-    fraction = _parse_fraction(args.fraction)
+    fraction = _check_fraction(_parse_fraction(args.fraction))
+    degree = (fraction.denominator - 1) // 2
+    if degree > MAX_RILEY_DEGREE:
+        raise ValueError(f"{fraction}: Riley polynomial degree {degree} is above "
+                         f"the limit {MAX_RILEY_DEGREE} of tbk apoly")
     ap = a_polynomial(fraction, keep_abelian=args.keep_abelian)
     if args.out:
         write_apoly(ap.poly, args.out)
@@ -247,8 +253,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidFractionError, TwoComponentLinkError, NotHyperbolicError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -120,7 +120,11 @@ def _admissible_tails(x: Fraction):
     nodes = []
     found = []
     stack = [(x, -1)]  # (leftover value, node it hangs from); 0 = finished
+    start = x
     while stack:
+        if len(nodes) > MAX_WALK_NODES:
+            raise ValueError(f"admissible enumeration of {start} visits more "
+                             f"than {MAX_WALK_NODES} nodes")
         x, node = stack.pop()
         if x == 0:
             entries = []
@@ -148,7 +152,8 @@ def enumerate_admissible(p_over_q: Fraction) -> list:
     Both representatives of p/q in (-1, 1) are expanded; results are sorted
     lexicographically by entries and are duplicate-free.  Each returned
     expansion has integer part 0, so evaluate() recovers the representative
-    it stands for.
+    it stands for.  A walk of more than MAX_WALK_NODES nodes raises
+    ValueError.
     """
     p_over_q = _check_fraction(p_over_q)
     seen = set()
@@ -222,6 +227,12 @@ _GROUP = re.compile(r"\(([^()]*)\)_(\d+)")
 # Longest expansion parse_cf builds: far above the admissible expansions
 # met in practice (3200/3203 has one of about 1,070 entries).
 MAX_CF_ENTRIES = 100_000
+
+# Most nodes one admissible walk may visit: 57 times the longest walk in
+# the slopes benchmark's pool of 4,145 fractions (1/1749, 1,748 nodes).
+# Literals well under MAX_CF_ENTRIES, such as [(2)_30], can denote
+# fractions whose walk does not finish.
+MAX_WALK_NODES = 100_000
 
 
 def _items(text):

@@ -371,13 +371,6 @@ class MultiPoly:
                     del rem[kk]
         return MultiPoly(a.variables, quot)
 
-    def divides(self, other):
-        try:
-            other.exact_div(self)
-            return True
-        except (ExactDivisionError, ZeroDivisionError):
-            return False
-
     # -- display -----------------------------------------------------------
 
     def sorted_terms(self):
@@ -514,11 +507,6 @@ def poly_gcd(f, g):
         r = poly_prem(pa, pb, main)
         pa, pb = pb, (_primitive_in(r, main) if not r.is_zero() else r)
     return (cont * result).sign_normalized()
-
-
-def poly_content_in(f, var):
-    """Content of f viewed as a polynomial in var (gcd of the coefficients)."""
-    return _coeff_gcd(f.coefficients_in(var))
 
 
 def poly_squarefree_part(f):

@@ -72,6 +72,27 @@ def test_riley_degree_sweep_q45():
         assert phi.degree("u") == (q - 1) // 2, q
 
 
+def test_riley_is_one_entry_condition():
+    # with W = M^n rho(w), W a - b W has d11 = d22 = 0 and d21 = u * d12,
+    # so the Riley polynomial is d12 normalized; its leading u-coefficient
+    # is +-M^k, which the direct engine's cleanup relies on
+    from tbk.charvar.riley import _LETTERS, _mat_mul, scaled_word_matrix
+
+    u = MultiPoly.variable("u")
+    for p, q in reduced_fractions(25):
+        pres = presentation(Fraction(p, q))
+        w, _ = scaled_word_matrix(pres.relator_word())
+        lhs = _mat_mul(w, _LETTERS[(0, 1)])
+        rhs = _mat_mul(_LETTERS[(1, 1)], w)
+        d11, d12, d21, d22 = (x - y for x, y in zip(lhs, rhs))
+        assert d11.is_zero() and d22.is_zero(), (p, q)
+        assert d21 == u * d12, (p, q)
+        phi = riley_polynomial(pres)
+        assert phi == d12.strip_monomial().primitive_part().sign_normalized()
+        [coeff] = phi.coefficients_in("u")[-1].terms.values()
+        assert abs(coeff) == 1, (p, q)
+
+
 def test_riley_trefoil_exact():
     u = MultiPoly.variable("u")
     phi = riley_polynomial(presentation(Fraction(1, 3)))
@@ -113,13 +134,41 @@ def reduced_fractions(q_max):
 
 
 def test_a_polynomial_engines_agree():
-    # every knot fraction with q <= 9: 18 of them
-    fractions = [Fraction(p, q) for p, q in reduced_fractions(9)]
-    assert len(fractions) == 18
+    # every knot fraction with q <= 11: 28 of them; engine="auto" picks
+    # both engines among them
+    fractions = [Fraction(p, q) for p, q in reduced_fractions(11)]
+    assert len(fractions) == 28
     for pq in fractions:
         direct = a_polynomial(pq, engine="direct").poly
         modular = a_polynomial(pq, engine="modular").poly
         assert direct == modular, pq
+
+
+def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
+    # every prime after the first starts interpolating at the degree the
+    # one before it reconstructed, so only the first prime doubles its bound
+    from tbk.charvar import _modp, apoly
+
+    primes = []
+    failures = []
+    ahat_mod_p = apoly._ahat_mod_p
+    cauchy_interpolate = _modp.cauchy_interpolate
+
+    def counted_prime(cache, p, *args):
+        primes.append(p)
+        return ahat_mod_p(cache, p, *args)
+
+    def counted_cauchy(*args):
+        out = cauchy_interpolate(*args)
+        if out is None:
+            failures.append(len(primes))
+        return out
+
+    monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
+    monkeypatch.setattr(_modp, "cauchy_interpolate", counted_cauchy)
+    a_polynomial(Fraction(4, 15), engine="modular")
+    assert len(primes) > 1
+    assert set(failures) <= {1}
 
 
 def test_a_polynomial_knot_symmetries():

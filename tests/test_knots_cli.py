@@ -243,3 +243,35 @@ def test_cli_expand_refuses_huge_repetition():
         capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert "100000 entries" in proc.stderr
+
+
+def test_cli_expand_refuses_long_walk():
+    # [(2)_30] is 30 entries, but the admissible walk of its fraction
+    # (q = 259717522849) runs far past the walk cap, which refuses it
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbk.cli", "expand", "[(2)_30]"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "more than 100000 nodes" in proc.stderr
+
+
+def test_cli_apoly_riley_degree_cap(capsys):
+    # 1/4001 has Riley degree 2000; without the cap it would start an
+    # elimination that does not finish
+    import subprocess
+    import sys
+
+    from tbk import cli
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "tbk.cli", "apoly", "1/4001"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "degree 2000" in proc.stderr
+    assert f"limit {cli.MAX_RILEY_DEGREE}" in proc.stderr
+    assert (99 - 1) // 2 <= cli.MAX_RILEY_DEGREE  # 10/99 = J(10,10) is admitted
+    assert main(["apoly", "2/5"]) == 0
+    assert capsys.readouterr().out.startswith("# apoly v1\n")
