@@ -1,7 +1,9 @@
-"""GF(p) univariate polynomial helpers for the modular elimination engine.
+"""GF(p) univariate polynomial helpers for the modular elimination engine
+and for factoring the Riley polynomial (powering and inverses modulo a
+polynomial, distinct-degree and Cantor-Zassenhaus equal-degree factoring).
 
-Polynomials are plain lists of ints (ascending powers, trimmed).  Primes
-are around 2^61 so products fit comfortably in Python ints.
+Polynomials are plain lists of ints (ascending powers, trimmed).  The
+elimination's primes are around 2^61, which Python ints handle directly.
 
 Inverses go through ``pinv``: pow(x, -1, p) costs about 4 us at 61 bits
 against 20 us for the Fermat power pow(x, p - 2, p), and 0 is refused
@@ -130,6 +132,79 @@ def squarefree_monic(a, p):
     return pscale(a, pinv(a[-1], p, "squarefree_monic"), p)
 
 
+def ppowmod(a, e, f, p):
+    """a^e mod f over GF(p), by repeated squaring."""
+    out = [1]
+    a = pdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = pdivmod(pmul(out, a, p), f, p)[1]
+        e >>= 1
+        if e:
+            a = pdivmod(pmul(a, a, p), f, p)[1]
+    return out
+
+
+def _euclid(r0, r1, degree, p):
+    """Extended Euclid on (r0, r1) over GF(p), stopped once deg r1 <= degree
+    (or r1 = 0): returns (r1, t1) with r1 = t1 * r1_initial mod r0."""
+    t0, t1 = [], [1]
+    while r1 and len(r1) - 1 > degree:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    return r1, t1
+
+
+def pinvmod(a, f, p):
+    """Inverse of a modulo f over GF(p); ZeroDivisionError unless coprime."""
+    r, t = _euclid(list(f), pdivmod(a, f, p)[1], 0, p)
+    if not r:
+        raise ZeroDivisionError(f"pinvmod: not invertible modulo a degree "
+                                f"{len(f) - 1} polynomial mod {p}")
+    return pscale(t, pinv(r[0], p, "pinvmod"), p)
+
+
+def distinct_degree(f, p):
+    """Distinct-degree factorization of a monic squarefree f over GF(p).
+
+    Returns [(d, g_d)] with g_d the monic product of f's irreducible
+    factors of degree d, using that x^(p^d) - x is the product of all
+    monic irreducibles of degree dividing d.  An irreducible f gives
+    [(deg f, f)] after deg f / 2 Frobenius steps."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = ppowmod(h, p, f, p)
+        g = pgcd_monic(f, psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = pdivmod(f, g, p)[0]
+            h = pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def equal_degree(f, d, p, rng):
+    """Monic irreducible factors of a monic squarefree f over GF(p), p odd,
+    whose irreducible factors all have degree d (Cantor-Zassenhaus).
+
+    A random a < f splits f through gcd(f, a^((p^d - 1)/2) - 1) with
+    probability about 1/2; ``rng`` (a random.Random) draws the a's."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = ptrim([rng.randrange(p) for _ in range(len(f) - 1)])
+        b = ppowmod(a, (p ** d - 1) // 2, f, p)
+        g = pgcd_monic(f, psub(b, [1], p), p)
+        if 1 < len(g) < len(f):
+            return (equal_degree(g, d, p, rng)
+                    + equal_degree(pdivmod(f, g, p)[0], d, p, rng))
+
+
 def peval(a, x, p):
     acc = 0
     for c in reversed(a):
@@ -203,13 +278,7 @@ def cauchy_interpolate(xs, ys, d_num, d_den, p):
         _mul_linear(modulus, x, deg, p)
     interp = newton_interp(xs, ys, p)
 
-    r0, r1 = modulus, interp
-    t0, t1 = [], [1]
-    while r1 and len(r1) - 1 > d_num:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    num, den = r1, t1
+    num, den = _euclid(modulus, interp, d_num, p)
     if not den or len(den) - 1 > d_den:
         return None
     g = pgcd_monic(num, den, p) if num else []

@@ -1,4 +1,4 @@
-"""A-polynomials by resultant elimination.
+"""A-polynomials by resultant elimination, one Riley component at a time.
 
 The longitude word (reversed relator, then relator, then a meridian power
 killing the exponent sum) maps to an upper-triangular matrix on the
@@ -8,23 +8,46 @@ M^len is the longitude eigenvalue.  Eliminating the Riley variable u from
     { riley(M, u),  L * M^len - P(M, u) }
 
 and normalizing (integer content, pure-M factors, repeated factors)
-yields the nonabelian A-polynomial.  Small cases run through the
-exact subresultant engine directly; larger ones are reconstructed from
-modular images: per prime and per integer M-value the resultant is a cheap
-scalar computation, the squarefree monic part of each slice is a rational
-function of M in each coefficient, and Cauchy interpolation plus CRT and
-rational reconstruction lift the exact integer polynomial.  The lifted
-result is verified exactly (vanishing on the representation curve at
-integer sample points) before it is returned.
+yields the nonabelian A-polynomial.
+
+Factor, then eliminate.  The Riley polynomial phi is first factored over
+Z[M, u]: Zassenhaus's algorithm on phi(m0, u) over Z (Cantor-Zassenhaus
+mod a prime, a p-adic Hensel lift, recombination by exact division), then
+an (M - m0)-adic lift of those factors, each candidate proved by exact
+division.  Resultants are multiplicative, Res_u(phi_1 phi_2, g) =
+Res_u(phi_1, g) Res_u(phi_2, g), so u is eliminated from each irreducible
+factor phi_i separately.  Each result is irreducible: Res_u(phi_i,
+L M^len - P) is, up to a power of lc_u(phi_i), the norm from the field
+Q(M)[u]/phi_i to Q(M) of L - P/M^len, which is a power of the minimal
+polynomial of P/M^len over Q(M); its squarefree part is that minimal
+polynomial, irreducible over Q(M), and primitive once pure-M factors are
+dropped.  The components of the A-polynomial (Macasieb-Petersen-van
+Luijk: two for J(k, k)) therefore come by construction, the A-polynomial
+is their deduplicated product, and no polynomial in L is ever factored.
+
+Small factors run through the exact subresultant engine directly; larger
+ones are reconstructed from modular images: per prime and per integer
+M-value the resultant is a cheap scalar computation, the squarefree monic
+part of each slice is a rational function of M in each coefficient, and
+Cauchy interpolation plus CRT and rational reconstruction lift the exact
+integer polynomial.  The lifted result is verified exactly (vanishing on
+the representation curve at integer sample points) before it is returned.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from ..exactnum import MultiPoly, QPoly, poly_resultant, poly_squarefree_part
+from ..exactnum import (
+    ExactDivisionError,
+    MultiPoly,
+    QPoly,
+    poly_resultant,
+    poly_squarefree_part,
+)
 from . import _modp
 from .presentation import TwoBridgePresentation, presentation
 from .riley import riley_polynomial, scaled_word_matrix
@@ -36,14 +59,22 @@ class EliminationError(RuntimeError):
 
 @dataclass(frozen=True)
 class APoly:
+    """An A-polynomial and its irreducible factors over Z.
+
+    ``factors`` are distinct, primitive and lex-positive, and multiply to
+    ``poly``; they default to ``(poly,)``."""
+
     poly: MultiPoly
     component_tag: str = "full"
+    factors: tuple = ()
 
     def __post_init__(self):
         if self.poly.is_zero():
             raise ValueError("A-polynomial must be nonzero")
         if self.component_tag not in ("full", "canonical", "other"):
             raise ValueError(f"unknown component tag {self.component_tag!r}")
+        if not self.factors:
+            object.__setattr__(self, "factors", (self.poly,))
 
 
 def longitude_data(pres: TwoBridgePresentation):
@@ -341,251 +372,279 @@ def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
     """Nonabelian A-polynomial of the two-bridge knot p/q.
 
     keep_abelian multiplies the abelian factor (L - 1) back in.  engine is
-    'direct' (exact subresultant), 'modular' (reconstruction), or 'auto'.
+    'direct' (exact subresultant), 'modular' (reconstruction), or 'auto',
+    which picks per Riley factor from its u-degree.  The result records
+    the irreducible factors, one per distinct Riley-factor image.
     """
+    if engine not in ("auto", "direct", "modular"):
+        raise ValueError(f"unknown engine {engine!r}")
     pres = presentation(p_over_q)
     phi = riley_polynomial(pres)
     p11, _, length = longitude_data(pres)
+    du_p = max(p11.degree("u"), 1)
 
-    if engine == "auto":
-        du_p = max(p11.degree("u"), 1)
-        engine = "direct" if phi.degree("u") * du_p <= 40 else "modular"
-    if engine == "direct":
-        poly = _apoly_direct(phi, p11, length)
-    elif engine == "modular":
-        poly = _apoly_modular(phi, p11, length)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-
+    factors = []
+    for phi_i in _riley_factors(phi, 1):
+        use = engine
+        if use == "auto":
+            use = "direct" if phi_i.degree("u") * du_p <= 40 else "modular"
+        eliminate = _apoly_direct if use == "direct" else _apoly_modular
+        factor = eliminate(phi_i, p11, length)
+        if factor not in factors:  # distinct Riley factors, one A-factor
+            factors.append(factor)
     if keep_abelian:
-        ab = MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1})
-        poly = (poly * ab).sign_normalized()
-    return APoly(poly, "full")
+        factors.append(MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1}))
+
+    poly = factors[0]
+    for factor in factors[1:]:
+        poly = poly * factor
+    return APoly(poly, "full", tuple(factors))
 
 
-# -- factor splitting ----------------------------------------------------------
+# -- factoring the Riley polynomial ---------------------------------------------
+
+
+def _recombine(seeds, try_group):
+    """Zassenhaus recombination: group local factors into true factors.
+
+    Groups are tried smallest first; ``try_group(group, rest)`` returns the
+    proven factor whose local image is the product of ``group`` (dividing
+    it out of the caller's cofactor), or None.  Every irreducible factor
+    is the product of a group of seeds, and the groups partition the
+    seeds, so once no group of size below s divides, a dividing group of
+    size s is irreducible.  Returns the factors found; what is left of the
+    caller's cofactor, the product of the remaining seeds, is irreducible.
+    """
+    found = []
+    s = 1
+    while 2 * s <= len(seeds):
+        for idx in itertools.combinations(range(len(seeds)), s):
+            if 2 * s == len(seeds) and idx[0] != 0:
+                continue  # the complement of a group already tried
+            group = [seeds[i] for i in idx]
+            rest = [g for i, g in enumerate(seeds) if i not in idx]
+            factor = try_group(group, rest)
+            if factor is not None:
+                found.append(factor)
+                seeds = rest
+                break
+        else:
+            s += 1
+    return found
+
+
+def _monic_product(polys, p):
+    """Monic image mod p of a product of integer coefficient lists."""
+    out = [1]
+    for g in polys:
+        out = _modp.pmul(out, [c % p for c in g], p)
+    return _modp.pscale(out, _modp.pinv(out[-1], p, "_monic_product"), p)
+
+
+def _hensel_padic(f, g0, h0, p, pk):
+    """Lift f = lc(f) * g0 * h0 mod p to f = lc(f) * g * h mod pk, pk a
+    power of p; g0, h0 monic and coprime mod p.  Returns g, the one monic
+    factor of f mod pk that reduces to g0.
+
+    Linear lifting: with s*g0 + t*h0 = 1 mod p, the error e = (f - g*h)/q
+    mod p at modulus q is corrected by t*e mod g0 and s*e mod h0."""
+    target = [c * pow(f[-1], -1, pk) % pk for c in f]
+    s, t = _modp.pinvmod(g0, h0, p), _modp.pinvmod(h0, g0, p)
+    g, h, q = list(g0), list(h0), p
+    while q < pk:
+        qp = q * p
+        e = _modp.ptrim([(a - b) % qp // q
+                         for a, b in zip(target, _modp.pmul(g, h, qp))])
+        for lifted, base, inverse in ((g, g0, t), (h, h0, s)):
+            for j, c in enumerate(_modp.pdivmod(_modp.pmul(inverse, e, p), base, p)[1]):
+                lifted[j] = (lifted[j] + q * c) % qp
+        q = qp
+    return g
+
+
+# Primes for factoring over Z start here: Cantor-Zassenhaus costs grow
+# with log p, the Hensel lift's steps with 1/log p.  On phi(2, u) of 10/99,
+# starting at 2^7, 2^10, 2^15, 2^20 and 2^31 took 366, 398, 158, 228 and
+# 838 ms (2-core x86-64, Python 3.11).
+_FACTOR_PRIMES_FROM = 1 << 15
 
 
 def _int_poly_factors(coeffs):
     """Irreducible factors over Z of a primitive integer polynomial.
 
-    Numeric root clustering proposes candidate factors (subsets of roots,
-    leading coefficient a divisor of the input's); every candidate is
-    verified by exact division, so the numerics only steer the search.
-    Returns a list of primitive integer coefficient lists.
+    Returns primitive integer coefficient lists with positive leading
+    coefficients, a repeated factor once per multiplicity; their product
+    is the input up to sign.  Zassenhaus's algorithm: factor the
+    squarefree part mod a prime p not dividing its discriminant
+    (distinct-degree, then Cantor-Zassenhaus splitting seeded by p), lift
+    to p^k past the Mignotte bound, and recombine; a candidate counts only
+    when it divides exactly, so every factor returned is proved.  An input
+    irreducible mod p stops after that test.
     """
-    import itertools
+    f = list(coeffs)
+    while f and f[-1] == 0:
+        f.pop()
+    if f and f[-1] < 0:
+        f = [-c for c in f]
+    if len(f) <= 2:
+        return [f]
+    sqf = f
+    for p in _modp.prime_stream(_FACTOR_PRIMES_FROM):
+        fp = [c % p for c in sqf]
+        if fp[-1] and len(_modp.pgcd_monic(fp, _modp.pderiv(fp, p), p)) == 1:
+            break
+        if sqf is f:  # not squarefree mod p: maybe not over Z either
+            g = poly_squarefree_part(MultiPoly.from_coefficients("x", f))
+            sqf = [c.constant_value() for c in g.coefficients_in("x")]
+    rng = random.Random(p)
+    seeds = [g for d, gd in _modp.distinct_degree(_monic_product([sqf], p), p)
+             for g in _modp.equal_degree(gd, d, p, rng)]
+    factors = [sqf]
+    if len(seeds) > 1:
+        n = len(sqf) - 1
+        bound = ((isqrt(n + 1) + 1) << n) * max(abs(c) for c in sqf) * sqf[-1]
+        pk = p
+        while pk <= 2 * bound:  # Mignotte: a factor times lc(f) stays below
+            pk *= p
+        lifted = [_hensel_padic(sqf, g, _monic_product(seeds[:i] + seeds[i + 1:], p), p, pk)
+                  for i, g in enumerate(seeds)]
+        cofactor = sqf
 
-    import numpy as np
+        def try_group(group, rest):
+            nonlocal cofactor
+            cand = [cofactor[-1]]
+            for g in group:
+                cand = _modp.pmul(cand, g, pk)
+            cand = [c - pk if 2 * c > pk else c for c in cand]
+            content = gcd(*cand)
+            cand = [c // content for c in cand]
+            if cand[0] and cofactor[0] % cand[0]:
+                return None
+            quot, rem = QPoly(cofactor).divmod(QPoly(cand))
+            if not rem.is_zero():
+                return None
+            # cand is primitive, so by Gauss's lemma the quotient is in Z[x]
+            cofactor = [int(c) for c in quot.coeffs]
+            return cand
 
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    deg = len(coeffs) - 1
-    if deg <= 1:
-        return [coeffs]
-    roots = np.roots(list(reversed([float(c) for c in coeffs])))
-
-    def divisors(n, scan_cap=100_000, count_cap=2000):
-        # small divisors by bounded trial division; enough to steer the
-        # search since every candidate is verified by exact division
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n and d <= scan_cap and len(out) < count_cap:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return sorted(out) or [1]
-
-    lead = coeffs[-1]
-    for size in range(1, deg // 2 + 1):
-        for subset in itertools.combinations(range(deg), size):
-            prod = np.poly([roots[i] for i in subset])  # descending, monic
-            for dlead in divisors(lead):
-                cand = [round((dlead * c).real) for c in reversed(prod)]
-                if abs(cand[-1]) != dlead:
-                    continue
-                if any(abs(dlead * c.real - r) > 0.3
-                       for c, r in zip(reversed(prod), cand)):
-                    continue
-                quot, ok = _int_poly_div(coeffs, cand)
-                if ok:
-                    return _int_poly_factors(cand) + _int_poly_factors(quot)
-    return [coeffs]
-
-
-def _int_poly_div(a, b):
-    """Exact division of integer coefficient lists; (quotient, ok).
-
-    If b divides a in Z[x], b's leading and constant coefficients divide
-    a's; a candidate failing either test is refused without dividing."""
-    if a[-1] % b[-1] or (a[0] % b[0] if b[0] else a[0]):
-        return [], False
-    quot, rem = QPoly(a).divmod(QPoly(b))
-    if not rem.is_zero() or any(c.denominator != 1 for c in quot.coeffs):
-        return [], False
-    return [int(c) for c in quot.coeffs], True
-
-
-def _series_inverse(c, k):
-    """Inverse of a power-series coefficient list mod t^k (c[0] != 0)."""
-    inv = [Fraction(0)] * k
-    inv[0] = 1 / Fraction(c[0])
-    for i in range(1, k):
-        acc = Fraction(0)
-        for j in range(1, min(i, len(c) - 1) + 1):
-            acc += c[j] * inv[i - j]
-        inv[i] = -acc / c[0]
-    return inv
+        factors = _recombine(lifted, try_group)
+        factors.append(cofactor)
+    if sqf != f:  # the repeated factors are those of f / sqf
+        quot = QPoly(f).divmod(QPoly(sqf))[0]
+        factors += _int_poly_factors([int(c) for c in quot.coeffs])
+    return factors
 
 
-def _shift_poly_in_M(poly, m0):
-    """Coefficient tuples in t after substituting M = m0 + t, per L power."""
-    return [_in_M(c).shift(m0).coeffs for c in poly.coefficients_in("L")]
+def _hensel_bivariate(phi: MultiPoly, g0, h0, m0, p):
+    """Lift phi(m0, u) = c * g0 * h0 mod p to phi = g * h over
+    GF(p)[[M - m0]][u], with h monic and lc_u(g) = lc_u(phi).
 
-
-def _hensel_bivariate(A: MultiPoly, g0, h0, m0, prec):
-    """Lift a coprime seed factorization A(L, m0) ~ g0*h0 to Q[[M-m0]][L].
-
-    g0, h0 are monic QPolys in L.  Returns the lifted g, times the leading
-    series of A, as a list (per L power) of t-series coefficient lists."""
-    cols = _shift_poly_in_M(A, m0)
-    dL = len(cols) - 1
-    lead = cols[-1]
-    lead_inv = _series_inverse(lead, prec)
-
-    def tmul(a, b):
-        out = [Fraction(0)] * prec
-        for i, x in enumerate(a[:prec]):
-            if x:
-                for j, y in enumerate(b[:prec]):
-                    if i + j < prec:
-                        out[i + j] += x * y
-        return out
-
-    # monic target series: f[j] = cols[j] / lead, f[dL] = 1
-    f = [tmul(c, lead_inv) for c in cols[:-1]]
-    f.append([Fraction(1)] + [Fraction(0)] * (prec - 1))
-
-    _, s, t = g0.xgcd(h0)  # s*g0 + t*h0 = 1
-
-    g = [[c] + [Fraction(0)] * (prec - 1) for c in g0.coeffs]
-    h = [[c] + [Fraction(0)] * (prec - 1) for c in h0.coeffs]
-
+    g0, h0 are monic and coprime mod p.  Returns g to (M - m0)-adic
+    precision deg_M(phi) + 1, in powers of M: {(M-power, u-power):
+    residue}.  When g0 is the image of a factor G of phi, g is
+    G * lc_u(phi) / lc_u(G), of M-degree at most deg_M(phi), so the
+    precision recovers it exactly."""
+    prec = phi.degree("M") + 1
+    f = [[c % p for c in _in_M(col).shift(m0).coeffs] + [0] * prec
+         for col in phi.coefficients_in("u")]
+    du, dg, dh = len(f) - 1, len(g0) - 1, len(h0) - 1
+    lead = f[-1][:prec]
+    s, t = _modp.pinvmod(g0, h0, p), _modp.pinvmod(h0, g0, p)  # s*g0 + t*h0 = 1
+    lead_inv = _modp.pinv(lead[0], p, "_hensel_bivariate")
+    g = [[c * lead[0] % p] + [0] * (prec - 1) for c in g0[:-1]] + [lead]
+    h = [[c] + [0] * (prec - 1) for c in h0]
     for k in range(1, prec):
-        # e_k = coefficient of t^k in f - g*h, a polynomial in L
+        # e = coefficient of (M - m0)^k in f - g*h, of u-degree below du
         e = []
-        for j in range(dL + 1):
-            acc = f[j][k] if k < prec else Fraction(0)
-            for a in range(max(0, j - (len(h) - 1)), min(j, len(g) - 1) + 1):
-                b = j - a
-                for i in range(k + 1):
-                    acc -= g[a][i] * h[b][k - i]
-            e.append(acc)
-        e = QPoly(e)
-        if e.is_zero():
-            continue
-        # solve dg*h0 + dh*g0 = e with deg dg < deg g0
-        q, dg = (t * e).divmod(g0)
-        dh = s * e + q * h0
-        for j, c in enumerate(dg.coeffs):
-            if j < len(g) - 1 and c:
-                g[j][k] += c
-        for j, c in enumerate(dh.coeffs):
-            if j < len(h) - 1 and c:
-                h[j][k] += c
-    # multiply back by the leading series to clear the monic normalization
-    return [tmul(gj, lead) for gj in g[:-1]] + [list(lead[:prec])]
+        for j in range(du):
+            acc = f[j][k]
+            for a in range(max(0, j - dh), min(j, dg) + 1):
+                ga, hb = g[a], h[j - a]
+                acc -= sum(ga[i] * hb[k - i] for i in range(k + 1))
+            e.append(acc % p)
+        e = _modp.ptrim(e)
+        if e:  # dg*h0 + dh*g(0) = e, g(0) = lead(0)*g0
+            for j, c in enumerate(_modp.pdivmod(_modp.pmul(t, e, p), g0, p)[1]):
+                g[j][k] = c
+            for j, c in enumerate(_modp.pdivmod(_modp.pmul(s, e, p), h0, p)[1]):
+                h[j][k] = c * lead_inv % p
+    out = {}
+    for j, series in enumerate(g):
+        for k, c in enumerate(QPoly(series).shift(-m0).coeffs):
+            if c % p:
+                out[(k, j)] = c % p
+    return out
 
 
-def _series_to_poly(cols, m0):
-    """Back-substitute t = M - m0 and clear denominators into a MultiPoly."""
-    terms = {}
-    denom = 1
-    for series in cols:
-        for c in series:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    for j, series in enumerate(cols):
-        shifted = QPoly([c * denom for c in series]).shift(-m0)
-        for k, c in enumerate(shifted.coeffs):
-            if c:
-                assert c.denominator == 1
-                terms[(j, k)] = terms.get((j, k), 0) + int(c)
-    return MultiPoly(("L", "M"), terms)
+def _riley_factors(phi: MultiPoly, m0):
+    """Irreducible factors of phi over Z[M, u], primitive and lex-positive.
 
-
-def _split_once(A: MultiPoly):
-    """One nontrivial factorization A = cand * partner over Z, or None.
-
-    Seeds from a univariate factorization at an integer M value and lifts
-    (M - m0)-adically; every proposed factor is verified by exact
-    division, so the lift can only ever return true factors.
+    phi is primitive with lc_u(phi) = +-M^k, so phi(m, u) keeps its
+    u-degree at every m >= 1, and phi is irreducible when phi(m, u) is.
+    The factors of phi(m, u) over Z, at the first m >= m0 where it is
+    squarefree (a squarefree phi fails only at roots of its discriminant
+    in M), are grouped (_recombine); a group is lifted (M - m)-adically
+    mod primes until their product passes twice the bound
+    2^(deg_M + deg_u) * ||phi||_2 on the coefficients of a factor (Mahler
+    measure), and the candidate, rid of the monomial lc_u of its
+    cofactor, counts only when it divides exactly.
     """
-    import itertools
+    cols = [_in_M(c) for c in phi.coefficients_in("u")]
+    tries = 2 * len(cols) * (phi.degree("M") + 1)
+    for m in range(m0, m0 + tries):
+        seeds = _int_poly_factors([int(c(m)) for c in cols])
+        if len(set(map(tuple, seeds))) == len(seeds):
+            break
+    else:
+        raise EliminationError(
+            f"the Riley polynomial is not squarefree at M = {m0}..{m}")
+    cofactor = phi
 
-    from ..exactnum import ExactDivisionError
+    def try_group(group, rest):
+        nonlocal cofactor
+        norm = isqrt(sum(c * c for c in cofactor.terms.values())) + 1
+        bound = norm << (cofactor.degree("M") + cofactor.degree("u") + 1)
+        residues, modulus = {}, 1
+        primes = _modp.prime_stream()
+        while modulus <= bound:
+            p = next(primes)
+            g0, h0 = _monic_product(group, p), _monic_product(rest, p)
+            if len(_modp.pgcd_monic(g0, h0, p)) > 1:
+                continue
+            image = _hensel_bivariate(cofactor, g0, h0, m, p)
+            for key in set(residues) | set(image):
+                residues[key] = _modp.crt_pair(residues.get(key, 0), modulus,
+                                               image.get(key, 0), p)[0]
+            modulus *= p
+        cand = MultiPoly(("M", "u"), {
+            key: r - modulus if 2 * r > modulus else r for key, r in residues.items()})
+        cand = cand.strip_monomial().sign_normalized()
+        if cand.degree("u") < 1:
+            return None
+        try:
+            cofactor = cofactor.exact_div(cand)
+        except ExactDivisionError:
+            return None
+        return cand
 
-    if A.degree("L") < 2:
-        return None
-    lead = A.coefficients_in("L")[-1]
-    prec = A.degree("M") + (lead.degree("M") if not lead.is_zero() else 0) + 2
-
-    for m0 in range(1, 12):
-        if lead.evaluate({"M": Fraction(m0)}) == 0:
-            continue
-        f0 = [int(c.evaluate({"M": Fraction(m0)})) if not c.is_zero() else 0
-              for c in A.coefficients_in("L")]
-        factors = _int_poly_factors(f0)
-        n = len(factors)
-        if n < 2:
-            continue
-        for r in range(1, n // 2 + 1):
-            for subset in itertools.combinations(range(n), r):
-                if 2 * r == n and 0 not in subset:
-                    continue  # the complementary subset is the same split
-                g0 = h0 = QPoly.const(1)
-                for i in range(n):
-                    if i in subset:
-                        g0 = g0 * QPoly(factors[i])
-                    else:
-                        h0 = h0 * QPoly(factors[i])
-                if g0.gcd(h0).degree() > 0:
-                    continue  # seed factors not coprime at this m0
-                lifted = _hensel_bivariate(A, g0.monic(), h0.monic(), m0, prec)
-                cand = _series_to_poly(lifted, m0).primitive_part().sign_normalized()
-                if cand.degree("L") < 1:
-                    continue
-                try:
-                    partner = A.exact_div(cand)
-                except (ExactDivisionError, ZeroDivisionError):
-                    continue
-                return cand, partner.primitive_part().sign_normalized()
-    return None
+    factors = _recombine(seeds, try_group)
+    factors.append(cofactor.sign_normalized())
+    return factors
 
 
 def split_components(ap: APoly, canonical_slopes=None):
-    """Irreducible-over-Z factors of the nonabelian A-polynomial.
+    """The irreducible-over-Z factors recorded by ``a_polynomial``.
 
-    When ``canonical_slopes`` (a set of integers) matches the edge-slope
-    set of exactly one of two factors, the factors are tagged canonical /
-    other; otherwise every factor is tagged 'full'.  Returns None when no
-    splitting exists (within the seed search).
+    Sorts the factors by (L-degree, M-degree, terms).  When
+    ``canonical_slopes`` (a set of integers) matches the edge-slope set of
+    exactly one of two factors, the factors are tagged canonical / other;
+    otherwise every factor is tagged 'full'.  Returns None when the
+    A-polynomial is irreducible.
     """
-    split = _split_once(ap.poly)
-    if split is None:
+    if len(ap.factors) < 2:
         return None
-    work = list(split)
-    irreducible = []
-    while work:
-        f = work.pop()
-        deeper = _split_once(f)
-        if deeper is None:
-            irreducible.append(f)
-        else:
-            work.extend(deeper)
-    irreducible.sort(key=lambda f: (f.degree("L"), f.degree("M"), sorted(f.terms)))
+    irreducible = sorted(ap.factors,
+                         key=lambda f: (f.degree("L"), f.degree("M"), sorted(f.terms)))
 
     tags = ["full"] * len(irreducible)
     if canonical_slopes is not None and len(irreducible) == 2:

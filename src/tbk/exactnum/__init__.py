@@ -16,7 +16,7 @@ from .multipoly import (
     poly_prem,
     poly_squarefree_part,
 )
-from .resultants import bareiss_determinant, poly_resultant
+from .resultants import poly_resultant
 from .textio import format_apoly, parse_apoly, read_apoly, write_apoly
 from .upoly import QPoly
 
@@ -30,7 +30,6 @@ __all__ = [
     "poly_prem",
     "poly_resultant",
     "poly_squarefree_part",
-    "bareiss_determinant",
     "format_apoly",
     "parse_apoly",
     "read_apoly",

@@ -1,14 +1,9 @@
 """Resultants of multivariate integer polynomials with respect to one variable.
 
-Two independent exact engines are provided:
-
-* ``subresultant`` -- Brown's subresultant polynomial remainder sequence,
-  the default (all coefficient-ring divisions are exact).
-* ``sylvester``    -- determinant of the Sylvester matrix by Bareiss
-  fraction-free elimination.
-
-Both return the classically signed resultant and must agree exactly; the
-test suite checks this on random inputs.
+Brown's subresultant polynomial remainder sequence, in which every
+coefficient-ring division is exact, gives the classically signed
+resultant.  The test suite checks it against the Sylvester determinant
+(``tests/oracles.py``) on random inputs.
 """
 
 from __future__ import annotations
@@ -95,68 +90,7 @@ def _resultant_lists_prs(fc, gc):
     return res if swap_sign == 1 else -res
 
 
-def _sylvester_matrix(fc, gc):
-    """Sylvester matrix rows (descending coefficients), as nested lists."""
-    n, m = len(fc) - 1, len(gc) - 1
-    size = n + m
-    fdesc = list(reversed(fc))
-    gdesc = list(reversed(gc))
-    zero = fdesc[0] - fdesc[0] if not isinstance(fdesc[0], int) else 0
-    rows = []
-    for i in range(m):
-        rows.append([zero] * i + fdesc + [zero] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([zero] * i + gdesc + [zero] * (size - m - 1 - i))
-    return rows
-
-
-def bareiss_determinant(rows):
-    """Fraction-free determinant of a square matrix over an integral domain."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    one = _one_like(a[0][0])
-    zero = one - one
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            pivot = next((i for i in range(k + 1, n) if not _is_zero(a[i][k])), None)
-            if pivot is None:
-                return zero
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_quo(num, prev)
-            a[i][k] = zero
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _is_zero(c):
-    return (c == 0) if isinstance(c, int) else c.is_zero()
-
-
-def _resultant_lists_sylvester(fc, gc):
-    if not fc or not gc:
-        return 0 if isinstance((fc or gc)[-1], int) else MultiPoly.constant(0)
-    one = _one_like(fc[-1])
-    n, m = len(fc) - 1, len(gc) - 1
-    if n == 0 and m == 0:
-        return one
-    if m == 0:
-        return gc[0] ** n
-    if n == 0:
-        res = fc[0] ** m
-        return res
-    return bareiss_determinant(_sylvester_matrix(fc, gc))
-
-
-def poly_resultant(f, g, var, engine="subresultant"):
+def poly_resultant(f, g, var):
     """Resultant of f and g with respect to ``var``.
 
     The result is a polynomial in the remaining variables; it vanishes
@@ -172,12 +106,7 @@ def poly_resultant(f, g, var, engine="subresultant"):
     fa, ga = f._aligned(g)
     fc = fa.coefficients_in(var)
     gc = ga.coefficients_in(var)
-    if engine == "subresultant":
-        res = _resultant_lists_prs(fc, gc)
-    elif engine == "sylvester":
-        res = _resultant_lists_sylvester(fc, gc)
-    else:
-        raise ValueError(f"unknown resultant engine {engine!r}")
+    res = _resultant_lists_prs(fc, gc)
     if isinstance(res, int):
         res = MultiPoly.constant(res)
     return res

@@ -3,8 +3,8 @@
 Coefficients are ascending and stored as a tuple without trailing zeros;
 ints and Fractions mix freely.  The constructor only trims: it never
 converts a coefficient, so integer polynomials stay integer through +, -,
-* and shift, and only the operations that divide (divmod, monic, gcd,
-xgcd) bring Fractions in.  Each of those divides by Fraction(lc), so an
+* and shift, and only the operations that divide (divmod, monic, gcd)
+bring Fractions in.  Each of those divides by Fraction(lc), so an
 integer input never yields a float.  The algorithms are the classical
 dense ones (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
 """
@@ -125,22 +125,6 @@ class QPoly:
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic()
-
-    def xgcd(self, other):
-        """(g, s, t) with s*self + t*other = g and g = gcd(self, other)
-        monic (0 when both are 0)."""
-        r0, r1 = self, other
-        s0, s1 = QPoly((1,)), QPoly()
-        t0, t1 = QPoly(), QPoly((1,))
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        inv = 1 / Fraction(r0.coeffs[-1])
-        return r0 * inv, s0 * inv, t0 * inv
 
     def shift(self, c):
         """p(t + c), by the Horner-scheme Taylor shift."""

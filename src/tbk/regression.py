@@ -186,7 +186,7 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
             f"vs the detected set {sorted({0, -4 * n, -8 * n + 2})}")
         parts = split_components(ap, canonical_slopes={0, -8 * n + 2})
         if parts is None:
-            notes.append("component split not found; full polynomial kept")
+            notes.append("A-polynomial is irreducible over Z; no component split")
         else:
             for part in parts:
                 corners = list(newton_polygon(part).corners)

@@ -2,9 +2,9 @@
 
 Each oracle deliberately takes a different route than the library code it
 checks: wider candidate sets with evaluation filters for the expansion
-search, explicit orbit sums for the residue-class count, and numerically
-sampled representations (with high-precision root polishing) for the
-A-polynomial.
+search, explicit orbit sums for the residue-class count, the Sylvester
+determinant for resultants, and numerically sampled representations (with
+high-precision root polishing) for the A-polynomial.
 """
 
 from __future__ import annotations
@@ -97,6 +97,51 @@ def orbit_count_oracle(expansion, parity="odd"):
         total += Fraction(1, len(orbit(tup)))
     assert total.denominator == 1
     return int(total)
+
+
+def _exact_quotient(a, b):
+    if isinstance(a, int):
+        q, r = divmod(a, b)
+        assert r == 0, (a, b)
+        return q
+    return a.exact_div(b)
+
+
+def bareiss_determinant(rows):
+    """Fraction-free determinant of a square matrix over an integral domain
+    (ints or MultiPolys); every division in Bareiss elimination is exact."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if pivot is None:
+                return a[k][k]
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = _exact_quotient(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
+        prev = a[k][k]
+    return a[-1][-1] if sign == 1 else -a[-1][-1]
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) of ascending coefficient lists (ints or MultiPolys in the
+    same variables) as the determinant of the Sylvester matrix.
+
+    sympy.resultant is not the oracle: with sympy 1.14 its sign is wrong
+    for some pairs with deg f < deg g, both odd (for example it gives 31
+    for Res(-2x - 1, x^5 + 1) = -31)."""
+    m, n = len(f) - 1, len(g) - 1
+    zero = f[0] - f[0]
+    fd, gd = list(reversed(f)), list(reversed(g))
+    rows = [[zero] * i + fd + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gd + [zero] * (m - 1 - i) for i in range(m)]
+    return bareiss_determinant(rows)
 
 
 def sample_representations(p_over_q: Fraction, count=20, seed=7):

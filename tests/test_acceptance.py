@@ -204,26 +204,33 @@ def test_criterion_8_a_polynomials():
         polygon = newton_polygon(a_polynomial(Fraction(2, 5)))
         assert {4, -4} <= finite_edge_slopes_as_ints(polygon)
 
-    # n = 4 (8/63) is checked without a factor split: the split takes
-    # minutes there and finds no factor
+    # component bidegrees (L, M) for n = 4, as found by sympy.factor_list
+    bidegrees = {4: [(7, 30), (12, 48)]}
     for n in (2, 3, 4):
         with criterion(8, f"K_{n} edge-slope set equals {{0, {-4*n}, {-8*n+2}}}", 300.0):
             fraction = double_twist_fraction(n)
             ap = a_polynomial(fraction)
             polygon = newton_polygon(ap)
             assert finite_edge_slopes_as_ints(polygon) == {0, -4 * n, -8 * n + 2}
+            parts = split_components(ap, canonical_slopes={0, -8 * n + 2})
+            assert parts is not None and len(parts) == 2
+            assert parts[0].poly * parts[1].poly == ap.poly
+            slopes = {p.component_tag: finite_edge_slopes_as_ints(newton_polygon(p))
+                      for p in parts}
+            assert slopes == {"canonical": {0, -8 * n + 2}, "other": {0, -4 * n}}
+            if n in bidegrees:
+                assert [(p.poly.degree("L"), p.poly.degree("M"))
+                        for p in parts] == bidegrees[n]
             if n == 2:
                 # report mode: published corner lists carry an unresolved
                 # coordinate convention, so differences are printed only
                 print(f"  report: computed full corners {list(polygon.corners)}")
                 print(f"  report: published full corners {published_full_corners(n)}")
-                parts = split_components(ap, canonical_slopes={0, -8 * n + 2})
-                if parts:
-                    for part in parts:
-                        print(f"  report: {part.component_tag} corners "
-                              f"{list(newton_polygon(part).corners)}")
-                    print(f"  report: published component corners "
-                          f"{published_component_corners(n)}")
+                for part in parts:
+                    print(f"  report: {part.component_tag} corners "
+                          f"{list(newton_polygon(part).corners)}")
+                print(f"  report: published component corners "
+                      f"{published_component_corners(n)}")
 
 
 def test_criterion_9_valuation_properties():

@@ -264,7 +264,59 @@ def test_split_components_k2():
 
 
 def test_split_components_irreducible():
-    assert split_components(a_polynomial(Fraction(2, 5))) is None
+    for fraction in (Fraction(2, 5), Fraction(5, 13)):
+        ap = a_polynomial(fraction)
+        assert ap.factors == (ap.poly,)
+        assert split_components(ap) is None
+
+
+def sympy_factor_set(poly):
+    import sympy
+
+    Ls, Ms = sympy.symbols("L M")
+    expr = sympy.sympify(str(poly).replace("^", "**"))
+    _, factors = sympy.factor_list(expr)
+    out = set()
+    for g, e in factors:
+        assert e == 1
+        terms = {tuple(k): int(c) for k, c in sympy.Poly(g, Ls, Ms).terms()}
+        out.add(MultiPoly(("L", "M"), terms).sign_normalized())
+    return out
+
+
+def test_split_components_matches_sympy_8_21():
+    ap = a_polynomial(Fraction(8, 21))
+    parts = split_components(ap)
+    assert [(p.poly.degree("L"), p.poly.degree("M")) for p in parts] == [(3, 10), (4, 28)]
+    assert {p.component_tag for p in parts} == {"full"}
+    assert {p.poly for p in parts} == sympy_factor_set(ap.poly)
+    assert parts[0].poly * parts[1].poly == ap.poly
+
+
+def test_split_components_deduplicates_riley_factors():
+    # the torus knot 1/9: both Riley factors give L*M^18 + 1
+    from tbk.charvar.apoly import _riley_factors
+
+    phi = riley_polynomial(presentation(Fraction(1, 9)))
+    assert len(_riley_factors(phi, 1)) == 2
+    ap = a_polynomial(Fraction(1, 9))
+    assert ap.poly == L * M ** 18 + 1
+    assert ap.factors == (ap.poly,)
+    assert split_components(ap) is None
+
+
+def test_split_does_not_import_numpy():
+    import subprocess
+    import sys
+
+    code = ("import sys; from fractions import Fraction; "
+            "from tbk.charvar import a_polynomial, split_components; "
+            "parts = split_components(a_polynomial(Fraction(4, 15))); "
+            "print(len(parts), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "False"]
 
 
 def test_a_polynomial_structure():

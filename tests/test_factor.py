@@ -1,0 +1,113 @@
+"""Exact factoring over Z[x] and Z[M, u] against sympy.factor_list."""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import sympy
+
+from tbk.charvar import presentation, riley_polynomial
+from tbk.charvar.apoly import _in_M, _int_poly_factors, _riley_factors
+from tbk.exactnum import MultiPoly
+
+X = sympy.Symbol("x")
+
+
+def normalized(coeffs):
+    """Primitive ascending integer list with a positive leading coefficient."""
+    coeffs = [int(c) for c in coeffs]
+    content = gcd(*coeffs)
+    sign = 1 if coeffs[-1] > 0 else -1
+    return tuple(sign * c // content for c in coeffs)
+
+
+def sympy_factors(coeffs):
+    """Irreducible factors over Z, once per multiplicity, sorted."""
+    _, factors = sympy.Poly(list(reversed(coeffs)), X).factor_list()
+    out = []
+    for g, e in factors:
+        out += [normalized(reversed(g.all_coeffs()))] * e
+    return sorted(out)
+
+
+def factors_of(coeffs):
+    found = _int_poly_factors(coeffs)
+    for f in found:
+        assert f[-1] > 0 and gcd(*f) == 1
+    return sorted(tuple(f) for f in found)
+
+
+def riley_at(phi, m0):
+    return [int(_in_M(c)(m0)) for c in phi.coefficients_in("u")]
+
+
+def test_int_poly_factors_on_riley_slices():
+    # phi(2, u) for every p/q with q <= 45, p <= q/2: 211 knots, 27 of
+    # them with reducible phi and 5/13 with phi irreducible but phi(2, u) not
+    reducible = []
+    knots = 0
+    for q in range(3, 46, 2):
+        for p in range(1, q // 2 + 1):
+            if gcd(p, q) != 1:
+                continue
+            knots += 1
+            f0 = riley_at(riley_polynomial(presentation(Fraction(p, q))), 2)
+            mine = factors_of(f0)
+            assert mine == sympy_factors(f0), (p, q)
+            if len(mine) > 1:
+                reducible.append((p, q))
+    assert knots == 211
+    assert len(reducible) == 28
+    assert reducible[0] == (1, 9) and reducible[-1] == (19, 45)
+    assert (5, 13) in reducible
+
+
+def test_int_poly_factors_split_mod_every_prime():
+    # irreducible over Z, yet a product of quadratics or linears mod every
+    # prime, so recombination has to reject every proper group
+    for f in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1]):
+        assert factors_of(f) == [tuple(f)]
+    assert factors_of([-1, 0, 0, 0, -1]) == [(1, 0, 0, 0, 1)]
+
+
+def test_int_poly_factors_random_products():
+    rng = random.Random(2024)
+    for _ in range(40):
+        product = [1]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-12, 12) for _ in range(rng.randint(1, 6))]
+            g.append(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+            repeat = 2 if rng.random() < 0.2 else 1
+            for _ in range(repeat):
+                product = [sum(product[i] * g[k - i] for i in range(len(product))
+                               if 0 <= k - i < len(g))
+                           for k in range(len(product) + len(g) - 1)]
+        while product[0] == 0:  # keep x-power factors out of the shape test
+            product = product[1:]
+        f = list(normalized(product))
+        assert factors_of(f) == sympy_factors(f), f
+
+
+def test_riley_factors_match_sympy():
+    M, u = sympy.symbols("M u")
+    for p, q in ((2, 5), (3, 7), (1, 9), (4, 15), (1, 15), (8, 21), (5, 13)):
+        phi = riley_polynomial(presentation(Fraction(p, q)))
+        found = _riley_factors(phi, 1)
+        product = found[0]
+        for f in found[1:]:
+            product = product * f
+        assert product.sign_normalized() == phi.sign_normalized()
+        _, ref = sympy.factor_list(sympy.sympify(str(phi).replace("^", "**")))
+        assert sorted(str(f) for f in found) == sorted(
+            str(MultiPoly(("M", "u"), {
+                tuple(k): int(c) for k, c in sympy.Poly(g, M, u).terms()
+            }).sign_normalized()) for g, e in ref for _ in range(e)), (p, q)
+
+
+def test_riley_factors_irreducible_despite_split_seed():
+    # phi(5/13) is irreducible, but phi(2, u) splits into degrees 2 and 4:
+    # lifted from M = 2 the one candidate group must fail exact division
+    phi = riley_polynomial(presentation(Fraction(5, 13)))
+    assert _int_poly_factors(riley_at(phi, 1)) == [list(riley_at(phi, 1))]
+    assert sorted(len(f) - 1 for f in _int_poly_factors(riley_at(phi, 2))) == [2, 4]
+    assert _riley_factors(phi, 2) == [phi.sign_normalized()]

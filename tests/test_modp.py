@@ -9,6 +9,8 @@ import sympy
 from tbk.charvar import _modp, longitude_data, presentation, riley_polynomial
 from tbk.charvar.apoly import _PointCache, _slice_squarefree
 
+from oracles import sylvester_resultant
+
 P61 = next(_modp.prime_stream())  # the engine's first prime, about 2^61
 SMALL_PRIMES = (101, 10007)
 
@@ -66,19 +68,6 @@ def random_int_poly(rng, degree, p):
     while lead % p == 0:
         lead = rng.randint(-50, 50)
     return coeffs + [lead]
-
-
-def sylvester_resultant(f, g):
-    """Res(f, g) over Z as the determinant of the Sylvester matrix.
-
-    sympy.resultant itself is not used as the oracle: with sympy 1.14 its
-    sign is wrong for some pairs with deg f < deg g, both odd (for
-    example it gives 31 for Res(-2x - 1, x^5 + 1) = -31)."""
-    m, n = len(f) - 1, len(g) - 1
-    fd, gd = list(reversed(f)), list(reversed(g))
-    rows = [[0] * i + fd + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + gd + [0] * (m - 1 - i) for i in range(m)]
-    return sympy.Matrix(rows).det()
 
 
 @pytest.mark.parametrize("p", (P61,) + SMALL_PRIMES)
@@ -158,3 +147,55 @@ def test_slice_squarefree_matches_unreduced_resultants():
             assert _slice_squarefree(cache, m, p) == expected, (m, p)
             degenerate += expected is None
     assert degenerate > 0  # the small primes hit degenerate slices
+
+
+def monic_coeffs(poly, p):
+    """A sympy Poly over GF(p) as a monic ascending residue list."""
+    c = [int(a) % p for a in reversed(poly.all_coeffs())]
+    inv = pow(c[-1], -1, p)
+    return [a * inv % p for a in c]
+
+
+@pytest.mark.parametrize("p", (3, 101, 10007, 32771))
+def test_distinct_and_equal_degree_match_sympy(p):
+    x = sympy.Symbol("x")
+    rng = random.Random(p)
+    checked = split = 0
+    while checked < 25:
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 14))] + [1]
+        if len(_modp.pgcd_monic(f, _modp.pderiv(f, p), p)) > 1:
+            continue  # both routines take squarefree input
+        _, ref = sympy.Poly(list(reversed(f)), x, modulus=p).factor_list()
+        expected = sorted(monic_coeffs(g, p) for g, _ in ref)
+        ddf = _modp.distinct_degree(f, p)
+        assert [d for d, _ in ddf] == sorted({len(g) - 1 for g in expected})
+        got = []
+        for d, gd in ddf:
+            product = [1]
+            for g in expected:
+                if len(g) - 1 == d:
+                    product = _modp.pmul(product, g, p)
+            assert gd == product, (f, d)
+            parts = _modp.equal_degree(gd, d, p, random.Random(checked))
+            assert all(len(g) - 1 == d for g in parts)
+            split += len(parts) > 1
+            got += parts
+        assert sorted(got) == expected, f
+        checked += 1
+    assert split > 0  # Cantor-Zassenhaus split some equal-degree products
+
+
+def test_pinvmod():
+    rng = random.Random(5)
+    for p in (101, P61):
+        for _ in range(20):
+            f = [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1]
+            a = _modp.ptrim([rng.randrange(p) for _ in range(len(f) + 2)])
+            if len(_modp.pgcd_monic(f, a, p)) > 1:
+                continue
+            inv = _modp.pinvmod(a, f, p)
+            assert len(inv) < len(f)
+            assert _modp.pdivmod(_modp.pmul(a, inv, p), f, p)[1] == [1]
+    # (x + 1) divides both: no inverse
+    with pytest.raises(ZeroDivisionError, match="pinvmod"):
+        _modp.pinvmod([1, 1], [1, 2, 1], 101)

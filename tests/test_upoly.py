@@ -35,20 +35,6 @@ def test_divmod_identity():
         assert r.is_zero() or r.degree() < b.degree()
 
 
-def test_xgcd_bezout_identity():
-    rng = random.Random(302)
-    for _ in range(200):
-        common = rand_qpoly(rng, max_degree=2)
-        a = rand_qpoly(rng, max_degree=4) * common
-        b = rand_qpoly(rng, max_degree=4) * common
-        g, s, t = a.xgcd(b)
-        assert s * a + t * b == g
-        assert g == a.gcd(b)
-        if not g.is_zero():
-            assert g.coeffs[-1] == 1
-            assert a.divmod(g)[1].is_zero() and b.divmod(g)[1].is_zero()
-
-
 def test_gcd_matches_sympy():
     rng = random.Random(303)
     for _ in range(200):
@@ -80,6 +66,3 @@ def test_int_coefficients_stay_int():
     q, r = a.divmod(QPoly([1, 2]))
     assert all(isinstance(c, Fraction) for c in q.coeffs + r.coeffs)
     assert all(isinstance(c, Fraction) for c in (a * 2).monic().coeffs)
-    g, s, t = QPoly([2, 2]).xgcd(QPoly([3]))
-    assert g == QPoly([1])
-    assert all(isinstance(c, Fraction) for c in g.coeffs + s.coeffs + t.coeffs)
