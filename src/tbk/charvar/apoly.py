@@ -27,10 +27,12 @@ is their deduplicated product, and no polynomial in L is ever factored.
 
 Small factors run through the exact subresultant engine directly; larger
 ones are reconstructed from modular images: per prime and per integer
-M-value the resultant is a cheap scalar computation, the squarefree monic
-part of each slice is a rational function of M in each coefficient, and
-Cauchy interpolation plus CRT and rational reconstruction lift the exact
-integer polynomial.  The lifted result is verified exactly (vanishing on
+M-value the slice Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
+characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
+computed from power sums in O(d^3); the squarefree monic part of each
+slice is a rational function of M in each coefficient, and Cauchy
+interpolation plus CRT and rational reconstruction lift the exact integer
+polynomial.  The lifted result is verified exactly (vanishing on
 the representation curve at integer sample points) before it is returned.
 """
 
@@ -40,6 +42,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
 from ..exactnum import (
     ExactDivisionError,
@@ -126,6 +129,7 @@ class _PointCache:
         self.length = length
         self.du_phi = len(self.phi_tab) - 1
         self._data = {}
+        self._inverses = {}
 
     def get(self, m):
         if m not in self._data:
@@ -138,18 +142,33 @@ class _PointCache:
             self._data[m] = (phim, pm, m ** self.length)
         return self._data[m]
 
+    def inverses(self, p):
+        """[_, 1/1, ..., 1/du_phi] mod p, for Newton's identities."""
+        if p not in self._inverses:
+            self._inverses[p] = [0] + [_modp.pinv(k, p, "_PointCache.inverses")
+                                       for k in range(1, self.du_phi + 1)]
+        return self._inverses[p]
+
 
 def _slice_squarefree(cache, m, p):
     """Monic squarefree part of Res_u(phi(m), L*c - P(m)) over GF(p)[L].
 
     Returns None for degenerate slices (degree drops mod p).
 
-    -P(m) is reduced mod phi(m) once, not at every L-node: with
-    r = g mod f, Res(f, g) = lc(f)^(deg g - deg r) * Res(f, r), and that
-    factor is the same at every node, so it cancels in the monic result.
+    Up to a constant factor that resultant is prod_i (L - beta(alpha_i))
+    over the roots alpha_i of phi(m), with beta = P(m)/c: the
+    characteristic polynomial of multiplication by beta on GF(p)[u]/phi(m)
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
+    Its power sums s_k = Tr(beta^k) = t B^k e_0 come from the traces
+    t_j = Tr(u^j) (Newton's identities on phi(m)) and d products with the
+    transpose of the multiply-by-beta matrix B, whose columns beta * u^j
+    mod phi(m) are one shift-and-reduce each; Newton's identities turn the
+    power sums into coefficients.  They divide by 1..d, so p must exceed
+    d (the engine's primes are about 2^61).
     """
     phim, pm, c = cache.get(m)
-    if len(phim) - 1 != cache.du_phi:
+    d = cache.du_phi
+    if len(phim) - 1 != d:
         return None
     fm = [x % p for x in phim]
     if fm[-1] == 0:
@@ -158,19 +177,35 @@ def _slice_squarefree(cache, m, p):
     if cp == 0:
         return None
     base = _modp.ptrim([(-x) % p for x in pm]) or [0]
-    rem = _modp.pdivmod(base, fm, p)[1] or [0]
-    vals = []
-    ls = list(range(cache.du_phi + 1))
-    for ell in ls:
-        if len(base) == 1 and (base[0] + cp * ell) % p == 0:
-            return None  # L-slice hit the zero polynomial
-        g = list(rem)
-        g[0] = (g[0] + cp * ell) % p
-        vals.append(_modp.resultant_scalar(fm, _modp.ptrim(g), p))
-    r = _modp.newton_interp(ls, vals, p)
-    if len(r) - 1 != cache.du_phi:
-        return None
-    return _modp.squarefree_monic(r, p)
+    if len(base) == 1 and any((base[0] + cp * ell) % p == 0 for ell in range(d + 1)):
+        return None  # L-slice hit the zero polynomial
+    inv = _modp.pinv(fm[-1], p, "_slice_squarefree")
+    f = [x * inv % p for x in fm[:-1]]  # phi(m) monic, leading 1 dropped
+    col = _modp.pdivmod(_modp.pscale(pm, _modp.pinv(cp, p, "_slice_squarefree"), p),
+                        f + [1], p)[1]
+    col += [0] * (d - len(col))
+    cols = [col]
+    for _ in range(d - 1):  # beta * u^(j+1) = u * (beta * u^j) mod phi(m)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [(x - top * y) % p for x, y in zip(col, f)]
+        cols.append(col)
+    traces = [d % p]
+    for k in range(1, d):  # power sums of phi(m)'s roots
+        acc = k * f[d - k] + sum(map(mul, f[d - k + 1:], traces[1:]))
+        traces.append(-acc % p)
+    sums = []
+    w = traces
+    for _ in range(d):
+        w = [sum(map(mul, col, w)) % p for col in cols]
+        sums.append(w[0])
+    inverses = cache.inverses(p)
+    char = [1]  # monic, descending: char[k] is the coefficient of L^(d-k)
+    for k in range(1, d + 1):
+        acc = sum(map(mul, char, reversed(sums[:k])))
+        char.append(-acc * inverses[k] % p)
+    return _modp.squarefree_monic(char[::-1], p)
 
 
 _MAX_RECON_DEGREE = 512

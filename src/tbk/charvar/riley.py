@@ -24,13 +24,16 @@ def _p(terms):
     return MultiPoly(_VARS, terms)
 
 
-# scaled generator images: M * rho(letter), entries in Z[M, u]
-_LETTERS = {
-    (0, 1): (_p({(2, 0): 1}), _p({(1, 0): 1}), _p({}), _p({(0, 0): 1})),
-    (0, -1): (_p({(0, 0): 1}), _p({(1, 0): -1}), _p({}), _p({(2, 0): 1})),
-    (1, 1): (_p({(2, 0): 1}), _p({}), _p({(1, 1): -1}), _p({(0, 0): 1})),
-    (1, -1): (_p({(0, 0): 1}), _p({}), _p({(1, 1): 1}), _p({(2, 0): 1})),
+# scaled generator images M * rho(letter): each entry is one monomial
+# coeff * M^i * u^j, written ((i, j), coeff), or None for a zero entry
+_LETTER_TERMS = {
+    (0, 1): (((2, 0), 1), ((1, 0), 1), None, ((0, 0), 1)),
+    (0, -1): (((0, 0), 1), ((1, 0), -1), None, ((2, 0), 1)),
+    (1, 1): (((2, 0), 1), None, ((1, 1), -1), ((0, 0), 1)),
+    (1, -1): (((0, 0), 1), None, ((1, 1), 1), ((2, 0), 1)),
 }
+_LETTERS = {letter: tuple(_p(dict([e]) if e else {}) for e in entries)
+            for letter, entries in _LETTER_TERMS.items()}
 
 
 def _mat_mul(x, y):
@@ -39,12 +42,32 @@ def _mat_mul(x, y):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _combine(x, mx, y, my):
+    """x * mx + y * my on term dicts, mx and my monomials or None."""
+    out = {}
+    get = out.get
+    for terms, monomial in ((x, mx), (y, my)):
+        if monomial is None:
+            continue
+        (di, dj), coeff = monomial
+        for (i, j), c in terms.items():
+            key = (i + di, j + dj)
+            out[key] = get(key, 0) + c * coeff
+    return out
+
+
 def scaled_word_matrix(letters):
-    """(matrix, n) with matrix = M^n * rho(word) over Z[M, u]."""
-    out = (_p({(0, 0): 1}), _p({}), _p({}), _p({(0, 0): 1}))
+    """(matrix, n) with matrix = M^n * rho(word) over Z[M, u].
+
+    Every letter's image is a matrix of monomials, so the product is
+    carried as term dicts, each letter an exponent shift plus adds, and
+    each MultiPoly is built once at the end."""
+    rows = [({(0, 0): 1}, {}), ({}, {(0, 0): 1})]
     for letter in letters:
-        out = _mat_mul(out, _LETTERS[letter])
-    return out, len(letters)
+        e, f, g, h = _LETTER_TERMS[letter]
+        rows = [(_combine(x, e, y, g), _combine(x, f, y, h)) for x, y in rows]
+    (a, b), (c, d) = rows
+    return (_p(a), _p(b), _p(c), _p(d)), len(letters)
 
 
 class PresentationError(ValueError):

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input,
-3 A-polynomial elimination failure.
+3 A-polynomial elimination failure, 4 a fraction whose all-even expansion
+is not unique (an internal fault).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from .confrac import (
     ContinuedFraction,
+    ExpansionUniquenessError,
     InvalidFractionError,
     _check_fraction,
     evaluate,
@@ -256,6 +258,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExpansionUniquenessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except RuntimeError as exc:
         # only the engine raises EliminationError, so charvar is loaded by
         # then; any other RuntimeError (RecursionError too) propagates

@@ -22,6 +22,10 @@ class InvalidFractionError(ValueError):
     """Input fraction is not a reduced p/q with q odd and 0 < p < q."""
 
 
+class ExpansionUniquenessError(RuntimeError):
+    """p/q has no all-even expansion, or more than one (an internal fault)."""
+
+
 class ZeroDenominatorError(ZeroDivisionError):
     """A partial denominator vanished while evaluating an expansion."""
 
@@ -200,7 +204,7 @@ def all_even_expansion(p_over_q: Fraction) -> ContinuedFraction:
         if entries is not None:
             hits.append(entries)
     if len(hits) != 1:
-        raise RuntimeError(
+        raise ExpansionUniquenessError(
             f"all-even expansion of {p_over_q} is not unique: {hits}")
     return ContinuedFraction(hits[0])
 

@@ -144,6 +144,50 @@ def sylvester_resultant(f, g):
     return bareiss_determinant(rows)
 
 
+def word_matrix_oracle(letters):
+    """M^n * rho(word) for a word of n letters, as a plain product of
+    MultiPoly matrices, one full polynomial product per letter.
+
+    The generator images are written out here from
+    g1 -> [[M, 1], [0, 1/M]] and g2 -> [[M, 0], [-u, 1/M]], each scaled by M."""
+    from tbk.exactnum import MultiPoly
+
+    M = MultiPoly.variable("M").in_variables(("M", "u"))
+    u = MultiPoly.variable("u").in_variables(("M", "u"))
+    one, zero = MultiPoly.constant(1, ("M", "u")), MultiPoly.constant(0, ("M", "u"))
+    images = {
+        (0, 1): (M * M, M, zero, one),
+        (0, -1): (one, -M, zero, M * M),
+        (1, 1): (M * M, zero, -(M * u), one),
+        (1, -1): (one, zero, M * u, M * M),
+    }
+    out = (one, zero, zero, one)
+    for letter in letters:
+        a, b, c, d = out
+        e, f, g, h = images[letter]
+        out = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+    return out
+
+
+def pdivmod_stepwise(a, b, p):
+    """GF(p)[x] division with every inner-loop update reduced mod p."""
+    from tbk.charvar._modp import pinv, ptrim
+
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    if da < db:
+        return [], ptrim(a)
+    inv = pinv(b[-1], p, "pdivmod")
+    q = [0] * (da - db + 1)
+    for k in range(da - db, -1, -1):
+        c = a[k + db] * inv % p
+        if c:
+            q[k] = c
+            for i, d in enumerate(b):
+                a[k + i] = (a[k + i] - c * d) % p
+    return ptrim(q), ptrim(a)
+
+
 def sample_representations(p_over_q: Fraction, count=20, seed=7):
     """Numeric nonabelian representations and longitude eigenvalues.
 

@@ -23,6 +23,7 @@ from oracles import (
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
+    word_matrix_oracle,
 )
 
 L = MultiPoly.variable("L")
@@ -91,6 +92,17 @@ def test_riley_is_one_entry_condition():
         assert phi == d12.strip_monomial().primitive_part().sign_normalized()
         [coeff] = phi.coefficients_in("u")[-1].terms.values()
         assert abs(coeff) == 1, (p, q)
+
+
+def test_scaled_word_matrix_matches_multipoly_products():
+    from tbk.charvar.riley import scaled_word_matrix
+
+    for p, q in reduced_fractions(25):
+        pres = presentation(Fraction(p, q))
+        for word in (pres.relator_word(), pres.longitude_word()):
+            mat, n = scaled_word_matrix(word)
+            assert n == len(word)
+            assert mat == word_matrix_oracle(word), (p, q)
 
 
 def test_riley_trefoil_exact():

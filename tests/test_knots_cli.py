@@ -147,6 +147,24 @@ def test_cli_elimination_error_exit_code(monkeypatch, capsys):
         main(["apoly", "2/5"])
 
 
+def test_cli_non_unique_all_even_expansion_exit_code(monkeypatch, capsys):
+    from tbk import confrac
+
+    # both representatives equal: the all-even expansion is found twice
+    monkeypatch.setattr(confrac, "_representatives", lambda x: (x, x))
+    assert main(["slopes", "4/15"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: all-even expansion of 4/15 is not unique")
+    assert "Traceback" not in err
+
+    def overflow(x):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(confrac, "_representatives", overflow)
+    with pytest.raises(RecursionError):
+        main(["slopes", "4/15"])
+
+
 def test_cli_apoly_polygon_pipeline(tmp_path, capsys):
     out = tmp_path / "fig8.apoly"
     assert main(["apoly", "2/5", "--out", str(out)]) == 0

@@ -7,9 +7,9 @@ import pytest
 import sympy
 
 from tbk.charvar import _modp, longitude_data, presentation, riley_polynomial
-from tbk.charvar.apoly import _PointCache, _slice_squarefree
+from tbk.charvar.apoly import _PointCache, _riley_factors, _slice_squarefree
 
-from oracles import sylvester_resultant
+from oracles import pdivmod_stepwise, sylvester_resultant
 
 P61 = next(_modp.prime_stream())  # the engine's first prime, about 2^61
 SMALL_PRIMES = (101, 10007)
@@ -147,6 +147,37 @@ def test_slice_squarefree_matches_unreduced_resultants():
             assert _slice_squarefree(cache, m, p) == expected, (m, p)
             degenerate += expected is None
     assert degenerate > 0  # the small primes hit degenerate slices
+
+
+@pytest.mark.parametrize("fraction", ("4/15", "6/35", "1/9", "8/21", "3/7"))
+def test_characteristic_slice_matches_resultants_on_riley_factors(fraction):
+    pres = presentation(Fraction(fraction))
+    phi = riley_polynomial(pres)
+    p11, _, length = longitude_data(pres)
+    slices = degenerate = 0
+    for component in [phi] + _riley_factors(phi, 1):
+        cache = _PointCache(component, p11, length)
+        for p in (P61, 10007, 101, 13, 11):
+            if p <= cache.du_phi:
+                continue  # the L-nodes 0..du_phi must stay distinct mod p
+            for m in range(1, 25):
+                expected = unreduced_slice(cache, m, p)
+                assert _slice_squarefree(cache, m, p) == expected, (component, m, p)
+                slices += 1
+                degenerate += expected is None
+    assert slices >= 24 * 3 * 2 and degenerate > 0
+
+
+def test_pdivmod_matches_stepwise_reduction():
+    rng = random.Random(11)
+    for p in (3, 101, P61):
+        for _ in range(200):
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 12))] + [rng.randrange(1, p)]
+            a = _modp.ptrim([rng.randrange(p) for _ in range(rng.randint(0, 30))])
+            assert _modp.pdivmod(a, b, p) == pdivmod_stepwise(a, b, p), (a, b, p)
+        # an exact division leaves the empty remainder
+        g, h = [1, 2, 1], [p - 1, 0, 1]
+        assert _modp.pdivmod(_modp.pmul(g, h, p), h, p) == (g, [])
 
 
 def monic_coeffs(poly, p):
