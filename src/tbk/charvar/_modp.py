@@ -12,10 +12,12 @@ difference once, and pdivmod reduces a working coefficient only when it
 becomes the next quotient coefficient.  apoly._slice_squarefree takes
 each slice as one characteristic polynomial (power sums and Newton's
 identities) instead of d + 1 scalar resultants and an interpolation in L.
-On a 2-core x86-64 host with Python 3.11, a_polynomial takes 0.4-0.5 s on
-6/35 and 2.7 s on 8/63, against 0.7-0.9 s and 4.5-4.7 s with a scalar
-resultant per L-node, and 10 s and about 60 s with a Fermat inverse per
-operation as well.
+cauchy_interpolate fits either within given degree bounds or, with none,
+by the maximal quotient of its Euclid run, so the engine samples only as
+many points as the degrees it meets need.  On a 2-core x86-64 host with
+Python 3.11, a_polynomial takes 0.24-0.28 s on 6/35 and 1.2-1.6 s on 8/63,
+against 0.36-0.53 s and 2.3-2.6 s with one degree bound for all
+coefficient functions, doubled from 8 on the first prime.
 """
 
 from __future__ import annotations
@@ -275,23 +277,59 @@ def newton_interp(xs, ys, p):
     return ptrim(poly)
 
 
+def _max_quotient(r0, r1, p):
+    """The pair (r_i, t_i), r_i = t_i * r1 mod r0, of extended Euclid on
+    (r0, r1) over GF(p) whose next quotient r_(i-1) div r_i has the
+    largest degree, deg r_(i-1) - deg r_i; ([], [1]) when r1 = 0.
+
+    Once deg r_i is at most the best gap, no later quotient is larger."""
+    t0, t1 = [], [1]
+    best, pair = -1, ([], [1])
+    while r1:
+        gap = len(r0) - len(r1)
+        if gap > best:
+            best, pair = gap, (r1, t1)
+        if len(r1) - 1 <= best:
+            break
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    return pair
+
+
+# Points a maximal-quotient fit must leave over: the symmetric bound's
+# 2B + 10 points leave 8 beyond the 2B + 2 that a (B, B) fit needs.
+SPARE_POINTS = 8
+
+
 def cauchy_interpolate(xs, ys, d_num, d_den, p):
     """Rational function num/den with num(x_i) = y_i * den(x_i).
 
-    Degrees bounded by (d_num, d_den).  Returns (num, den) with den
-    monic, or None when no such function fits.  Extended Euclid on
-    (prod(x - x_i), interpolant), stopped at the degree threshold.
+    Returns (num, den) with den monic, or None when no such function
+    fits.  Extended Euclid on (prod(x - x_i), interpolant): with degree
+    bounds (d_num, d_den) it stops at the first remainder of degree at
+    most d_num.  With d_num = d_den = None it takes the pair before the
+    largest quotient (maximal-quotient reconstruction, the polynomial
+    analogue of Monagan, ISSAC 2004): since deg r_i + deg t_i = n -
+    deg q_(i+1) on n points, that is the fit of least degree sum, and it
+    counts only with deg num + deg den + 2 + SPARE_POINTS <= n.
     """
-    if len(xs) < d_num + d_den + 2:
+    n = len(xs)
+    if d_num is not None and n < d_num + d_den + 2:
         return None
-    modulus = [1] + [0] * len(xs)
+    modulus = [1] + [0] * n
     for deg, x in enumerate(xs):
         _mul_linear(modulus, x, deg, p)
     interp = newton_interp(xs, ys, p)
 
-    num, den = _euclid(modulus, interp, d_num, p)
-    if not den or len(den) - 1 > d_den:
-        return None
+    if d_num is None:
+        num, den = _max_quotient(modulus, interp, p)
+        if len(num) + len(den) + SPARE_POINTS > n:
+            return None
+    else:
+        num, den = _euclid(modulus, interp, d_num, p)
+        if not den or len(den) - 1 > d_den:
+            return None
     g = pgcd_monic(num, den, p) if num else []
     if len(g) > 1:
         num = pdivmod(num, g, p)[0]

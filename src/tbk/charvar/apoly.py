@@ -32,7 +32,10 @@ characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
 computed from power sums in O(d^3); the squarefree monic part of each
 slice is a rational function of M in each coefficient, and Cauchy
 interpolation plus CRT and rational reconstruction lift the exact integer
-polynomial.  The lifted result is verified exactly (vanishing on
+polynomial.  A factor's first prime finds each coefficient function's
+(numerator, denominator) degrees by maximal-quotient reconstruction on a
+doubling number of points; later primes sample only what those degrees
+need.  The lifted result is verified exactly (vanishing on
 the representation curve at integer sample points) before it is returned.
 """
 
@@ -121,13 +124,18 @@ def _in_M(c: MultiPoly) -> QPoly:
 
 
 class _PointCache:
-    """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes."""
+    """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes.
+
+    ``skip`` holds the points whose slice was degenerate or short mod an
+    earlier prime (M = 1 on every ladder factor): later primes pass them
+    over, which is safe since any points give the same fit."""
 
     def __init__(self, phi, p11, length):
         self.phi_tab = [_in_M(c) for c in phi.coefficients_in("u")]
         self.p_tab = [_in_M(c) for c in p11.coefficients_in("u")]
         self.length = length
         self.du_phi = len(self.phi_tab) - 1
+        self.skip = set()
         self._data = {}
         self._inverses = {}
 
@@ -209,17 +217,30 @@ def _slice_squarefree(cache, m, p):
 
 
 _MAX_RECON_DEGREE = 512
+_FIRST_POINTS = 26  # the first search's point count, doubled as 2n - 10
+_HELD_OUT = 6
 
 
-def _ahat_mod_p(cache, p, degree_hint=8):
+def _ahat_mod_p(cache, p, degrees):
     """Normalized image of the A-polynomial mod p.
 
-    Returns (d, dden, coeffs, degree) with coeffs mapping (L-power,
+    Returns (d, dden, coeffs, degrees) with coeffs mapping (L-power,
     M-power) to residues, normalized so the (d, dden) coefficient is 1,
-    and degree the largest numerator or denominator degree of the
-    reconstructed coefficient functions, the next prime's degree_hint;
-    None when the prime misbehaves.  Cauchy interpolation starts at
-    degree bound degree_hint and doubles it until the fit holds."""
+    and degrees the (numerator, denominator) degree pair of each
+    reconstructed coefficient function, the next prime's ``degrees``;
+    None when the prime misbehaves.
+
+    With ``degrees`` None (a factor's first prime) every coefficient is
+    fitted by its maximal quotient on n = 26, 42, 74, ... points (n ->
+    2n - 10), so a fit needs deg num + deg den + 10 <= n.  With the
+    pairs (a_j, b_j) of an earlier prime, each coefficient is fitted
+    within its own pair on max_j(a_j + b_j) + 10 points; when that fit or
+    its held-out check fails, the search runs as on a first prime.
+    Either way six held-out points check every fit.  Points in
+    cache.skip are passed over, and those whose slice is degenerate or
+    short here join it.  Degrees past _MAX_RECON_DEGREE raise
+    EliminationError: they do not depend on the prime, since an unlucky
+    prime only lowers them."""
     slices = {}
     cursor = [0]
 
@@ -228,6 +249,8 @@ def _ahat_mod_p(cache, p, degree_hint=8):
         m = cursor[0]
         while len(out) < n:
             m += 1
+            if m in cache.skip:
+                continue
             if m in slices:
                 if slices[m] is not None:
                     out.append(m)
@@ -241,7 +264,9 @@ def _ahat_mod_p(cache, p, degree_hint=8):
         cursor[0] = m
         return out
 
-    more_points(24)
+    spare = 2 + _modp.SPARE_POINTS
+    carried = max(a + b for a, b in degrees) + spare if degrees else None
+    more_points((carried or _FIRST_POINTS) + _HELD_OUT)
     d = max(len(s) - 1 for s in slices.values() if s is not None)
     if d <= 0:
         return None
@@ -255,39 +280,41 @@ def _ahat_mod_p(cache, p, degree_hint=8):
                    if s is not None and len(s) - 1 == d]
         return pts[:n]
 
-    bound = degree_hint
-    while True:
-        if bound > _MAX_RECON_DEGREE:
-            return None
-        npts = 2 * bound + 10
-        pts = good_points(npts)
-        xs = [m % p for m in pts]
+    def fit(npts, bounds):
+        """Every coefficient function on npts points, bounds[j] its degree
+        pair (None: maximal quotient), checked on the held-out points."""
+        pts = good_points(npts + _HELD_OUT)
+        xs = [m % p for m in pts[:npts]]
         recon = []
-        ok = True
-        for j in range(d):
-            ys = [slices[m][j] for m in pts]
-            rf = _modp.cauchy_interpolate(xs, ys, bound, bound, p)
+        for j, (a, b) in enumerate(bounds):
+            ys = [slices[m][j] for m in pts[:npts]]
+            rf = _modp.cauchy_interpolate(xs, ys, a, b, p)
             if rf is None:
-                ok = False
-                break
+                return None
             recon.append(rf)
-        if not ok:
-            bound *= 2
-            continue
-        # held-out validation
-        extra = good_points(npts + 6)[npts:]
-        for m in extra:
+        for m in pts[npts:]:
             for j, (num, den) in enumerate(recon):
                 dv = _modp.peval(den, m % p, p)
                 if dv == 0 or (_modp.peval(num, m % p, p)
                                - slices[m][j] * dv) % p:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            break
-        bound *= 2
+                    return None
+        return recon
+
+    recon = fit(carried, degrees) if degrees and len(degrees) == d else None
+    npts = _FIRST_POINTS
+    while recon is None and npts - spare <= 2 * _MAX_RECON_DEGREE:
+        recon = fit(npts, [(None, None)] * d)
+        npts = 2 * npts - spare
+    if recon is None:
+        reached = (npts - spare) // 2
+    else:
+        degrees = tuple((max(len(num) - 1, 0), len(den) - 1) for num, den in recon)
+        reached = max(max(pair) for pair in degrees)
+    if reached > _MAX_RECON_DEGREE:
+        raise EliminationError(
+            f"modular reconstruction mod {p} reached coefficient degree "
+            f"{reached}, past the cap _MAX_RECON_DEGREE = {_MAX_RECON_DEGREE}")
+    cache.skip.update(m for m, s in slices.items() if s is None or len(s) - 1 != d)
 
     den = [1]
     for _, dj in recon:
@@ -303,8 +330,7 @@ def _ahat_mod_p(cache, p, degree_hint=8):
         for k, c in enumerate(cj):
             if c:
                 coeffs[(j, k)] = c
-    degree = max(len(f) - 1 for pair in recon for f in pair)
-    return d, dden, coeffs, degree
+    return d, dden, coeffs, degrees
 
 
 _MAX_PRIMES = 400  # ~7000 digits of CRT capacity; far beyond honest use
@@ -316,17 +342,25 @@ def _apoly_modular(phi, p11, length):
     residues = {}
     modulus = 1
     signature = None
-    degree_hint = 8
+    degrees = None
+    capped = False
     used = 0
     candidate = None
 
     for _ in range(_MAX_PRIMES):
         p = next(primes)
-        image = _ahat_mod_p(cache, p, degree_hint)
+        try:
+            image = _ahat_mod_p(cache, p, degrees)
+        except EliminationError:
+            if capped:
+                raise
+            # past the cap or out of sample points: neither depends on the
+            # prime, so one more prime confirms it
+            capped = True
+            continue
         if image is None:
             continue
-        d, dden, coeffs, degree = image
-        degree_hint = max(degree, 1)  # doubling would never grow a 0 bound
+        d, dden, coeffs, image_degrees = image
         if signature is None:
             signature = (d, dden)
         elif (d, dden) != signature:
@@ -335,7 +369,8 @@ def _apoly_modular(phi, p11, length):
                 signature, residues, modulus, used = (d, dden), {}, 1, 0
                 candidate = None
             else:
-                continue
+                continue  # an unlucky prime: its degrees are not carried
+        degrees = image_degrees
         for key in set(residues) | set(coeffs):
             r_old = residues.get(key, 0)
             r_new = coeffs.get(key, 0)

@@ -157,18 +157,21 @@ def test_a_polynomial_engines_agree():
 
 
 def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
-    # every prime after the first starts interpolating at the degree the
-    # one before it reconstructed, so only the first prime doubles its bound
+    # every prime after a factor's first fits each coefficient function
+    # within the degrees the prime before it reconstructed, so only first
+    # primes search, and a later prime samples no more slices than those
+    # degrees need: max_j(a_j + b_j) + 10 fit points and 6 held out
     from tbk.charvar import _modp, apoly
 
-    primes = []
+    primes = []  # [degrees argument, slices sampled] per prime
     failures = []
     ahat_mod_p = apoly._ahat_mod_p
     cauchy_interpolate = _modp.cauchy_interpolate
+    slice_squarefree = apoly._slice_squarefree
 
-    def counted_prime(cache, p, *args):
-        primes.append(p)
-        return ahat_mod_p(cache, p, *args)
+    def counted_prime(cache, p, degrees):
+        primes.append([degrees, 0])
+        return ahat_mod_p(cache, p, degrees)
 
     def counted_cauchy(*args):
         out = cauchy_interpolate(*args)
@@ -176,11 +179,74 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
             failures.append(len(primes))
         return out
 
+    def counted_slice(*args):
+        primes[-1][1] += 1
+        return slice_squarefree(*args)
+
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
     monkeypatch.setattr(_modp, "cauchy_interpolate", counted_cauchy)
+    monkeypatch.setattr(apoly, "_slice_squarefree", counted_slice)
     a_polynomial(Fraction(4, 15), engine="modular")
     assert len(primes) > 1
     assert set(failures) <= {1}
+
+    primes.clear()
+    failures.clear()
+    a_polynomial(Fraction(6, 35), engine="modular")
+    later = [(degrees, n) for degrees, n in primes if degrees is not None]
+    assert len(later) > len(primes) / 2
+    assert all(primes[i - 1][0] is None for i in failures)
+    for degrees, n in later:
+        assert n <= max(a + b for a, b in degrees) + 16, (degrees, n)
+
+
+def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
+    # an image with a lower (d, dden) signature comes from an unlucky prime
+    # and is discarded; its degrees must not reach the next prime
+    from tbk.charvar import apoly
+
+    calls = []
+    ahat_mod_p = apoly._ahat_mod_p
+
+    def unlucky_second(cache, p, degrees):
+        calls.append(degrees)
+        image = ahat_mod_p(cache, p, degrees)
+        if len(calls) == 2:
+            d, dden, coeffs, _ = image
+            return d - 1, dden, coeffs, ((1, 0),) * (d - 1)
+        return image
+
+    monkeypatch.setattr(apoly, "_ahat_mod_p", unlucky_second)
+    pres = presentation(Fraction(4, 15))
+    phi = riley_polynomial(pres)
+    p11, _, length = longitude_data(pres)
+    first = ahat_mod_p(apoly._PointCache(phi, p11, length),
+                       next(apoly._modp.prime_stream()), None)
+    apoly._apoly_modular(phi, p11, length)
+    assert len(calls) >= 3
+    assert calls[0] is None
+    assert calls[1] == calls[2] == first[3]
+
+
+def test_modular_reconstruction_cap_fails_fast(monkeypatch):
+    # the coefficient degrees do not depend on the prime, so a fit past the
+    # cap ends the elimination after one confirming prime, not 400 primes
+    from tbk.charvar import apoly
+
+    primes = []
+    ahat_mod_p = apoly._ahat_mod_p
+
+    def counted_prime(cache, p, degrees):
+        primes.append(p)
+        return ahat_mod_p(cache, p, degrees)
+
+    monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 16)
+    monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
+    with pytest.raises(apoly.EliminationError,
+                       match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 16") as err:
+        a_polynomial(Fraction(6, 35), engine="modular")
+    assert len(primes) == 2
+    assert str(primes[-1]) in str(err.value)
 
 
 def test_a_polynomial_knot_symmetries():

@@ -230,3 +230,64 @@ def test_pinvmod():
     # (x + 1) divides both: no inverse
     with pytest.raises(ZeroDivisionError, match="pinvmod"):
         _modp.pinvmod([1, 1], [1, 2, 1], 101)
+
+
+# (numerator, denominator) degree splits for the Cauchy tests: b = 0 is
+# the engine's case (polynomial coefficient functions), a = 0 a constant
+# numerator.
+SPLITS = ((0, 0), (8, 0), (22, 0), (0, 1), (0, 7), (5, 3), (3, 9), (12, 12))
+
+
+def random_rational_function(rng, a, b, xs, p):
+    """Coprime num, monic den of degrees (a, b), den nonzero at every node."""
+    while True:
+        num = [rng.randrange(p) for _ in range(a)] + [rng.randrange(1, p)]
+        den = [rng.randrange(p) for _ in range(b)] + [1]
+        if (len(_modp.pgcd_monic(num, den, p)) == 1
+                and all(_modp.peval(den, x, p) for x in xs)):
+            return num, den
+
+
+def nodes(rng, n, gaps, p):
+    if gaps:
+        return sorted(rng.sample(range(1, min(p, 10 ** 6)), n))
+    return list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("p", (P61, 1000003, 10007))
+@pytest.mark.parametrize("gaps", (False, True))
+def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
+    rng = random.Random(p * 2 + gaps)
+    for a, b in SPLITS:
+        need = a + b + 2 + _modp.SPARE_POINTS
+        xs = nodes(rng, 2 * max(a, b) + 40, gaps, p)
+        num, den = random_rational_function(rng, a, b, xs, p)
+        ys = [_modp.peval(num, x, p) * pow(_modp.peval(den, x, p), -1, p) % p
+              for x in xs]
+        for n in (need, need + 1, need + 7, len(xs)):
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p) == (num, den)
+            # within its own degree pair, on the same points
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], a, b, p) == (num, den)
+        for n in range(max(1, a + b - 4), need):
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p) is None, n
+        # the symmetric bound B on 2B + 10 points, wherever it covers (a, b)
+        for bound in range(max(a, b), max(a, b) + 15, 2):
+            n = 2 * bound + 10
+            assert n <= len(xs)
+            assert (_modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p)
+                    == _modp.cauchy_interpolate(xs[:n], ys[:n], bound, bound, p)
+                    == (num, den))
+    # the zero function, and data no low-degree function fits
+    xs = nodes(rng, 40, gaps, p)
+    assert _modp.cauchy_interpolate(xs, [0] * 40, None, None, p) == ([], [1])
+    assert _modp.cauchy_interpolate(xs, [rng.randrange(p) for _ in xs], None, None, p) is None
+
+
+def test_cauchy_degree_bounds_too_few_points():
+    xs = list(range(1, 12))
+    ys = [x * x % 101 for x in xs]
+    assert _modp.cauchy_interpolate(xs, ys, 2, 0, 101) == ([0, 0, 1], [1])
+    assert _modp.cauchy_interpolate(xs[:3], ys[:3], 2, 0, 101) is None
+    # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
+    assert _modp.cauchy_interpolate(xs, ys, None, None, 101) is None
+    assert _modp.cauchy_interpolate(xs + [12], ys + [144 % 101], None, None, 101) == ([0, 0, 1], [1])
