@@ -359,20 +359,28 @@ def crt_pair(r1, m1, r2, m2):
     return r1 + m1 * t, m1 * m2
 
 
-def rational_reconstruct(r, m):
-    """Fraction n/d with n^2, d^2 <= m/2 congruent to r mod m, or None."""
-    r %= m
-    a0, a1 = m, r
+def reconstruction_pair(r, m):
+    """(n, d) with n = d * r mod m and n^2, d^2 <= m/2, from the
+    half-extended Euclid on (m, r mod m) stopped at the first remainder
+    n with n^2 <= m/2 (Wang's rational reconstruction); None when that
+    step's d is past the bound.  The pair is not reduced and d may be
+    negative: a common factor of n and d shared with m means r is
+    congruent to n/d only modulo m over that factor."""
+    a0, a1 = m, r % m
     b0, b1 = 0, 1
     bound = m // 2
     while a1 * a1 > bound:
         q = a0 // a1
         a0, a1 = a1, a0 - q * a1
         b0, b1 = b1, b0 - q * b1
-    if a1 == 0 or b1 == 0 or b1 * b1 > bound:
+    if b1 * b1 > bound:
         return None
-    if gcd(abs(a1), abs(b1)) != 1:
+    return a1, b1
+
+
+def rational_reconstruct(r, m):
+    """Fraction n/d with n^2, d^2 <= m/2 congruent to r mod m, or None."""
+    pair = reconstruction_pair(r, m)
+    if pair is None or gcd(*pair) != 1:
         return None
-    if b1 < 0:
-        a1, b1 = -a1, -b1
-    return Fraction(a1, b1)
+    return Fraction(*pair)

@@ -35,8 +35,12 @@ interpolation plus CRT and rational reconstruction lift the exact integer
 polynomial.  A factor's first prime finds each coefficient function's
 (numerator, denominator) degrees by maximal-quotient reconstruction on a
 doubling number of points; later primes sample only what those degrees
-need.  The lifted result is verified exactly (vanishing on
-the representation curve at integer sample points) before it is returned.
+need.  Rational reconstruction starts at a factor's first kept image; a
+candidate is accepted when two consecutive reconstructions agree and it
+passes an exact check, vanishing on the representation curve at integer
+sample points, done in Z[v] after the substitution u = v/lc that makes
+phi_i(m) monic.  A factor with small coefficients thus takes two primes,
+one to lift and one to confirm.
 """
 
 from __future__ import annotations
@@ -336,15 +340,52 @@ def _ahat_mod_p(cache, p, degrees):
 _MAX_PRIMES = 400  # ~7000 digits of CRT capacity; far beyond honest use
 
 
+def _crt_fold(residues, modulus, coeffs, p):
+    """Residues mod modulus * p from residues mod modulus and an image mod p."""
+    return {key: _modp.crt_pair(residues.get(key, 0), modulus, coeffs.get(key, 0), p)[0]
+            for key in set(residues) | set(coeffs)}, modulus * p
+
+
+def _lift(residues, modulus, primes):
+    """Rational reconstruction of every residue.
+
+    Returns (fractions, bad): the nonzero fractions by key, or None with
+    ``bad`` the primes among ``primes`` that divide both entries of the
+    failing residue's Wang pair.  Such a pair n/d is congruent to the
+    residue modulo every other prime and not modulo those, so their
+    images disagree with a small fraction that all the others fit (Böhm,
+    Decker, Fieker and Pfister, The use of bad primes in rational
+    reconstruction, Math. Comp. 84, 2015)."""
+    fracs = {}
+    for key, r in residues.items():
+        f = _modp.rational_reconstruct(r, modulus)
+        if f is None:
+            pair = _modp.reconstruction_pair(r, modulus)
+            if pair is None:
+                return None, set()
+            return None, {p for p in primes if pair[0] % p == 0 and pair[1] % p == 0}
+        if f != 0:
+            fracs[key] = f
+    return fracs, set()
+
+
 def _apoly_modular(phi, p11, length):
+    """The A-polynomial factor of phi by modular images and CRT.
+
+    After each kept image the images so far are lifted by rational
+    reconstruction; a candidate is accepted when two consecutive lifts
+    agree, and then only if it passes the exact check _verify_vanishing.
+    A kept image that disagrees with a small fraction the other images
+    fit (see _lift) is dropped, so one wrong image costs primes, not the
+    lift."""
     cache = _PointCache(phi, p11, length)
     primes = _modp.prime_stream()
+    images = []  # (prime, coefficients) of the kept images
     residues = {}
     modulus = 1
     signature = None
     degrees = None
     capped = False
-    used = 0
     candidate = None
 
     for _ in range(_MAX_PRIMES):
@@ -366,27 +407,20 @@ def _apoly_modular(phi, p11, length):
         elif (d, dden) != signature:
             # disagreement: keep the larger signature, restart accumulation
             if (d, dden) > signature:
-                signature, residues, modulus, used = (d, dden), {}, 1, 0
+                signature, images, residues, modulus = (d, dden), [], {}, 1
                 candidate = None
             else:
                 continue  # an unlucky prime: its degrees are not carried
         degrees = image_degrees
-        for key in set(residues) | set(coeffs):
-            r_old = residues.get(key, 0)
-            r_new = coeffs.get(key, 0)
-            residues[key] = _modp.crt_pair(r_old, modulus, r_new, p)[0]
-        modulus *= p
-        used += 1
-        if used < 2:
-            continue
-        fracs = {}
-        for key, r in residues.items():
-            f = _modp.rational_reconstruct(r, modulus)
-            if f is None:
-                fracs = None
-                break
-            if f != 0:
-                fracs[key] = f
+        images.append((p, coeffs))
+        residues, modulus = _crt_fold(residues, modulus, coeffs, p)
+        fracs, bad = _lift(residues, modulus, [q for q, _ in images])
+        if bad:
+            images = [(q, c) for q, c in images if q not in bad]
+            residues, modulus = {}, 1
+            for q, c in images:
+                residues, modulus = _crt_fold(residues, modulus, c, q)
+            fracs, _ = _lift(residues, modulus, ())
         if fracs is None:
             continue
         if candidate == fracs:
@@ -408,28 +442,63 @@ def _apoly_modular(phi, p11, length):
     return out
 
 
+def _zmulmod(a, b, f):
+    """a * b modulo the monic f over Z, f without its leading 1."""
+    n = len(f)
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(len(out) - 1, n - 1, -1):
+        top = out.pop()
+        if top:
+            out[k - n:k] = [x - top * y for x, y in zip(out[k - n:k], f)]
+    return out
+
+
 def _verify_vanishing(apoly, cache, points=6):
-    """Exact check: A(P/c, m) = 0 mod phi(m, u) over Q at integer points."""
-    cols = apoly.coefficients_in("L")
-    d = len(cols) - 1
+    """Exact check over Z: A(P/c, m) = 0 in Q[u]/phi(m) at integer points.
+
+    Checks the first ``points`` M = 1, 2, ... at which phi(m) keeps its
+    u-degree n.  With l = lc(phi(m)), the substitution u = v/l makes
+    f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) = Q[v]/f, and
+    reduction modulo f stays in Z.  P(m)/c becomes X/s with X =
+    l^e * P(m)(v/l) mod f and s = l^e * c, e = deg P(m), both divided by
+    gcd(s, content X).  Horner's rule on A(X/s) keeps its partial value
+    as N/D, N in Z[v] and D in Z, and divides out gcd(D, content N) at
+    every step, which keeps N near the size of the value rather than of
+    s^deg_L(A); A vanishes at m when the final N is 0.  On 10/99's larger
+    factor the check takes 0.15-0.22 s, where the same check in Fraction
+    QPoly arithmetic over Q[u] took 3.2 s (2-core x86-64, Python 3.11)."""
+    cols = [_in_M(c) for c in apoly.coefficients_in("L")]
     checked = 0
     m = 0
     while checked < points:
         m += 1
         phim, pm, c = cache.get(m)
-        if len(phim) - 1 != cache.du_phi or not phim:
+        n = len(phim) - 1
+        if n != cache.du_phi or not phim:
             continue
-        modulus = QPoly(phim)
-        pred = QPoly(pm).divmod(modulus)[1]
-        acc = QPoly()
-        power = QPoly.const(1)
-        for j in range(d + 1):
-            scale = cols[j].evaluate({"M": m}) * c ** (d - j)
-            if scale:
-                acc = acc + power * scale
-            if j < d:
-                power = (power * pred).divmod(modulus)[1]
-        if not acc.is_zero():
+        lc = phim[-1]
+        f = [a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])]
+        e = max(len(pm) - 1, 0)
+        x = _zmulmod([b * lc ** (e - k) for k, b in enumerate(pm)], [1], f)
+        s = lc ** e * c
+        g = gcd(s, *x)
+        x, s = [a // g for a in x], s // g
+        num, den = [int(cols[-1](m))], 1
+        for col in reversed(cols[:-1]):
+            num = _zmulmod(num, x, f) or [0]
+            den *= s
+            num[0] += int(col(m)) * den
+            g = gcd(den, *num)
+            if g > 1:
+                num = [a // g for a in num]
+                den //= g
+            while num and num[-1] == 0:
+                num.pop()
+        if num:
             raise EliminationError(
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
         checked += 1

@@ -272,3 +272,36 @@ def random_cf_entries(rng, max_len=8):
     n = rng.randint(1, max_len)
     return tuple(rng.choice([a for a in range(-9, 10) if a != 0])
                  for _ in range(n))
+
+
+def vanishing_failure_oracle(apoly, cache, points=6):
+    """First M at which A(P/c, M) != 0 modulo phi(M, u), or None.
+
+    The modular engine's exact check as it was written over Q: Fraction
+    QPoly products and divisions by phi(m), over the same points (the
+    first ``points`` M = 1, 2, ... where phi keeps its u-degree)."""
+    from tbk.exactnum import QPoly
+
+    cols = apoly.coefficients_in("L")
+    d = len(cols) - 1
+    checked = 0
+    m = 0
+    while checked < points:
+        m += 1
+        phim, pm, c = cache.get(m)
+        if len(phim) - 1 != cache.du_phi or not phim:
+            continue
+        modulus = QPoly(phim)
+        pred = QPoly(pm).divmod(modulus)[1]
+        acc = QPoly()
+        power = QPoly.const(1)
+        for j in range(d + 1):
+            scale = cols[j].evaluate({"M": m}) * c ** (d - j)
+            if scale:
+                acc = acc + power * scale
+            if j < d:
+                power = (power * pred).divmod(modulus)[1]
+        if not acc.is_zero():
+            return m
+        checked += 1
+    return None

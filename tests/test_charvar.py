@@ -23,6 +23,7 @@ from oracles import (
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
+    vanishing_failure_oracle,
     word_matrix_oracle,
 )
 
@@ -160,7 +161,9 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     # every prime after a factor's first fits each coefficient function
     # within the degrees the prime before it reconstructed, so only first
     # primes search, and a later prime samples no more slices than those
-    # degrees need: max_j(a_j + b_j) + 10 fit points and 6 held out
+    # degrees need: max_j(a_j + b_j) + 10 fit points and 6 held out;
+    # small coefficients are lifted from the first image, so a factor
+    # takes two primes
     from tbk.charvar import _modp, apoly
 
     primes = []  # [degrees argument, slices sampled] per prime
@@ -193,8 +196,10 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     primes.clear()
     failures.clear()
     a_polynomial(Fraction(6, 35), engine="modular")
+    # two Riley factors, each lifted from its first image and confirmed
+    # by one later prime
+    assert [degrees is None for degrees, _ in primes] == [True, False, True, False]
     later = [(degrees, n) for degrees, n in primes if degrees is not None]
-    assert len(later) > len(primes) / 2
     assert all(primes[i - 1][0] is None for i in failures)
     for degrees, n in later:
         assert n <= max(a + b for a, b in degrees) + 16, (degrees, n)
@@ -226,6 +231,93 @@ def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
     assert len(calls) >= 3
     assert calls[0] is None
     assert calls[1] == calls[2] == first[3]
+
+
+def riley_factor_data(pq):
+    """(phi_i, P, length) for the Riley factor of p/q of largest u-degree."""
+    from tbk.charvar import apoly
+
+    pres = presentation(pq)
+    p11, _, length = longitude_data(pres)
+    factors = apoly._riley_factors(riley_polynomial(pres), 1)
+    return max(factors, key=lambda f: f.degree("u")), p11, length
+
+
+@pytest.mark.parametrize("pq", (Fraction(4, 15), Fraction(6, 35)))
+@pytest.mark.parametrize("corrupt", (1, 2))
+def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
+    # one coefficient of the first (or second) kept image is off by one:
+    # the one-prime lift must not be accepted on the next prime, and the
+    # wrong image must not poison the lift for good
+    from tbk.charvar import apoly
+
+    data = riley_factor_data(pq)
+    expected = apoly._apoly_modular(*data)
+    calls = []
+    ahat_mod_p = apoly._ahat_mod_p
+
+    def corrupted(cache, p, degrees):
+        calls.append(p)
+        image = ahat_mod_p(cache, p, degrees)
+        if len(calls) == corrupt:
+            d, dden, coeffs, degs = image
+            coeffs = dict(coeffs)
+            key = sorted(k for k in coeffs if k != (d, dden))[len(coeffs) // 2]
+            coeffs[key] = (coeffs[key] + 1) % p
+            image = d, dden, coeffs, degs
+        return image
+
+    monkeypatch.setattr(apoly, "_ahat_mod_p", corrupted)
+    assert apoly._apoly_modular(*data) == expected
+    assert len(calls) >= 3
+    assert expected in a_polynomial(pq).factors
+
+
+def failing_point(check, apoly_poly, cache):
+    """The M at which the engine's exact check refuses apoly_poly, or None."""
+    from tbk.charvar.apoly import EliminationError
+
+    try:
+        check(apoly_poly, cache)
+    except EliminationError as err:
+        return int(str(err).rsplit("M=", 1)[1])
+    return None
+
+
+def test_exact_check_matches_fraction_oracle(monkeypatch):
+    # the integer check over Z[v] against the Fraction check over Q[u] on
+    # every modular A-factor with q <= 15, 6/35 and 8/63, then on two
+    # wrong lifts of each: one coefficient off by 1, and off by p * k with
+    # p the first engine prime (so right mod p); both checks refuse each
+    # at the same M
+    from tbk.charvar import _modp, apoly
+
+    checked = []
+    verify = apoly._verify_vanishing
+
+    def recorded(apoly_poly, cache, points=6):
+        checked.append((apoly_poly, cache))
+        verify(apoly_poly, cache, points)
+
+    monkeypatch.setattr(apoly, "_verify_vanishing", recorded)
+    fractions = [Fraction(p, q) for p, q in reduced_fractions(15)]
+    for pq in fractions + [Fraction(6, 35), Fraction(8, 63)]:
+        a_polynomial(pq, engine="modular")
+    assert len(checked) >= len(fractions) + 4
+
+    p = next(_modp.prime_stream())
+    rng = random.Random(5)
+    for poly, cache in checked:
+        assert vanishing_failure_oracle(poly, cache) is None
+        assert failing_point(verify, poly, cache) is None
+        key = rng.choice(sorted(poly.terms))
+        for delta in (1, p * rng.randint(1, 9)):
+            terms = dict(poly.terms)
+            terms[key] += delta * rng.choice((-1, 1))
+            wrong = MultiPoly(poly.variables, terms)
+            at = vanishing_failure_oracle(wrong, cache)
+            assert at is not None
+            assert failing_point(verify, wrong, cache) == at, (poly, delta)
 
 
 def test_modular_reconstruction_cap_fails_fast(monkeypatch):

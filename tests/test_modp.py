@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 import sympy
@@ -291,3 +292,81 @@ def test_cauchy_degree_bounds_too_few_points():
     # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
     assert _modp.cauchy_interpolate(xs, ys, None, None, 101) is None
     assert _modp.cauchy_interpolate(xs + [12], ys + [144 % 101], None, None, 101) == ([0, 0, 1], [1])
+
+
+def assert_valid_reconstruction(f, r, m):
+    """f is reduced, within n^2, d^2 <= m/2 and congruent to r mod m."""
+    n, d = f.numerator, f.denominator
+    assert d > 0 and gcd(n, d) == 1
+    assert 2 * n * n <= m and 2 * d * d <= m, (f, m)
+    assert (n - r * d) % m == 0, (f, r, m)
+
+
+@pytest.mark.parametrize("primes", (1, 2))
+def test_rational_reconstruct_recovers_fractions(primes):
+    # one 61-bit prime (a factor's first image) and a two-prime modulus
+    stream = _modp.prime_stream()
+    m = 1
+    for _ in range(primes):
+        m *= next(stream)
+    bound = isqrt(m // 2)
+    rng = random.Random(m)
+    cases = [(bound, 1), (-bound, 1), (1, bound), (-1, bound),
+             (bound, bound - 1), (-(bound - 1), bound)]
+    for _ in range(200):
+        top = rng.choice((bound, bound - rng.randrange(1, 1000), rng.randrange(1, bound)))
+        cases.append((rng.randint(-top, top), rng.randint(1, top)))
+    for n, d in cases:
+        f = Fraction(n, d)
+        r = f.numerator * pow(f.denominator, -1, m) % m
+        got = _modp.rational_reconstruct(r, m)
+        assert got == f, (n, d)
+        assert_valid_reconstruction(got, r, m)
+        # negative representatives of the residue give the same fraction
+        assert _modp.rational_reconstruct(r - m, m) == f
+
+
+def test_rational_reconstruct_zero():
+    for m in (2, 101, P61, P61 * 10007):
+        assert _modp.rational_reconstruct(0, m) == 0
+        assert _modp.rational_reconstruct(m, m) == 0
+        assert _modp.rational_reconstruct(-3 * m, m) == 0
+    for m in (101, P61, P61 * 10007):
+        assert _modp.rational_reconstruct(-1, m) == -1
+        assert _modp.rational_reconstruct(-2 * pow(3, -1, m), m) == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize("m", (101, 103, 105, 162, 1001, 4096))
+def test_rational_reconstruct_exhaustive(m):
+    # every residue of a small modulus (odd, composite, 2 * 9^2 at the
+    # exact bound, a prime power): n/d exactly when a reduced fraction
+    # within the bound, d prime to m, is congruent to it, and then that one
+    bound = isqrt(m // 2)
+    fits = {}
+    for d in range(1, bound + 1):
+        if gcd(d, m) == 1:
+            for n in range(-bound, bound + 1):
+                if gcd(n, d) == 1:
+                    fits.setdefault(n * pow(d, -1, m) % m, set()).add(Fraction(n, d))
+    for r in range(m):
+        got = _modp.rational_reconstruct(r, m)
+        if got is None:
+            assert r not in fits, (r, m)
+        else:
+            assert got in fits[r], (r, m)
+            assert_valid_reconstruction(got, r, m)
+
+
+def test_rational_reconstruct_random_residues_are_valid():
+    rng = random.Random(11)
+    stream = _modp.prime_stream()
+    p1, p2 = next(stream), next(stream)
+    for m in (p1, p1 * p2):
+        found = 0
+        for _ in range(500):
+            r = rng.randrange(-m, m)
+            got = _modp.rational_reconstruct(r, m)
+            if got is not None:
+                found += 1
+                assert_valid_reconstruction(got, r, m)
+        assert found > 0
