@@ -25,9 +25,11 @@ dropped.  The components of the A-polynomial (Macasieb-Petersen-van
 Luijk: two for J(k, k)) therefore come by construction, the A-polynomial
 is their deduplicated product, and no polynomial in L is ever factored.
 
-Small factors run through the exact subresultant engine directly; larger
-ones are reconstructed from modular images: per prime and per integer
-M-value the slice Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
+Small factors run through the exact subresultant engine directly, the
+resultant proved squarefree by one specialization M = 2 mod a prime
+(gcds run only when that fails).  Larger ones are reconstructed from
+modular images: per prime and per integer M-value the slice
+Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
 characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
 computed from power sums in O(d^3); the squarefree monic part of each
 slice is a rational function of M in each coefficient, and Cauchy
@@ -102,7 +104,13 @@ def _apoly_direct(phi, p11, length):
     The resultant's leading L-coefficient is lc_u(phi)^deg_u(P) times a
     power of M.  With lc_u(phi) a monomial that coefficient vanishes at no
     M = a != 0, so no factor (M - a) divides the resultant: its only
-    pure-M factors are integers and powers of M."""
+    pure-M factors are integers and powers of M.  Once that power is
+    stripped, the squarefree part of R is its primitive part whenever R is
+    squarefree over Q(M)[L], and it is when R(2, L) mod a prime keeps its
+    L-degree and is squarefree (_squarefree_at): a square g^2 | R with
+    deg_L g > 0 keeps lc_L(g) nonzero there, so g(2, L)^2 would divide
+    R(2, L).  Only when that test fails (R a proper power, or an unlucky
+    point) do the gcds of poly_squarefree_part run."""
     lead = phi.coefficients_in("u")[-1]
     if len(lead) != 1:
         raise EliminationError(
@@ -112,8 +120,25 @@ def _apoly_direct(phi, p11, length):
     r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
-    r = poly_squarefree_part(r.strip_monomial())
-    return r.drop_unused().in_variables(("L", "M"))
+    r = r.strip_monomial().drop_unused().in_variables(("L", "M"))
+    if _squarefree_at(r):
+        return r.primitive_part().sign_normalized()
+    return poly_squarefree_part(r)
+
+
+_PROOF_M = 2  # R(1, L) and R(-1, L) repeat roots on 38 of 42 factors, q <= 13
+_PROOF_PRIME = (1 << 61) - 1
+
+
+def _squarefree_at(r):
+    """True when r(_PROOF_M, L) mod _PROOF_PRIME keeps r's L-degree and is
+    squarefree."""
+    p = _PROOF_PRIME
+    f = [0] * (r.degree("L") + 1)
+    for (e_l, e_m), c in r.terms.items():
+        f[e_l] += c * pow(_PROOF_M, e_m, p)
+    f = [c % p for c in f]
+    return f[-1] != 0 and len(_modp.pgcd_monic(f, _modp.pderiv(f, p), p)) == 1
 
 
 # -- modular reconstruction engine -------------------------------------------
@@ -507,6 +532,13 @@ def _verify_vanishing(apoly, cache, points=6):
 # -- public entry points -------------------------------------------------------
 
 
+# engine="auto" eliminates a Riley factor directly when its u-degree times
+# deg_u(P) is at most this: direct is faster on every factor with q <= 11
+# (products up to 45) but 10/11's, modular 2.4x faster on 4/15's
+# product-52 factor (best of 3; the table is in CHANGES.md).
+_DIRECT_MAX_PRODUCT = 45
+
+
 def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
     """Nonabelian A-polynomial of the two-bridge knot p/q.
 
@@ -526,7 +558,8 @@ def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
     for phi_i in _riley_factors(phi, 1):
         use = engine
         if use == "auto":
-            use = "direct" if phi_i.degree("u") * du_p <= 40 else "modular"
+            small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
+            use = "direct" if small else "modular"
         eliminate = _apoly_direct if use == "direct" else _apoly_modular
         factor = eliminate(phi_i, p11, length)
         if factor not in factors:  # distinct Riley factors, one A-factor

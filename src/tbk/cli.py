@@ -16,7 +16,6 @@ from .confrac import (
     ContinuedFraction,
     ExpansionUniquenessError,
     InvalidFractionError,
-    _check_fraction,
     evaluate,
     format_cf,
     parse_cf,
@@ -33,16 +32,16 @@ from .valuation import (
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """The knot fraction typed as ``text``: a reduced p/q, q odd, 0 < p < q."""
     from math import gcd
 
     try:
-        if "/" not in text:
-            raise ValueError
         num, den = (int(part) for part in text.split("/"))
-    except (ValueError, ZeroDivisionError):
-        raise InvalidFractionError(f"expected a fraction p/q, got {text!r}")
-    if den <= 0 or gcd(num, den) != 1:
-        raise InvalidFractionError(f"{text}: need a reduced p/q with q > 0")
+    except ValueError:
+        num = den = 0
+    if not (0 < num < den and den % 2 and gcd(num, den) == 1):
+        raise InvalidFractionError(
+            f"{text!r}: expected a reduced fraction p/q with q odd and 0 < p < q")
     return Fraction(num, den)
 
 
@@ -119,7 +118,7 @@ def _cmd_apoly(args) -> int:
     from .charvar import a_polynomial
     from .exactnum import format_apoly, write_apoly
 
-    fraction = _check_fraction(_parse_fraction(args.fraction))
+    fraction = _parse_fraction(args.fraction)
     degree = (fraction.denominator - 1) // 2
     if degree > MAX_RILEY_DEGREE:
         raise ValueError(f"{fraction}: Riley polynomial degree {degree} is above "

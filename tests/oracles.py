@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route than the library code it
 checks: wider candidate sets with evaluation filters for the expansion
 search, explicit orbit sums for the residue-class count, the Sylvester
-determinant for resultants, and numerically sampled representations (with
-high-precision root polishing) for the A-polynomial.
+determinant for resultants, numerically sampled representations (with
+high-precision root polishing) for the A-polynomial, and gcds with every
+partial derivative for the squarefree part the direct engine proves.
 """
 
 from __future__ import annotations
@@ -305,3 +306,13 @@ def vanishing_failure_oracle(apoly, cache, points=6):
             return m
         checked += 1
     return None
+
+
+def direct_cleanup_oracle(resultant):
+    """The direct engine's A-factor from its resultant as it was computed
+    before the squarefree proof: the monomial stripped, then the
+    squarefree part by gcds with every partial derivative."""
+    from tbk.exactnum import poly_squarefree_part
+
+    r = poly_squarefree_part(resultant.strip_monomial())
+    return r.drop_unused().in_variables(("L", "M"))

@@ -20,6 +20,7 @@ from tbk.exactnum import MultiPoly, poly_prem
 from tbk.slopes import Slope
 
 from oracles import (
+    direct_cleanup_oracle,
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
@@ -147,14 +148,107 @@ def reduced_fractions(q_max):
 
 
 def test_a_polynomial_engines_agree():
-    # every knot fraction with q <= 11: 28 of them; engine="auto" picks
-    # both engines among them
+    # every knot fraction with q <= 11: 28 of them; the two engines agree
+    # on each (engine="auto" runs all of them direct, see
+    # test_auto_engine_choice)
     fractions = [Fraction(p, q) for p, q in reduced_fractions(11)]
     assert len(fractions) == 28
     for pq in fractions:
         direct = a_polynomial(pq, engine="direct").poly
         modular = a_polynomial(pq, engine="modular").poly
         assert direct == modular, pq
+
+
+def small_riley_factors(q_max, max_product):
+    """(p/q, phi_i, P, length) for each Riley factor of p/q, q odd and at
+    most q_max, whose u-degree times deg_u(P) is at most max_product."""
+    from tbk.charvar import apoly
+
+    for p, q in reduced_fractions(q_max):
+        pres = presentation(Fraction(p, q))
+        p11, _, length = longitude_data(pres)
+        for phi_i in apoly._riley_factors(riley_polynomial(pres), 1):
+            if phi_i.degree("u") * max(p11.degree("u"), 1) <= max_product:
+                yield Fraction(p, q), phi_i, p11, length
+
+
+def test_direct_squarefree_proof_matches_gcd_oracle():
+    # the direct engine proves its resultant squarefree from one modular
+    # specialization and takes the gcds only when that fails; on the 52
+    # Riley factors of odd q <= 17 with du * du_P <= 66 it gives what the
+    # gcds give, and the proof fails exactly on the 16 resultants that
+    # are proper powers g^k: the torus knots 1/q and their mirrors, and
+    # the u-degree-4 factors of 4/15 and 11/15
+    from tbk.charvar import apoly
+    from tbk.exactnum import poly_resultant
+
+    unproved, powers = set(), set()
+    count = 0
+    for pq, phi_i, p11, length in small_riley_factors(17, 66):
+        lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
+        r = poly_resultant(phi_i, lm - p11, "u")
+        expected = direct_cleanup_oracle(r)
+        assert apoly._apoly_direct(phi_i, p11, length) == expected, pq
+        key = (pq, phi_i.degree("u"))
+        r = r.strip_monomial().drop_unused().in_variables(("L", "M"))
+        if expected != r.primitive_part().sign_normalized():
+            powers.add(key)
+        if not apoly._squarefree_at(r):
+            unproved.add(key)
+        count += 1
+    assert count == 52
+    assert unproved == powers
+    torus = {(Fraction(p, q), d)
+             for q, d in ((5, 2), (7, 3), (9, 3), (11, 5), (13, 6), (15, 2), (15, 4))
+             for p in (1, q - 1)}
+    assert powers == torus | {(Fraction(4, 15), 4), (Fraction(11, 15), 4)}
+    assert len(powers) == 16
+
+
+def test_direct_squarefree_proof_falls_back(monkeypatch):
+    # phi = u^2 - (M - 2)^2 and P = u give the squarefree resultant
+    # L^2 - (M - 2)^2 = (L - M + 2)(L + M - 2), whose image at M = 2 is
+    # L^2: the proof fails and the gcds give the squarefree part
+    from tbk.charvar import apoly
+
+    u = MultiPoly.variable("u")
+    calls = []
+    squarefree_part = apoly.poly_squarefree_part
+
+    def counted(f):
+        calls.append(f)
+        return squarefree_part(f)
+
+    monkeypatch.setattr(apoly, "poly_squarefree_part", counted)
+    assert apoly._PROOF_M == 2
+    out = apoly._apoly_direct(u ** 2 - (M - 2) ** 2, u, 0)
+    assert out == ((L - M + 2) * (L + M - 2)).sign_normalized()
+    assert len(calls) == 1
+
+
+def test_auto_engine_choice(monkeypatch):
+    # engine="auto" runs a Riley factor direct when its u-degree times
+    # deg_u(P) is at most 45: every factor with q <= 11 (products up to
+    # 45); 4/15's u-degree-4 factor (52) and both of 6/35's run modular
+    from tbk.charvar import apoly
+
+    runs = []
+    for name in ("_apoly_direct", "_apoly_modular"):
+        def counted(phi, p11, length, name=name, engine=getattr(apoly, name)):
+            runs.append((name, phi.degree("u")))
+            return engine(phi, p11, length)
+
+        monkeypatch.setattr(apoly, name, counted)
+    for p, q in reduced_fractions(11):
+        a_polynomial(Fraction(p, q))
+    assert len(runs) == 30
+    assert {name for name, _ in runs} == {"_apoly_direct"}
+    runs.clear()
+    a_polynomial(Fraction(4, 15))
+    assert sorted(runs) == [("_apoly_direct", 3), ("_apoly_modular", 4)]
+    runs.clear()
+    a_polynomial(Fraction(6, 35))
+    assert [name for name, _ in runs] == ["_apoly_modular"] * 2
 
 
 def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):

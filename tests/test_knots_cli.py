@@ -109,8 +109,14 @@ def test_cli_jkl(capsys):
 
 
 def test_cli_invalid_fraction_exit_code(capsys):
-    assert main(["expand", "1/4"]) == 2
-    assert main(["slopes", "nonsense"]) == 2
+    # one message for every command, quoting the argument as typed
+    for argv in (["expand", "1/4"], ["slopes", "nonsense"], ["apoly", "1/1"],
+                 ["apoly", "0/5"], ["slopes", "7/3"], ["apoly", "5/3"],
+                 ["expand", "3/9"], ["apoly", "1/-3"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: {argv[1]!r}: expected a reduced fraction p/q"
+            " with q odd and 0 < p < q\n")
 
 
 def test_cli_slopes_long_expansion_exit_code():
