@@ -26,10 +26,10 @@ Luijk: two for J(k, k)) therefore come by construction, the A-polynomial
 is their deduplicated product, and no polynomial in L is ever factored.
 
 Small factors run through the exact subresultant engine directly, the
-resultant proved squarefree by one specialization M = 2 mod a prime
-(gcds run only when that fails).  Larger ones are reconstructed from
-modular images: per prime and per integer M-value the slice
-Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
+exponent k of the resultant g^k read off a specialization mod a prime and
+g taken by an exact k-th root (k = 1 proves it squarefree).  Larger ones
+are reconstructed from modular images: per prime and per integer M-value
+the slice Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
 characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
 computed from power sums in O(d^3); the squarefree monic part of each
 slice is a rational function of M in each coefficient, and Cauchy
@@ -58,7 +58,6 @@ from ..exactnum import (
     MultiPoly,
     QPoly,
     poly_resultant,
-    poly_squarefree_part,
 )
 from . import _modp
 from .presentation import TwoBridgePresentation, presentation
@@ -101,16 +100,12 @@ def longitude_data(pres: TwoBridgePresentation):
 def _apoly_direct(phi, p11, length):
     """Res_u(phi, L*M^length - P) with pure-M and repeated factors removed.
 
-    The resultant's leading L-coefficient is lc_u(phi)^deg_u(P) times a
-    power of M.  With lc_u(phi) a monomial that coefficient vanishes at no
-    M = a != 0, so no factor (M - a) divides the resultant: its only
-    pure-M factors are integers and powers of M.  Once that power is
-    stripped, the squarefree part of R is its primitive part whenever R is
-    squarefree over Q(M)[L], and it is when R(2, L) mod a prime keeps its
-    L-degree and is squarefree (_squarefree_at): a square g^2 | R with
-    deg_L g > 0 keeps lc_L(g) nonzero there, so g(2, L)^2 would divide
-    R(2, L).  Only when that test fails (R a proper power, or an unlucky
-    point) do the gcds of poly_squarefree_part run."""
+    With lc_u(phi) a monomial, so is lc_L of the resultant: its only pure-M
+    factors are integers and powers of M.  Stripped of those, R is g^k, g
+    the minimal polynomial of P/M^length (module docstring).  k_m =
+    _power_at(R, m) is k unless g(m, L) repeats a root mod the prime, and
+    then larger; k_m = 1 proves R squarefree, and an exact k_m-th root is g,
+    as R is no k'-th power for k' > k.  Points run past disc_L(g)'s roots."""
     lead = phi.coefficients_in("u")[-1]
     if len(lead) != 1:
         raise EliminationError(
@@ -120,25 +115,53 @@ def _apoly_direct(phi, p11, length):
     r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
-    r = r.strip_monomial().drop_unused().in_variables(("L", "M"))
-    if _squarefree_at(r):
-        return r.primitive_part().sign_normalized()
-    return poly_squarefree_part(r)
+    r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
+    points = (2 * r.degree("L") - 1) * r.degree("M") + 1
+    for m in range(2, 2 + points):  # R(+-1, L) repeat roots on 38 of 42, q <= 13
+        k = _power_at(r, m)
+        g = r if k == 1 else _kth_root(r, k) if k else None
+        if g is not None:
+            return g
+    raise EliminationError(
+        f"the resultant is no power of an irreducible at M = 2..{1 + points}")
 
 
-_PROOF_M = 2  # R(1, L) and R(-1, L) repeat roots on 38 of 42 factors, q <= 13
-_PROOF_PRIME = (1 << 61) - 1
-
-
-def _squarefree_at(r):
-    """True when r(_PROOF_M, L) mod _PROOF_PRIME keeps r's L-degree and is
-    squarefree."""
-    p = _PROOF_PRIME
+def _power_at(r, m):
+    """deg f / deg sqf(f) for f = r(m, L) mod 2^61 - 1, or None when f
+    drops r's L-degree or the quotient is no integer."""
+    p = (1 << 61) - 1
     f = [0] * (r.degree("L") + 1)
     for (e_l, e_m), c in r.terms.items():
-        f[e_l] += c * pow(_PROOF_M, e_m, p)
+        f[e_l] += c * pow(m, e_m, p)
     f = [c % p for c in f]
-    return f[-1] != 0 and len(_modp.pgcd_monic(f, _modp.pderiv(f, p), p)) == 1
+    if not f[-1]:
+        return None
+    n = len(f) - 1
+    e = n + 1 - len(_modp.pgcd_monic(f, _modp.pderiv(f, p), p))
+    return n // e if n % e == 0 else None
+
+
+def _kth_root(r, k):
+    """g with g^k == r and a positive leading L-coefficient, or None.
+
+    With lc_L(r) = c*M^b, read r top down as P = h^k; h*P' = k*h'*P gives
+    J. C. P. Miller's recurrence
+        k*t*P_0*h_t = t*h_0*P_t - sum_{0<i<t} ((k + 1)*i - t)*h_i*P_(t-i),
+    whose divisions by k*t*c*M^b are exact when r is a k-th power.  It is
+    linear in h, so h_0 = c*M^(b/k) in place of c^(1/k)*M^(b/k) yields
+    c^((k-1)/k)*g, and the primitive part g with no integer root taken."""
+    n = r.degree("L")
+    cols = [_in_M(col) for col in reversed(r.coefficients_in("L"))]
+    b, c = cols[0].degree(), cols[0].coeffs[-1]
+    h = [QPoly([0] * (b // k) + [c])]
+    for t in range(1, n // k + 1):
+        acc = h[0] * cols[t] * t
+        for i in range(1, t):
+            acc = acc - h[i] * cols[t - i] * ((k + 1) * i - t)
+        h.append(QPoly([x // (k * t * c) for x in acc.coeffs[b:]]))
+    g = MultiPoly(("L", "M"), {(n // k - i, j): x for i, hi in enumerate(h)
+                               for j, x in enumerate(hi.coeffs)}).primitive_part()
+    return g if g ** k == r else None
 
 
 # -- modular reconstruction engine -------------------------------------------
@@ -532,23 +555,19 @@ def _verify_vanishing(apoly, cache, points=6):
 # -- public entry points -------------------------------------------------------
 
 
-# engine="auto" eliminates a Riley factor directly when its u-degree times
-# deg_u(P) is at most this: direct is faster on every factor with q <= 11
-# (products up to 45) but 10/11's, modular 2.4x faster on 4/15's
-# product-52 factor (best of 3; the table is in CHANGES.md).
+# a Riley factor is eliminated directly when its u-degree times deg_u(P)
+# is at most this, else by modular images: direct is faster on every factor
+# up to 45, and neither wins reliably on 4/15's product-52 one (CHANGES.md).
 _DIRECT_MAX_PRODUCT = 45
 
 
-def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
+def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
     """Nonabelian A-polynomial of the two-bridge knot p/q.
 
-    keep_abelian multiplies the abelian factor (L - 1) back in.  engine is
-    'direct' (exact subresultant), 'modular' (reconstruction), or 'auto',
-    which picks per Riley factor from its u-degree.  The result records
-    the irreducible factors, one per distinct Riley-factor image.
+    keep_abelian multiplies the abelian factor (L - 1) back in.  The
+    result records the irreducible factors, one per distinct Riley-factor
+    image, each eliminated by the engine its u-degree selects.
     """
-    if engine not in ("auto", "direct", "modular"):
-        raise ValueError(f"unknown engine {engine!r}")
     pres = presentation(p_over_q)
     phi = riley_polynomial(pres)
     p11, _, length = longitude_data(pres)
@@ -556,12 +575,8 @@ def a_polynomial(p_over_q, keep_abelian=False, engine="auto") -> APoly:
 
     factors = []
     for phi_i in _riley_factors(phi, 1):
-        use = engine
-        if use == "auto":
-            small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
-            use = "direct" if small else "modular"
-        eliminate = _apoly_direct if use == "direct" else _apoly_modular
-        factor = eliminate(phi_i, p11, length)
+        small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
+        factor = (_apoly_direct if small else _apoly_modular)(phi_i, p11, length)
         if factor not in factors:  # distinct Riley factors, one A-factor
             factors.append(factor)
     if keep_abelian:
@@ -666,8 +681,10 @@ def _int_poly_factors(coeffs):
         if fp[-1] and len(_modp.pgcd_monic(fp, _modp.pderiv(fp, p), p)) == 1:
             break
         if sqf is f:  # not squarefree mod p: maybe not over Z either
-            g = poly_squarefree_part(MultiPoly.from_coefficients("x", f))
-            sqf = [c.constant_value() for c in g.coefficients_in("x")]
+            fq = QPoly(f)  # f / gcd(f, f'): in Z[x], an integer times sqf
+            quot = fq.divmod(fq.gcd(QPoly([i * c for i, c in enumerate(f)][1:])))[0]
+            content = gcd(*map(int, quot.coeffs))
+            sqf = [int(c) // content for c in quot.coeffs]
     rng = random.Random(p)
     seeds = [g for d, gd in _modp.distinct_degree(_monic_product([sqf], p), p)
              for g in _modp.equal_degree(gd, d, p, rng)]

@@ -31,12 +31,12 @@ from .valuation import (
 )
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """The knot fraction typed as ``text``: a reduced p/q, q odd, 0 < p < q."""
+def _parse_fraction(text: str, num=0, den=0) -> Fraction:
+    """The knot fraction ``text`` (num/den if given): reduced p/q, q odd, 0 < p < q."""
     from math import gcd
 
     try:
-        num, den = (int(part) for part in text.split("/"))
+        num, den = (num, den) if den else (int(part) for part in text.split("/"))
     except ValueError:
         num = den = 0
     if not (0 < num < den and den % 2 and gcd(num, den) == 1):
@@ -68,11 +68,8 @@ def _knot_record(fraction: Fraction) -> dict:
 def _cmd_expand(args) -> int:
     text = args.fraction
     if text.strip().startswith("["):
-        cf = parse_cf(text)
-        value = evaluate(cf)
-        fraction = value - (value.numerator // value.denominator)
-        if fraction == 0:
-            raise InvalidFractionError(f"{text}: evaluates to an integer")
+        value = evaluate(parse_cf(text)) % 1
+        fraction = _parse_fraction(text, value.numerator, value.denominator)
     else:
         fraction = _parse_fraction(text)
     record = _knot_record(fraction)

@@ -8,14 +8,7 @@ rest of the library expects.
 
 from fractions import Fraction as Rational
 
-from .multipoly import (
-    ExactDivisionError,
-    MultiPoly,
-    merge_variables,
-    poly_gcd,
-    poly_prem,
-    poly_squarefree_part,
-)
+from .multipoly import ExactDivisionError, MultiPoly
 from .resultants import poly_resultant
 from .textio import format_apoly, parse_apoly, read_apoly, write_apoly
 from .upoly import QPoly
@@ -25,11 +18,7 @@ __all__ = [
     "MultiPoly",
     "QPoly",
     "ExactDivisionError",
-    "merge_variables",
-    "poly_gcd",
-    "poly_prem",
     "poly_resultant",
-    "poly_squarefree_part",
     "format_apoly",
     "parse_apoly",
     "read_apoly",

@@ -476,9 +476,6 @@ def poly_gcd(f, g):
     if g.is_zero():
         return f.sign_normalized()
     a, b = f._aligned(g)
-    if a.is_constant() and b.is_constant():
-        return MultiPoly.constant(int_gcd(abs(a.constant_value()),
-                                          abs(b.constant_value())))
     main = None
     for v in a.variables:
         if a.degree(v) > 0 or b.degree(v) > 0:

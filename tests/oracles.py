@@ -4,8 +4,8 @@ Each oracle deliberately takes a different route than the library code it
 checks: wider candidate sets with evaluation filters for the expansion
 search, explicit orbit sums for the residue-class count, the Sylvester
 determinant for resultants, numerically sampled representations (with
-high-precision root polishing) for the A-polynomial, and gcds with every
-partial derivative for the squarefree part the direct engine proves.
+high-precision root polishing) for the A-polynomial, and sympy's
+squarefree part for the one the direct engine takes by an exact root.
 """
 
 from __future__ import annotations
@@ -309,10 +309,15 @@ def vanishing_failure_oracle(apoly, cache, points=6):
 
 
 def direct_cleanup_oracle(resultant):
-    """The direct engine's A-factor from its resultant as it was computed
-    before the squarefree proof: the monomial stripped, then the
-    squarefree part by gcds with every partial derivative."""
-    from tbk.exactnum import poly_squarefree_part
+    """The direct engine's A-factor from its resultant by sympy: the
+    monomial stripped, then sympy's squarefree part, made primitive and
+    lex-positive."""
+    import sympy
 
-    r = poly_squarefree_part(resultant.strip_monomial())
-    return r.drop_unused().in_variables(("L", "M"))
+    from tbk.exactnum import MultiPoly
+
+    r = resultant.strip_monomial().drop_unused().in_variables(("L", "M"))
+    gens = sympy.symbols("L M")
+    expr = sum(c * gens[0] ** i * gens[1] ** j for (i, j), c in r.terms.items())
+    _, part = sympy.Poly(expr, *gens).sqf_part().primitive()
+    return MultiPoly(("L", "M"), {e: int(c) for e, c in part.terms()}).sign_normalized()

@@ -16,7 +16,8 @@ from tbk.charvar import (
     split_components,
 )
 from tbk.confrac import InvalidFractionError
-from tbk.exactnum import MultiPoly, poly_prem
+from tbk.exactnum import MultiPoly
+from tbk.exactnum.multipoly import poly_prem
 from tbk.slopes import Slope
 
 from oracles import (
@@ -138,6 +139,11 @@ def test_a_polynomial_figure_eight_exact():
     assert a_polynomial(Fraction(2, 5)).poly == known
 
 
+# values of apoly._DIRECT_MAX_PRODUCT that send every Riley factor to one
+# engine: a factor's degree product is at least 1
+ALL_DIRECT, ALL_MODULAR = 10 ** 9, 0
+
+
 def reduced_fractions(q_max):
     from math import gcd
 
@@ -147,15 +153,19 @@ def reduced_fractions(q_max):
                 yield p, q
 
 
-def test_a_polynomial_engines_agree():
+def test_a_polynomial_engines_agree(monkeypatch):
     # every knot fraction with q <= 11: 28 of them; the two engines agree
-    # on each (engine="auto" runs all of them direct, see
+    # on each (the default runs all of them direct, see
     # test_auto_engine_choice)
+    from tbk.charvar import apoly
+
     fractions = [Fraction(p, q) for p, q in reduced_fractions(11)]
     assert len(fractions) == 28
     for pq in fractions:
-        direct = a_polynomial(pq, engine="direct").poly
-        modular = a_polynomial(pq, engine="modular").poly
+        monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_DIRECT)
+        direct = a_polynomial(pq).poly
+        monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+        modular = a_polynomial(pq).poly
         assert direct == modular, pq
 
 
@@ -173,31 +183,25 @@ def small_riley_factors(q_max, max_product):
 
 
 def test_direct_squarefree_proof_matches_gcd_oracle():
-    # the direct engine proves its resultant squarefree from one modular
-    # specialization and takes the gcds only when that fails; on the 52
-    # Riley factors of odd q <= 17 with du * du_P <= 66 it gives what the
-    # gcds give, and the proof fails exactly on the 16 resultants that
-    # are proper powers g^k: the torus knots 1/q and their mirrors, and
-    # the u-degree-4 factors of 4/15 and 11/15
+    # on the 52 Riley factors of odd q <= 17 with du * du_P <= 66 the
+    # direct engine's exact root gives the oracle's squarefree part, and
+    # the first point's exponent k exceeds 1 exactly on the 16 resultants
+    # that are proper powers g^k: the torus knots 1/q and their mirrors,
+    # and the u-degree-4 factors of 4/15 and 11/15
     from tbk.charvar import apoly
     from tbk.exactnum import poly_resultant
 
-    unproved, powers = set(), set()
+    powers = set()
     count = 0
     for pq, phi_i, p11, length in small_riley_factors(17, 66):
         lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
         r = poly_resultant(phi_i, lm - p11, "u")
-        expected = direct_cleanup_oracle(r)
-        assert apoly._apoly_direct(phi_i, p11, length) == expected, pq
-        key = (pq, phi_i.degree("u"))
-        r = r.strip_monomial().drop_unused().in_variables(("L", "M"))
-        if expected != r.primitive_part().sign_normalized():
-            powers.add(key)
-        if not apoly._squarefree_at(r):
-            unproved.add(key)
+        assert apoly._apoly_direct(phi_i, p11, length) == direct_cleanup_oracle(r), pq
+        r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
+        if apoly._power_at(r, 2) > 1:
+            powers.add((pq, phi_i.degree("u")))
         count += 1
     assert count == 52
-    assert unproved == powers
     torus = {(Fraction(p, q), d)
              for q, d in ((5, 2), (7, 3), (9, 3), (11, 5), (13, 6), (15, 2), (15, 4))
              for p in (1, q - 1)}
@@ -208,26 +212,67 @@ def test_direct_squarefree_proof_matches_gcd_oracle():
 def test_direct_squarefree_proof_falls_back(monkeypatch):
     # phi = u^2 - (M - 2)^2 and P = u give the squarefree resultant
     # L^2 - (M - 2)^2 = (L - M + 2)(L + M - 2), whose image at M = 2 is
-    # L^2: the proof fails and the gcds give the squarefree part
+    # L^2: k reads 2 there, the square root fails, and M = 3 proves R
+    # squarefree; the gcds never run
+    from tbk.charvar import apoly
+    from tbk.exactnum import multipoly
+
+    u = MultiPoly.variable("u")
+
+    def forbidden(*args):
+        raise AssertionError("the multivariate gcd ran")
+
+    monkeypatch.setattr(multipoly, "poly_gcd", forbidden)
+    points = []
+    power_at = apoly._power_at
+
+    def recorded(r, m):
+        points.append((m, power_at(r, m)))
+        return points[-1][1]
+
+    monkeypatch.setattr(apoly, "_power_at", recorded)
+    out = apoly._apoly_direct(u ** 2 - (M - 2) ** 2, u, 0)
+    assert out == ((L - M + 2) * (L + M - 2)).sign_normalized()
+    assert points == [(2, 2), (3, 1)]
+
+
+def test_direct_engine_refuses_without_a_root(monkeypatch):
+    # phi = u^2 - M and P = u^2 give R = (L - M)^2, with k = 2 at every
+    # point; with no root found the engine raises after (2 * 2 - 1) * 2 + 1
+    # points and names them
     from tbk.charvar import apoly
 
     u = MultiPoly.variable("u")
-    calls = []
-    squarefree_part = apoly.poly_squarefree_part
+    assert apoly._apoly_direct(u ** 2 - M, u ** 2, 0) == L - M
+    monkeypatch.setattr(apoly, "_kth_root", lambda r, k: None)
+    with pytest.raises(apoly.EliminationError, match=r"at M = 2\.\.8$"):
+        apoly._apoly_direct(u ** 2 - M, u ** 2, 0)
 
-    def counted(f):
-        calls.append(f)
-        return squarefree_part(f)
 
-    monkeypatch.setattr(apoly, "poly_squarefree_part", counted)
-    assert apoly._PROOF_M == 2
-    out = apoly._apoly_direct(u ** 2 - (M - 2) ** 2, u, 0)
-    assert out == ((L - M + 2) * (L + M - 2)).sign_normalized()
-    assert len(calls) == 1
+def test_kth_root_exact():
+    # seeded random g in Z[L, M] with a monomial leading L-coefficient:
+    # the root of g^k is g for k = 2..5, and there is none for g^k + M,
+    # for g * h with h != g, or when lc_L is no k-th power
+    from tbk.charvar import apoly
+
+    rng = random.Random(11)
+    for trial in range(40):
+        k = 2 + trial % 4
+        e = rng.randint(1, 4)
+        terms = {(e, rng.randint(0, 3)): rng.choice((1, 1, 2, 3))}
+        for _ in range(rng.randint(1, 6)):
+            terms[(rng.randint(0, e - 1), rng.randint(0, 5))] = rng.randint(-9, 9)
+        g = MultiPoly(("L", "M"), terms).primitive_part()
+        assert apoly._kth_root(g ** k, k) == g, (g, k)
+        assert apoly._kth_root(g ** k + M, k) is None
+        h = g + MultiPoly(("L", "M"), {(0, 0): rng.choice((-1, 1))})
+        assert apoly._kth_root(g ** (k - 1) * h, k) is None
+        lead = g.coefficients_in("L")[-1]
+        assert apoly._kth_root(g ** k + lead ** k * L ** (e * k), k) is None
 
 
 def test_auto_engine_choice(monkeypatch):
-    # engine="auto" runs a Riley factor direct when its u-degree times
+    # a_polynomial runs a Riley factor direct when its u-degree times
     # deg_u(P) is at most 45: every factor with q <= 11 (products up to
     # 45); 4/15's u-degree-4 factor (52) and both of 6/35's run modular
     from tbk.charvar import apoly
@@ -283,13 +328,14 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
     monkeypatch.setattr(_modp, "cauchy_interpolate", counted_cauchy)
     monkeypatch.setattr(apoly, "_slice_squarefree", counted_slice)
-    a_polynomial(Fraction(4, 15), engine="modular")
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    a_polynomial(Fraction(4, 15))
     assert len(primes) > 1
     assert set(failures) <= {1}
 
     primes.clear()
     failures.clear()
-    a_polynomial(Fraction(6, 35), engine="modular")
+    a_polynomial(Fraction(6, 35))
     # two Riley factors, each lifted from its first image and confirmed
     # by one later prime
     assert [degrees is None for degrees, _ in primes] == [True, False, True, False]
@@ -394,9 +440,10 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
         verify(apoly_poly, cache, points)
 
     monkeypatch.setattr(apoly, "_verify_vanishing", recorded)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
     fractions = [Fraction(p, q) for p, q in reduced_fractions(15)]
     for pq in fractions + [Fraction(6, 35), Fraction(8, 63)]:
-        a_polynomial(pq, engine="modular")
+        a_polynomial(pq)
     assert len(checked) >= len(fractions) + 4
 
     p = next(_modp.prime_stream())
@@ -428,9 +475,10 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
 
     monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 16)
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
     with pytest.raises(apoly.EliminationError,
                        match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 16") as err:
-        a_polynomial(Fraction(6, 35), engine="modular")
+        a_polynomial(Fraction(6, 35))
     assert len(primes) == 2
     assert str(primes[-1]) in str(err.value)
 

@@ -8,10 +8,9 @@ from tbk.exactnum import (
     Rational,
     format_apoly,
     parse_apoly,
-    poly_gcd,
     poly_resultant,
-    poly_squarefree_part,
 )
+from tbk.exactnum.multipoly import poly_gcd, poly_squarefree_part
 
 from oracles import random_multipoly, sylvester_resultant
 
@@ -162,3 +161,25 @@ def test_apoly_format_rejects_bad_input():
         parse_apoly("# apoly v1\nvars L M\nterm 0 0 0\n")
     with pytest.raises(ValueError):
         parse_apoly("# apoly v1\nvars L M\nterm 0 1\n")
+
+
+def test_gcd_chain_referenced_only_by_its_module():
+    # the multivariate gcds are test oracles: no module of the package but
+    # multipoly.py, which defines them, names them
+    import ast
+    from pathlib import Path
+
+    names = {"poly_gcd", "poly_prem", "poly_squarefree_part", "_primitive_in",
+             "_coeff_gcd"}
+    root = Path(__file__).resolve().parents[1] / "src" / "tbk"
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "exactnum" / "multipoly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None), getattr(node, "asname", None)}
+            if named & names:
+                offenders.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert len(list(root.rglob("*.py"))) > 10
+    assert not offenders, offenders

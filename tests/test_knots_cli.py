@@ -112,7 +112,7 @@ def test_cli_invalid_fraction_exit_code(capsys):
     # one message for every command, quoting the argument as typed
     for argv in (["expand", "1/4"], ["slopes", "nonsense"], ["apoly", "1/1"],
                  ["apoly", "0/5"], ["slopes", "7/3"], ["apoly", "5/3"],
-                 ["expand", "3/9"], ["apoly", "1/-3"]):
+                 ["expand", "3/9"], ["apoly", "1/-3"], ["expand", "[2]"]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == (
             f"error: {argv[1]!r}: expected a reduced fraction p/q"
