@@ -12,12 +12,8 @@ difference once, and pdivmod reduces a working coefficient only when it
 becomes the next quotient coefficient.  apoly._slice_squarefree takes
 each slice as one characteristic polynomial (power sums and Newton's
 identities) instead of d + 1 scalar resultants and an interpolation in L.
-cauchy_interpolate fits either within given degree bounds or, with none,
-by the maximal quotient of its Euclid run, so the engine samples only as
-many points as the degrees it meets need.  On a 2-core x86-64 host with
-Python 3.11, a_polynomial takes 0.24-0.28 s on 6/35 and 1.2-1.6 s on 8/63,
-against 0.36-0.53 s and 2.3-2.6 s with one degree bound for all
-coefficient functions, doubled from 8 on the first prime.
+cauchy_interpolate fits by one rule: the first extended-Euclid pair whose
+quotient is large, so a fit costs only the Euclid steps down to it.
 """
 
 from __future__ import annotations
@@ -154,24 +150,21 @@ def ppowmod(a, e, f, p):
     return out
 
 
-def _euclid(r0, r1, degree, p):
-    """Extended Euclid on (r0, r1) over GF(p), stopped once deg r1 <= degree
-    (or r1 = 0): returns (r1, t1) with r1 = t1 * r1_initial mod r0."""
+def pinvmod(a, f, p):
+    """Inverse of a modulo f over GF(p); ZeroDivisionError unless coprime.
+
+    Extended Euclid on (f, a mod f) down to a constant remainder r, with
+    r = t * a mod f."""
+    r0, r1 = list(f), pdivmod(a, f, p)[1]
     t0, t1 = [], [1]
-    while r1 and len(r1) - 1 > degree:
+    while len(r1) > 1:
         q, r = pdivmod(r0, r1, p)
         r0, r1 = r1, r
         t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    return r1, t1
-
-
-def pinvmod(a, f, p):
-    """Inverse of a modulo f over GF(p); ZeroDivisionError unless coprime."""
-    r, t = _euclid(list(f), pdivmod(a, f, p)[1], 0, p)
-    if not r:
+    if not r1:
         raise ZeroDivisionError(f"pinvmod: not invertible modulo a degree "
                                 f"{len(f) - 1} polynomial mod {p}")
-    return pscale(t, pinv(r[0], p, "pinvmod"), p)
+    return pscale(t1, pinv(r1[0], p, "pinvmod"), p)
 
 
 def distinct_degree(f, p):
@@ -277,59 +270,40 @@ def newton_interp(xs, ys, p):
     return ptrim(poly)
 
 
-def _max_quotient(r0, r1, p):
-    """The pair (r_i, t_i), r_i = t_i * r1 mod r0, of extended Euclid on
-    (r0, r1) over GF(p) whose next quotient r_(i-1) div r_i has the
-    largest degree, deg r_(i-1) - deg r_i; ([], [1]) when r1 = 0.
-
-    Once deg r_i is at most the best gap, no later quotient is larger."""
-    t0, t1 = [], [1]
-    best, pair = -1, ([], [1])
-    while r1:
-        gap = len(r0) - len(r1)
-        if gap > best:
-            best, pair = gap, (r1, t1)
-        if len(r1) - 1 <= best:
-            break
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    return pair
-
-
-# Points a maximal-quotient fit must leave over: the symmetric bound's
-# 2B + 10 points leave 8 beyond the 2B + 2 that a (B, B) fit needs.
+# Points a fit must leave over: it counts only when its Euclid quotient has
+# degree SPARE_POINTS + 2 or more, i.e. with deg num + deg den + 2 +
+# SPARE_POINTS points.
 SPARE_POINTS = 8
 
 
-def cauchy_interpolate(xs, ys, d_num, d_den, p):
+def cauchy_interpolate(xs, ys, p):
     """Rational function num/den with num(x_i) = y_i * den(x_i).
 
     Returns (num, den) with den monic, or None when no such function
-    fits.  Extended Euclid on (prod(x - x_i), interpolant): with degree
-    bounds (d_num, d_den) it stops at the first remainder of degree at
-    most d_num.  With d_num = d_den = None it takes the pair before the
-    largest quotient (maximal-quotient reconstruction, the polynomial
-    analogue of Monagan, ISSAC 2004): since deg r_i + deg t_i = n -
-    deg q_(i+1) on n points, that is the fit of least degree sum, and it
-    counts only with deg num + deg den + 2 + SPARE_POINTS <= n.
+    fits.  Extended Euclid on (prod(x - x_i), interpolant) over GF(p)
+    stops at the first pair (r_i, t_i), r_i = t_i * interpolant mod the
+    product, whose quotient r_(i-1) div r_i has degree at least
+    SPARE_POINTS + 2.  On n points deg r_i + deg t_i = n - deg q, so the
+    pair fits with SPARE_POINTS points over the deg num + deg den + 2 it
+    needs; a function with that many spare points has such a quotient,
+    and random data almost never does (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.7).  The zero interpolant gives ([], [1]); a zero
+    remainder after it has t_i = 0 at some node, which the node check
+    refuses.
     """
     n = len(xs)
-    if d_num is not None and n < d_num + d_den + 2:
-        return None
-    modulus = [1] + [0] * n
+    r0 = [1] + [0] * n
     for deg, x in enumerate(xs):
-        _mul_linear(modulus, x, deg, p)
-    interp = newton_interp(xs, ys, p)
-
-    if d_num is None:
-        num, den = _max_quotient(modulus, interp, p)
-        if len(num) + len(den) + SPARE_POINTS > n:
-            return None
-    else:
-        num, den = _euclid(modulus, interp, d_num, p)
-        if not den or len(den) - 1 > d_den:
-            return None
+        _mul_linear(r0, x, deg, p)
+    r1 = newton_interp(xs, ys, p)
+    t0, t1 = [], [1]
+    while r1 and len(r0) - len(r1) < SPARE_POINTS + 2:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    if len(r0) - len(r1) < SPARE_POINTS + 2:
+        return None
+    num, den = r1, t1
     g = pgcd_monic(num, den, p) if num else []
     if len(g) > 1:
         num = pdivmod(num, g, p)[0]

@@ -34,15 +34,15 @@ characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
 computed from power sums in O(d^3); the squarefree monic part of each
 slice is a rational function of M in each coefficient, and Cauchy
 interpolation plus CRT and rational reconstruction lift the exact integer
-polynomial.  A factor's first prime finds each coefficient function's
-(numerator, denominator) degrees by maximal-quotient reconstruction on a
-doubling number of points; later primes sample only what those degrees
-need.  Rational reconstruction starts at a factor's first kept image; a
-candidate is accepted when two consecutive reconstructions agree and it
-passes an exact check, vanishing on the representation curve at integer
-sample points, done in Z[v] after the substitution u = v/lc that makes
-phi_i(m) monic.  A factor with small coefficients thus takes two primes,
-one to lift and one to confirm.
+polynomial.  Every fit takes the first large quotient of its Euclid run;
+a factor's first prime fits on a doubling number of points, and each
+later prime starts at the point count the degrees found need.  Rational
+reconstruction starts at a factor's first kept image; a candidate is
+accepted when two consecutive reconstructions agree and it passes an
+exact check, vanishing on the representation curve at integer sample
+points, done in Z[v] after the substitution u = v/lc that makes phi_i(m)
+monic.  A factor with small coefficients thus takes two primes, one to
+lift and one to confirm.
 """
 
 from __future__ import annotations
@@ -269,30 +269,27 @@ def _slice_squarefree(cache, m, p):
 
 
 _MAX_RECON_DEGREE = 512
-_FIRST_POINTS = 26  # the first search's point count, doubled as 2n - 10
+_FIRST_POINTS = 26  # a factor's first fit count, moved to 2n - 10 on failure
 _HELD_OUT = 6
 
 
-def _ahat_mod_p(cache, p, degrees):
+def _ahat_mod_p(cache, p, count):
     """Normalized image of the A-polynomial mod p.
 
-    Returns (d, dden, coeffs, degrees) with coeffs mapping (L-power,
+    Returns (d, dden, coeffs, count) with coeffs mapping (L-power,
     M-power) to residues, normalized so the (d, dden) coefficient is 1,
-    and degrees the (numerator, denominator) degree pair of each
-    reconstructed coefficient function, the next prime's ``degrees``;
-    None when the prime misbehaves.
+    and count = max_j(a_j + b_j) + 10 over the (numerator, denominator)
+    degrees of the reconstructed coefficient functions, the next prime's
+    ``count``; None when the prime misbehaves.
 
-    With ``degrees`` None (a factor's first prime) every coefficient is
-    fitted by its maximal quotient on n = 26, 42, 74, ... points (n ->
-    2n - 10), so a fit needs deg num + deg den + 10 <= n.  With the
-    pairs (a_j, b_j) of an earlier prime, each coefficient is fitted
-    within its own pair on max_j(a_j + b_j) + 10 points; when that fit or
-    its held-out check fails, the search runs as on a first prime.
-    Either way six held-out points check every fit.  Points in
-    cache.skip are passed over, and those whose slice is degenerate or
-    short here join it.  Degrees past _MAX_RECON_DEGREE raise
-    EliminationError: they do not depend on the prime, since an unlucky
-    prime only lowers them."""
+    Every coefficient is fitted on n points by _modp.cauchy_interpolate,
+    which needs deg num + deg den + 10 <= n, and six held-out points check
+    every fit.  n starts at ``count``, or 26 on a factor's first prime
+    (count None), and moves to 2n - 10 when a fit or its check fails.
+    Points in cache.skip are passed over, and those whose slice is
+    degenerate or short here join it.  Degrees past _MAX_RECON_DEGREE
+    raise EliminationError: they do not depend on the prime, since an
+    unlucky prime only lowers them."""
     slices = {}
     cursor = [0]
 
@@ -316,31 +313,28 @@ def _ahat_mod_p(cache, p, degrees):
         cursor[0] = m
         return out
 
-    spare = 2 + _modp.SPARE_POINTS
-    carried = max(a + b for a, b in degrees) + spare if degrees else None
-    more_points((carried or _FIRST_POINTS) + _HELD_OUT)
+    npts = count or _FIRST_POINTS
+    more_points(npts + _HELD_OUT)
     d = max(len(s) - 1 for s in slices.values() if s is not None)
     if d <= 0:
         return None
 
     def good_points(n):
-        pts = [m for m, s in sorted(slices.items())
-               if s is not None and len(s) - 1 == d]
-        while len(pts) < n:
-            more_points(n - len(pts))
+        while True:
             pts = [m for m, s in sorted(slices.items())
                    if s is not None and len(s) - 1 == d]
-        return pts[:n]
+            if len(pts) >= n:
+                return pts[:n]
+            more_points(n - len(pts))
 
-    def fit(npts, bounds):
-        """Every coefficient function on npts points, bounds[j] its degree
-        pair (None: maximal quotient), checked on the held-out points."""
+    def fit(npts):
+        """Every coefficient function on npts points, checked on the
+        held-out points."""
         pts = good_points(npts + _HELD_OUT)
         xs = [m % p for m in pts[:npts]]
         recon = []
-        for j, (a, b) in enumerate(bounds):
-            ys = [slices[m][j] for m in pts[:npts]]
-            rf = _modp.cauchy_interpolate(xs, ys, a, b, p)
+        for j in range(d):
+            rf = _modp.cauchy_interpolate(xs, [slices[m][j] for m in pts[:npts]], p)
             if rf is None:
                 return None
             recon.append(rf)
@@ -352,16 +346,18 @@ def _ahat_mod_p(cache, p, degrees):
                     return None
         return recon
 
-    recon = fit(carried, degrees) if degrees and len(degrees) == d else None
-    npts = _FIRST_POINTS
+    spare = 2 + _modp.SPARE_POINTS
+    recon = None
     while recon is None and npts - spare <= 2 * _MAX_RECON_DEGREE:
-        recon = fit(npts, [(None, None)] * d)
-        npts = 2 * npts - spare
+        recon = fit(npts)
+        if recon is None:
+            npts = 2 * npts - spare
     if recon is None:
         reached = (npts - spare) // 2
     else:
-        degrees = tuple((max(len(num) - 1, 0), len(den) - 1) for num, den in recon)
-        reached = max(max(pair) for pair in degrees)
+        degrees = [(max(len(num) - 1, 0), len(den) - 1) for num, den in recon]
+        reached = max(map(max, degrees))
+        count = max(map(sum, degrees)) + spare
     if reached > _MAX_RECON_DEGREE:
         raise EliminationError(
             f"modular reconstruction mod {p} reached coefficient degree "
@@ -382,7 +378,7 @@ def _ahat_mod_p(cache, p, degrees):
         for k, c in enumerate(cj):
             if c:
                 coeffs[(j, k)] = c
-    return d, dden, coeffs, degrees
+    return d, dden, coeffs, count
 
 
 _MAX_PRIMES = 400  # ~7000 digits of CRT capacity; far beyond honest use
@@ -392,6 +388,11 @@ def _crt_fold(residues, modulus, coeffs, p):
     """Residues mod modulus * p from residues mod modulus and an image mod p."""
     return {key: _modp.crt_pair(residues.get(key, 0), modulus, coeffs.get(key, 0), p)[0]
             for key in set(residues) | set(coeffs)}, modulus * p
+
+
+def _balanced(r, m):
+    """The residue r mod m in (-m/2, m/2]."""
+    return r - m if 2 * r > m else r
 
 
 def _lift(residues, modulus, primes):
@@ -432,14 +433,14 @@ def _apoly_modular(phi, p11, length):
     residues = {}
     modulus = 1
     signature = None
-    degrees = None
+    count = None
     capped = False
     candidate = None
 
     for _ in range(_MAX_PRIMES):
         p = next(primes)
         try:
-            image = _ahat_mod_p(cache, p, degrees)
+            image = _ahat_mod_p(cache, p, count)
         except EliminationError:
             if capped:
                 raise
@@ -449,7 +450,7 @@ def _apoly_modular(phi, p11, length):
             continue
         if image is None:
             continue
-        d, dden, coeffs, image_degrees = image
+        d, dden, coeffs, image_count = image
         if signature is None:
             signature = (d, dden)
         elif (d, dden) != signature:
@@ -458,8 +459,8 @@ def _apoly_modular(phi, p11, length):
                 signature, images, residues, modulus = (d, dden), [], {}, 1
                 candidate = None
             else:
-                continue  # an unlucky prime: its degrees are not carried
-        degrees = image_degrees
+                continue  # an unlucky prime: its count is not carried
+        count = image_count
         images.append((p, coeffs))
         residues, modulus = _crt_fold(residues, modulus, coeffs, p)
         fracs, bad = _lift(residues, modulus, [q for q, _ in images])
@@ -704,7 +705,7 @@ def _int_poly_factors(coeffs):
             cand = [cofactor[-1]]
             for g in group:
                 cand = _modp.pmul(cand, g, pk)
-            cand = [c - pk if 2 * c > pk else c for c in cand]
+            cand = [_balanced(c, pk) for c in cand]
             content = gcd(*cand)
             cand = [c // content for c in cand]
             if cand[0] and cofactor[0] % cand[0]:
@@ -800,13 +801,10 @@ def _riley_factors(phi: MultiPoly, m0):
             g0, h0 = _monic_product(group, p), _monic_product(rest, p)
             if len(_modp.pgcd_monic(g0, h0, p)) > 1:
                 continue
-            image = _hensel_bivariate(cofactor, g0, h0, m, p)
-            for key in set(residues) | set(image):
-                residues[key] = _modp.crt_pair(residues.get(key, 0), modulus,
-                                               image.get(key, 0), p)[0]
-            modulus *= p
+            residues, modulus = _crt_fold(
+                residues, modulus, _hensel_bivariate(cofactor, g0, h0, m, p), p)
         cand = MultiPoly(("M", "u"), {
-            key: r - modulus if 2 * r > modulus else r for key, r in residues.items()})
+            key: _balanced(r, modulus) for key, r in residues.items()})
         cand = cand.strip_monomial().sign_normalized()
         if cand.degree("u") < 1:
             return None

@@ -18,6 +18,12 @@ from .exactnum.upoly import INFINITE_ORDER, QPoly
 from .slopes import Slope
 
 
+# Largest exponent, and largest degree of the result, that RatFunc.__pow__
+# computes: matrix entries are short words in t, and a text such as t^100000
+# would otherwise build a dense polynomial of that degree.
+MAX_POWER = 1000
+
+
 class RatFunc:
     """Rational function num/den over Q(t), stored in lowest terms with a
     monic denominator."""
@@ -102,11 +108,31 @@ class RatFunc:
         return RatFunc(other) / self
 
     def __pow__(self, n):
+        """self^n by repeated squaring of the numerator and denominator.
+
+        A power whose exponent or degree passes MAX_POWER raises ValueError
+        before any product is formed."""
+        num, den = self.num, self.den
         if n < 0:
-            return RatFunc(1) / self ** (-n)
-        out = RatFunc(1)
-        for _ in range(n):
-            out = out * self
+            if num.is_zero():
+                raise ZeroDivisionError("division by the zero rational function")
+            num, den, n = den, num, -n
+        degree = n * max(num.degree(), den.degree())
+        if n > MAX_POWER or degree > MAX_POWER:
+            raise ValueError(f"power with exponent {n} and degree {degree} passes "
+                             f"MAX_POWER = {MAX_POWER}")
+        out_num, out_den = QPoly.const(1), QPoly.const(1)
+        while n:
+            if n & 1:
+                out_num, out_den = out_num * num, out_den * den
+            n >>= 1
+            if n:
+                num, den = num * num, den * den
+        # num/den is in lowest terms, so its powers are: skip the gcd
+        lc = Fraction(out_den.coeffs[-1])
+        out = object.__new__(RatFunc)
+        object.__setattr__(out, "num", out_num * (1 / lc))
+        object.__setattr__(out, "den", out_den * (1 / lc))
         return out
 
     def __str__(self):

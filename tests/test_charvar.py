@@ -20,6 +20,7 @@ from tbk.exactnum import MultiPoly
 from tbk.exactnum.multipoly import poly_prem
 from tbk.slopes import Slope
 
+from childproc import run_python
 from oracles import (
     direct_cleanup_oracle,
     random_multipoly,
@@ -297,23 +298,23 @@ def test_auto_engine_choice(monkeypatch):
 
 
 def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
-    # every prime after a factor's first fits each coefficient function
-    # within the degrees the prime before it reconstructed, so only first
-    # primes search, and a later prime samples no more slices than those
-    # degrees need: max_j(a_j + b_j) + 10 fit points and 6 held out;
-    # small coefficients are lifted from the first image, so a factor
-    # takes two primes
+    # every prime after a factor's first starts its fits at the point count
+    # the prime before it returned, max_j(a_j + b_j) + 10 over the degrees
+    # it reconstructed, so only first primes fail a fit, and a later prime
+    # samples no more slices than that count and 6 held out; small
+    # coefficients are lifted from the first image, so a factor takes two
+    # primes
     from tbk.charvar import _modp, apoly
 
-    primes = []  # [degrees argument, slices sampled] per prime
+    primes = []  # [count argument, slices sampled] per prime
     failures = []
     ahat_mod_p = apoly._ahat_mod_p
     cauchy_interpolate = _modp.cauchy_interpolate
     slice_squarefree = apoly._slice_squarefree
 
-    def counted_prime(cache, p, degrees):
-        primes.append([degrees, 0])
-        return ahat_mod_p(cache, p, degrees)
+    def counted_prime(cache, p, count):
+        primes.append([count, 0])
+        return ahat_mod_p(cache, p, count)
 
     def counted_cauchy(*args):
         out = cauchy_interpolate(*args)
@@ -338,27 +339,27 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     a_polynomial(Fraction(6, 35))
     # two Riley factors, each lifted from its first image and confirmed
     # by one later prime
-    assert [degrees is None for degrees, _ in primes] == [True, False, True, False]
-    later = [(degrees, n) for degrees, n in primes if degrees is not None]
+    assert [count is None for count, _ in primes] == [True, False, True, False]
+    later = [(count, n) for count, n in primes if count is not None]
     assert all(primes[i - 1][0] is None for i in failures)
-    for degrees, n in later:
-        assert n <= max(a + b for a, b in degrees) + 16, (degrees, n)
+    for count, n in later:
+        assert n <= count + 6, (count, n)
 
 
 def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
     # an image with a lower (d, dden) signature comes from an unlucky prime
-    # and is discarded; its degrees must not reach the next prime
+    # and is discarded; its point count must not reach the next prime
     from tbk.charvar import apoly
 
     calls = []
     ahat_mod_p = apoly._ahat_mod_p
 
-    def unlucky_second(cache, p, degrees):
-        calls.append(degrees)
-        image = ahat_mod_p(cache, p, degrees)
+    def unlucky_second(cache, p, count):
+        calls.append(count)
+        image = ahat_mod_p(cache, p, count)
         if len(calls) == 2:
             d, dden, coeffs, _ = image
-            return d - 1, dden, coeffs, ((1, 0),) * (d - 1)
+            return d - 1, dden, coeffs, 11
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", unlucky_second)
@@ -396,15 +397,15 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
     calls = []
     ahat_mod_p = apoly._ahat_mod_p
 
-    def corrupted(cache, p, degrees):
+    def corrupted(cache, p, count):
         calls.append(p)
-        image = ahat_mod_p(cache, p, degrees)
+        image = ahat_mod_p(cache, p, count)
         if len(calls) == corrupt:
-            d, dden, coeffs, degs = image
+            d, dden, coeffs, carried = image
             coeffs = dict(coeffs)
             key = sorted(k for k in coeffs if k != (d, dden))[len(coeffs) // 2]
             coeffs[key] = (coeffs[key] + 1) % p
-            image = d, dden, coeffs, degs
+            image = d, dden, coeffs, carried
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", corrupted)
@@ -469,9 +470,9 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
     primes = []
     ahat_mod_p = apoly._ahat_mod_p
 
-    def counted_prime(cache, p, degrees):
+    def counted_prime(cache, p, count):
         primes.append(p)
-        return ahat_mod_p(cache, p, degrees)
+        return ahat_mod_p(cache, p, count)
 
     monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 16)
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
@@ -618,15 +619,11 @@ def test_split_components_deduplicates_riley_factors():
 
 
 def test_split_does_not_import_numpy():
-    import subprocess
-    import sys
-
     code = ("import sys; from fractions import Fraction; "
             "from tbk.charvar import a_polynomial, split_components; "
             "parts = split_components(a_polynomial(Fraction(4, 15))); "
             "print(len(parts), 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120)
+    proc = run_python(["-c", code], timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2", "False"]
 

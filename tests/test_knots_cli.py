@@ -13,6 +13,15 @@ from tbk.knots import (
 )
 from tbk.regression import PaperReport, run_paper_suite
 
+from childproc import run_python
+
+
+def limit_memory():
+    """Cap a child process's address space at 1 GiB."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
 
 def test_knot_id_validation():
     with pytest.raises(ValueError):
@@ -121,12 +130,7 @@ def test_cli_invalid_fraction_exit_code(capsys):
 
 def test_cli_slopes_long_expansion_exit_code():
     # 3200/3203 has an admissible expansion of about 1,070 entries
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "slopes", "3200/3203", "--json"],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "tbk.cli", "slopes", "3200/3203", "--json"])
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert data["knot"] == {"p": 3200, "q": 3203}
@@ -204,6 +208,21 @@ def test_cli_valuation(tmp_path, capsys):
     assert main(["valuation", str(bad)]) == 2
 
 
+def test_cli_valuation_refuses_huge_power(tmp_path):
+    # t^100000000 would be a dense polynomial of that degree without the
+    # power cap; the address-space limit and the timeout turn a missing
+    # cap into a failure, not a hang
+    from tbk.valuation import MAX_POWER
+
+    f = tmp_path / "huge.txt"
+    f.write_text("t ; 0 ; 0 ; 1/t\nt^100000000 ; 0 ; 0 ; 1/t^100000000\n")
+    proc = run_python(["-m", "tbk.cli", "valuation", str(f)],
+                      timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert "line 2:" in proc.stderr
+    assert f"passes MAX_POWER = {MAX_POWER}" in proc.stderr
+
+
 def test_cli_verify_small(capsys):
     assert main(["verify", "--paper", "--n-min", "2", "--n-max", "2"]) == 0
     out = capsys.readouterr().out
@@ -217,18 +236,11 @@ def test_cli_verify_usage_errors(capsys):
 
 
 def test_cli_module_entry_point():
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "expand", "4/15", "--json"],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "tbk.cli", "expand", "4/15", "--json"])
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["knot"] == {"p": 4, "q": 15}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "jkl", "3", "3"],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "tbk.cli", "jkl", "3", "3"])
     assert proc.returncode == 2
     assert "link" in proc.stderr
 
@@ -255,16 +267,8 @@ def test_cli_slopes_stress_fraction(capsys):
 def test_cli_expand_refuses_huge_repetition():
     # (2)_100000000 would be built in memory without the entry cap; the
     # address-space limit turns a missing cap into a failure, not a hang
-    import resource
-    import subprocess
-    import sys
-
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "expand", "[(2)_100000000]"],
-        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    proc = run_python(["-m", "tbk.cli", "expand", "[(2)_100000000]"],
+                      timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert "100000 entries" in proc.stderr
 
@@ -272,12 +276,7 @@ def test_cli_expand_refuses_huge_repetition():
 def test_cli_expand_refuses_long_walk():
     # [(2)_30] is 30 entries, but the admissible walk of its fraction
     # (q = 259717522849) runs far past the walk cap, which refuses it
-    import subprocess
-    import sys
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "expand", "[(2)_30]"],
-        capture_output=True, text=True, timeout=30)
+    proc = run_python(["-m", "tbk.cli", "expand", "[(2)_30]"], timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "more than 100000 nodes" in proc.stderr
 
@@ -285,14 +284,9 @@ def test_cli_expand_refuses_long_walk():
 def test_cli_apoly_riley_degree_cap(capsys):
     # 1/4001 has Riley degree 2000; without the cap it would start an
     # elimination that does not finish
-    import subprocess
-    import sys
-
     from tbk import cli
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "tbk.cli", "apoly", "1/4001"],
-        capture_output=True, text=True, timeout=30)
+    proc = run_python(["-m", "tbk.cli", "apoly", "1/4001"], timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "degree 2000" in proc.stderr
     assert f"limit {cli.MAX_RILEY_DEGREE}" in proc.stderr

@@ -266,32 +266,49 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
         ys = [_modp.peval(num, x, p) * pow(_modp.peval(den, x, p), -1, p) % p
               for x in xs]
         for n in (need, need + 1, need + 7, len(xs)):
-            assert _modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p) == (num, den)
-            # within its own degree pair, on the same points
-            assert _modp.cauchy_interpolate(xs[:n], ys[:n], a, b, p) == (num, den)
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) == (num, den)
         for n in range(max(1, a + b - 4), need):
-            assert _modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p) is None, n
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) is None, n
         # the symmetric bound B on 2B + 10 points, wherever it covers (a, b)
         for bound in range(max(a, b), max(a, b) + 15, 2):
             n = 2 * bound + 10
             assert n <= len(xs)
-            assert (_modp.cauchy_interpolate(xs[:n], ys[:n], None, None, p)
-                    == _modp.cauchy_interpolate(xs[:n], ys[:n], bound, bound, p)
-                    == (num, den))
+            assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) == (num, den)
     # the zero function, and data no low-degree function fits
     xs = nodes(rng, 40, gaps, p)
-    assert _modp.cauchy_interpolate(xs, [0] * 40, None, None, p) == ([], [1])
-    assert _modp.cauchy_interpolate(xs, [rng.randrange(p) for _ in xs], None, None, p) is None
+    assert _modp.cauchy_interpolate(xs, [0] * 40, p) == ([], [1])
+    assert _modp.cauchy_interpolate(xs, [rng.randrange(p) for _ in xs], p) is None
 
 
 def test_cauchy_degree_bounds_too_few_points():
+    # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
     xs = list(range(1, 12))
     ys = [x * x % 101 for x in xs]
-    assert _modp.cauchy_interpolate(xs, ys, 2, 0, 101) == ([0, 0, 1], [1])
-    assert _modp.cauchy_interpolate(xs[:3], ys[:3], 2, 0, 101) is None
-    # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
-    assert _modp.cauchy_interpolate(xs, ys, None, None, 101) is None
-    assert _modp.cauchy_interpolate(xs + [12], ys + [144 % 101], None, None, 101) == ([0, 0, 1], [1])
+    assert _modp.cauchy_interpolate(xs[:3], ys[:3], 101) is None
+    assert _modp.cauchy_interpolate(xs, ys, 101) is None
+    assert _modp.cauchy_interpolate(xs + [12], ys + [144 % 101], 101) == ([0, 0, 1], [1])
+
+
+def test_cauchy_stops_at_the_first_large_quotient(monkeypatch):
+    # a degree-22 polynomial on 34 points is its own interpolant, and the
+    # first quotient, prod(x - x_i) div it, has degree 12: the fit takes
+    # that pair with no Euclid step, and its one division is the gcd of
+    # num and den
+    p = 10007
+    rng = random.Random(22)
+    xs = list(range(1, 35))
+    num, den = random_rational_function(rng, 22, 0, xs, p)
+    ys = [_modp.peval(num, x, p) for x in xs]
+    calls = []
+    pdivmod = _modp.pdivmod
+
+    def counted(*args):
+        calls.append(args)
+        return pdivmod(*args)
+
+    monkeypatch.setattr(_modp, "pdivmod", counted)
+    assert _modp.cauchy_interpolate(xs, ys, p) == (num, den)
+    assert len(calls) == 1
 
 
 def assert_valid_reconstruction(f, r, m):

@@ -6,6 +6,7 @@ import pytest
 
 from tbk.slopes import Slope
 from tbk.valuation import (
+    MAX_POWER,
     Mat2,
     QPoly,
     RatFunc,
@@ -140,6 +141,29 @@ def test_parse_ratfunc():
         parse_ratfunc("__import__('os')")
     with pytest.raises(ValueError):
         parse_ratfunc("x + 1")
+
+
+def test_power_by_squaring():
+    # agrees with repeated products, in lowest terms with a monic
+    # denominator; a power past MAX_POWER in exponent or degree is refused
+    rng = random.Random(11)
+    for _ in range(100):
+        f = rand_ratfunc(rng, allow_zero=False)
+        n = rng.randint(-6, 6)
+        ref = RatFunc(1)
+        for _ in range(abs(n)):
+            ref = ref * f
+        if n < 0:
+            ref = 1 / ref
+        assert f ** n == ref, (f, n)
+    assert RatFunc(0) ** 0 == RatFunc(1)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc(0) ** -1
+    assert (T ** MAX_POWER).num.degree() == MAX_POWER
+    for text in (f"t^{MAX_POWER + 1}", f"(t^2)^{MAX_POWER // 2 + 1}",
+                 f"2^{MAX_POWER + 1}", "t^100000"):
+        with pytest.raises(ValueError, match="MAX_POWER"):
+            parse_ratfunc(text)
 
 
 def test_parse_matrix_line():
