@@ -491,28 +491,13 @@ def _apoly_modular(phi, p11, length):
     return out
 
 
-def _zmulmod(a, b, f):
-    """a * b modulo the monic f over Z, f without its leading 1."""
-    n = len(f)
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    for k in range(len(out) - 1, n - 1, -1):
-        top = out.pop()
-        if top:
-            out[k - n:k] = [x - top * y for x, y in zip(out[k - n:k], f)]
-    return out
-
-
 def _verify_vanishing(apoly, cache, points=6):
     """Exact check over Z: A(P/c, m) = 0 in Q[u]/phi(m) at integer points.
 
     Checks the first ``points`` M = 1, 2, ... at which phi(m) keeps its
     u-degree n.  With l = lc(phi(m)), the substitution u = v/l makes
     f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) = Q[v]/f, and
-    reduction modulo f stays in Z.  P(m)/c becomes X/s with X =
+    QPoly.divmod by f stays in Z.  P(m)/c becomes X/s with X =
     l^e * P(m)(v/l) mod f and s = l^e * c, e = deg P(m), both divided by
     gcd(s, content X).  Horner's rule on A(X/s) keeps its partial value
     as N/D, N in Z[v] and D in Z, and divides out gcd(D, content N) at
@@ -530,24 +515,21 @@ def _verify_vanishing(apoly, cache, points=6):
         if n != cache.du_phi or not phim:
             continue
         lc = phim[-1]
-        f = [a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])]
+        f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])
         e = max(len(pm) - 1, 0)
-        x = _zmulmod([b * lc ** (e - k) for k, b in enumerate(pm)], [1], f)
+        x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)]).divmod(f)[1]
         s = lc ** e * c
-        g = gcd(s, *x)
-        x, s = [a // g for a in x], s // g
-        num, den = [int(cols[-1](m))], 1
+        g = gcd(s, *x.coeffs)
+        x, s = QPoly([a // g for a in x.coeffs]), s // g
+        num, den = QPoly.const(int(cols[-1](m))), 1
         for col in reversed(cols[:-1]):
-            num = _zmulmod(num, x, f) or [0]
             den *= s
-            num[0] += int(col(m)) * den
-            g = gcd(den, *num)
+            num = (num * x).divmod(f)[1] + QPoly.const(int(col(m)) * den)
+            g = gcd(den, *num.coeffs)
             if g > 1:
-                num = [a // g for a in num]
+                num = QPoly([a // g for a in num.coeffs])
                 den //= g
-            while num and num[-1] == 0:
-                num.pop()
-        if num:
+        if not num.is_zero():
             raise EliminationError(
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
         checked += 1

@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: rationals, sparse integer polynomials,
-dense polynomials over Q, resultant elimination and normalization.
+dense polynomials over exact rings, resultant elimination and normalization.
 
 ``Rational`` is the stdlib Fraction: arbitrary precision, always in lowest
 terms with positive denominator, which is exactly the canonical form the

@@ -5,11 +5,19 @@ coefficients.  The variable order is fixed globally as (L, M, u); any
 other variable names sort after these, alphabetically.  All values are
 immutable after construction, so they can be shared freely between
 threads.
+
+Arithmetic in one variable over the others is not restated here:
+``coefficients_in`` gives the dense coefficient list that ``QPoly``
+takes, and ``poly_prem`` and the resultant run on that.  The gcd and
+squarefree routines at the end serve the tests as oracles; no production
+path calls them.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
+
+from .upoly import QPoly
 
 #: canonical global variable order (L, M, u), then everything else by name
 _VAR_RANK = {"L": 0, "M": 1, "u": 2}
@@ -418,45 +426,12 @@ def _coeff_gcd(polys):
     return g.sign_normalized()
 
 
-def _prem_lists(f, g, mul, sub):
-    """Pseudo-remainder on coefficient lists: lc(g)^(df-dg+1) * f mod g."""
-    df, dg = len(f) - 1, len(g) - 1
-    if df < dg:
-        return list(f)
-    r = list(f)
-    lc_g = g[-1]
-    n = df - dg + 1
-    dr = df
-    while dr >= dg and any(not _is_zero_c(c) for c in r):
-        lc_r = r[dr]
-        n -= 1
-        r = [mul(c, lc_g) for c in r]
-        for i, gc in enumerate(g):
-            r[dr - dg + i] = sub(r[dr - dg + i], mul(lc_r, gc))
-        r = _trim(r)
-        dr = len(r) - 1
-    for _ in range(max(n, 0)):
-        r = [mul(c, lc_g) for c in r]
-    return _trim(r)
-
-
-def _is_zero_c(c):
-    return (c == 0) if isinstance(c, int) else c.is_zero()
-
-
-def _trim(coeffs):
-    while coeffs and _is_zero_c(coeffs[-1]):
-        coeffs.pop()
-    return coeffs
-
-
 def poly_prem(f, g, var):
     """Pseudo-remainder of f by g with respect to var."""
-    fc = f.coefficients_in(var)
     gc = g.coefficients_in(var)
     if not gc:
         raise ZeroDivisionError("pseudo-division by zero")
-    r = _prem_lists(fc, gc, lambda a, b: a * b, lambda a, b: a - b)
+    r = QPoly(f.coefficients_in(var)).prem(QPoly(gc)).coeffs
     return MultiPoly.from_coefficients(var, r) if r else MultiPoly.constant(0)
 
 

@@ -1,12 +1,16 @@
-"""Dense univariate polynomials over Q.
+"""Dense univariate polynomials over exact rings.
 
-Coefficients are ascending and stored as a tuple without trailing zeros;
-ints and Fractions mix freely.  The constructor only trims: it never
-converts a coefficient, so integer polynomials stay integer through +, -,
-* and shift, and only the operations that divide (divmod, monic, gcd)
-bring Fractions in.  Each of those divides by Fraction(lc), so an
-integer input never yields a float.  The algorithms are the classical
-dense ones (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 2-3).
+Coefficients are ascending and stored as a tuple without trailing zeros.
+They come from one exact ring: Z, Q (ints and Fractions mix freely), or
+Z[L, M] as ``MultiPoly`` values, which is how the subresultant PRS and
+``poly_prem`` run.  The constructor only trims, and tests a coefficient
+with ``not c``: it never converts one, so integer polynomials stay
+integer through +, -, *, shift and prem, and any other operand of * is a
+scalar of the coefficient ring.  Only the operations that divide (divmod
+by a leading coefficient other than +-1, monic, gcd) bring Fractions in;
+each divides by Fraction(lc), so an integer input never yields a float.
+The algorithms are the classical dense ones (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 2-3 and 6).
 """
 
 from __future__ import annotations
@@ -18,13 +22,13 @@ INFINITE_ORDER = math.inf
 
 
 class QPoly:
-    """Univariate polynomial over Q, ascending coefficients."""
+    """Univariate polynomial over an exact ring, ascending coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
+        while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -48,7 +52,7 @@ class QPoly:
     def valuation(self):
         """Index of the lowest nonzero coefficient; inf for 0."""
         for i, c in enumerate(self.coeffs):
-            if c != 0:
+            if c:
                 return i
         return INFINITE_ORDER
 
@@ -81,13 +85,13 @@ class QPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QPoly):
             return QPoly([c * other for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return QPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -96,7 +100,9 @@ class QPoly:
     __rmul__ = __mul__
 
     def divmod(self, other):
-        """(quotient, remainder) with deg remainder < deg other."""
+        """(quotient, remainder) with deg remainder < deg other.
+
+        A divisor with leading coefficient +-1 keeps Z[x] inputs in Z[x]."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -105,14 +111,43 @@ class QPoly:
         if dq < 0:
             return QPoly(), self
         quot = [0] * (dq + 1)
-        lc = Fraction(div[-1])
+        inv = div[-1] if div[-1] in (1, -1) else 1 / Fraction(div[-1])
         for k in range(dq, -1, -1):
-            c = rem[k + len(div) - 1] / lc
+            c = rem[k + len(div) - 1] * inv
             quot[k] = c
             if c:
                 for i, d in enumerate(div):
                     rem[k + i] -= c * d
         return QPoly(quot), QPoly(rem)
+
+    def prem(self, other):
+        """Pseudo-remainder lc(other)^(deg self - deg other + 1) * self mod other.
+
+        Exact over any coefficient ring.  Each step pops the leading term it
+        cancels, and the lc powers of the steps that a degree drop skips are
+        applied once at the end."""
+        if other.is_zero():
+            raise ZeroDivisionError("pseudo-division by zero")
+        g = other.coeffs
+        dg = len(g) - 1
+        steps = len(self.coeffs) - dg
+        if steps <= 0:
+            return self
+        lc, low = g[-1], g[:-1]
+        r = list(self.coeffs)
+        while len(r) > dg:
+            steps -= 1
+            top = r.pop()
+            r = [c * lc for c in r]
+            k = len(r) - dg
+            for i, b in enumerate(low):
+                r[k + i] -= top * b
+            while r and not r[-1]:
+                r.pop()
+        if steps:
+            scale = lc ** steps
+            r = [c * scale for c in r]
+        return QPoly(r)
 
     def monic(self):
         if self.is_zero():
@@ -140,7 +175,7 @@ class QPoly:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c == 0:
+            if not c:
                 continue
             if i == 0:
                 parts.append(str(c))

@@ -58,17 +58,26 @@ def alternate_signs(entries) -> list:
     return [a if i % 2 == 0 else -a for i, a in enumerate(entries)]
 
 
-def _sign_counts(entries):
+def _sign_balance(entries) -> int:
+    """n+ - n-: positive minus negative entries after alternate_signs."""
     alt = alternate_signs(entries)
-    pos = sum(1 for a in alt if a > 0)
-    return pos, len(alt) - pos
+    return 2 * sum(1 for a in alt if a > 0) - len(alt)
+
+
+def _slope(entries, even_balance) -> int:
+    """2*((n+ - n-) - (n0+ - n0-)), given the all-even expansion's n0+ - n0-."""
+    return 2 * (_sign_balance(entries) - even_balance)
+
+
+def _flipped_entries(entries) -> tuple:
+    """The entries reversed, and negated when their number is even."""
+    flipped = entries[::-1]
+    return flipped if len(flipped) % 2 else tuple(-a for a in flipped)
 
 
 def boundary_slope(surface: BranchedSurface) -> int:
-    n_pos, n_neg = _sign_counts(surface.expansion.entries)
     even = all_even_expansion(surface.knot_fraction)
-    n0_pos, n0_neg = _sign_counts(even.entries)
-    return 2 * ((n_pos - n_neg) - (n0_pos - n0_neg))
+    return _slope(surface.expansion.entries, _sign_balance(even.entries))
 
 
 def flip(surface: BranchedSurface) -> BranchedSurface:
@@ -79,10 +88,7 @@ def flip(surface: BranchedSurface) -> BranchedSurface:
     fraction (the evaluation of the flipped expansion, reduced mod Z
     into (0, 1)).
     """
-    entries = tuple(reversed(surface.expansion.entries))
-    if len(entries) % 2 == 0:
-        entries = tuple(-a for a in entries)
-    flipped = ContinuedFraction(entries)
+    flipped = ContinuedFraction(_flipped_entries(surface.expansion.entries))
     value = evaluate(flipped)
     fraction = value - math.floor(value)
     return BranchedSurface(flipped, fraction)
@@ -98,26 +104,22 @@ def slope_report(p_over_q: Fraction) -> list:
     Gives the same data as ``boundary_slope``, ``is_symmetric`` and
     ``ideal_point_classes`` on each expansion's surface, more cheaply: the
     knot's all-even sign balance is computed once for the whole report,
-    symmetry compares the entries with their flip (reversed, and negated
-    when the length is even) without building the flipped surface, and
-    the ideal points are counted in closed form.
+    symmetry compares the entries with their flipped entries without
+    building the flipped surface, and the ideal points are counted in
+    closed form.
     """
     from .idealpoints import ideal_point_count
 
     p_over_q = Fraction(p_over_q)
     expansions = enumerate_admissible(p_over_q)
-    n0_pos, n0_neg = _sign_counts(all_even_expansion(p_over_q).entries)
+    even_balance = _sign_balance(all_even_expansion(p_over_q).entries)
     data = []
     for cf in expansions:
         BranchedSurface(cf, p_over_q)  # each expansion must evaluate to p/q mod Z
-        n_pos, n_neg = _sign_counts(cf.entries)
-        flipped = cf.entries[::-1]
-        if len(flipped) % 2 == 0:
-            flipped = tuple(-a for a in flipped)
         data.append(SlopeDatum(
-            slope=2 * ((n_pos - n_neg) - (n0_pos - n0_neg)),
+            slope=_slope(cf.entries, even_balance),
             expansion=cf,
-            symmetric=flipped == cf.entries,
+            symmetric=_flipped_entries(cf.entries) == cf.entries,
             ideal_point_count=ideal_point_count(cf),
         ))
     return data

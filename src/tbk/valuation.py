@@ -259,7 +259,7 @@ _ALLOWED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    """Parse entries such as ``t^2/(1+t)``, ``3`` or ``1/t``."""
+    """Parse entries such as ``t^2/(1+t)``, ``3``, ``1/t`` or ``t^-1``."""
     src = text.replace("^", "**").strip()
     try:
         tree = ast.parse(src, mode="eval")
@@ -293,10 +293,13 @@ def parse_ratfunc(text: str) -> RatFunc:
             if isinstance(node.op, ast.Div):
                 return lhs / rhs
             if isinstance(node.op, ast.Pow):
-                if not (isinstance(node.right, ast.Constant)
-                        and isinstance(node.right.value, int)):
+                exponent, sign = node.right, 1
+                if isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, ast.USub):
+                    exponent, sign = exponent.operand, -1
+                if not (isinstance(exponent, ast.Constant)
+                        and isinstance(exponent.value, int)):
                     raise ValueError(f"exponent must be an integer in {text!r}")
-                return lhs ** node.right.value
+                return lhs ** (sign * exponent.value)
         raise ValueError(f"unsupported syntax in {text!r}")
 
     return ev(tree)

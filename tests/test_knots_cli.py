@@ -206,6 +206,10 @@ def test_cli_valuation(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("t ; 0 ; 0 ; t\n")
     assert main(["valuation", str(bad)]) == 2
+    negative = tmp_path / "negative.txt"
+    negative.write_text("t ; 0 ; 0 ; t^-1\n")
+    assert main(["valuation", str(negative)]) == 0
+    assert "matrix 0: ord(trace) = -1" in capsys.readouterr().out
 
 
 def test_cli_valuation_refuses_huge_power(tmp_path):

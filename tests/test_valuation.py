@@ -137,6 +137,11 @@ def test_parse_ratfunc():
     assert parse_ratfunc("3") == RatFunc(3)
     assert parse_ratfunc("1/t") == 1 / T
     assert parse_ratfunc("-(t - 1)*(t + 1)") == 1 - T ** 2
+    # a negated integer constant is an exponent too
+    assert parse_ratfunc("t^-2") == parse_ratfunc("t^(-2)") == 1 / T ** 2
+    assert parse_ratfunc("(3/(1+t))^-3") == ((1 + T) / 3) ** 3
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        parse_ratfunc("t^-t")
     with pytest.raises(ValueError):
         parse_ratfunc("__import__('os')")
     with pytest.raises(ValueError):
@@ -161,7 +166,7 @@ def test_power_by_squaring():
         RatFunc(0) ** -1
     assert (T ** MAX_POWER).num.degree() == MAX_POWER
     for text in (f"t^{MAX_POWER + 1}", f"(t^2)^{MAX_POWER // 2 + 1}",
-                 f"2^{MAX_POWER + 1}", "t^100000"):
+                 f"2^{MAX_POWER + 1}", "t^100000", "t^-100000"):
         with pytest.raises(ValueError, match="MAX_POWER"):
             parse_ratfunc(text)
 
