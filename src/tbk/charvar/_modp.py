@@ -287,9 +287,11 @@ def cauchy_interpolate(xs, ys, p):
     pair fits with SPARE_POINTS points over the deg num + deg den + 2 it
     needs; a function with that many spare points has such a quotient,
     and random data almost never does (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 5.7).  The zero interpolant gives ([], [1]); a zero
-    remainder after it has t_i = 0 at some node, which the node check
-    refuses.
+    Computer Algebra, 5.7).  As r_i = t_i * interpolant mod the product,
+    r_i(x_i) = y_i * t_i(x_i): the pair, rid of gcd(r_i, t_i), fits every
+    node where t_i does not vanish, and a fit is refused where t_i does.
+    The zero interpolant gives ([], [1]); a zero remainder after it has
+    t_i = 0 at some node.
     """
     n = len(xs)
     r0 = [1] + [0] * n
@@ -303,27 +305,15 @@ def cauchy_interpolate(xs, ys, p):
         t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
     if len(r0) - len(r1) < SPARE_POINTS + 2:
         return None
+    if not all(peval(t1, x, p) for x in xs):
+        return None
     num, den = r1, t1
     g = pgcd_monic(num, den, p) if num else []
     if len(g) > 1:
         num = pdivmod(num, g, p)[0]
         den = pdivmod(den, g, p)[0]
     inv = pinv(den[-1], p, "cauchy_interpolate")
-    num, den = pscale(num, inv, p), pscale(den, inv, p)
-    for x, y in zip(xs, ys):
-        dv = peval(den, x, p)
-        if dv == 0 or (peval(num, x, p) - y * dv) % p:
-            return None
-    return num, den
-
-
-def plcm(a, b, p):
-    g = pgcd_monic(a, b, p)
-    q = pdivmod(a, g, p)[0] if len(g) > 1 else list(a)
-    out = pmul(q, b, p)
-    if out:
-        out = pscale(out, pinv(out[-1], p, "plcm"), p)
-    return out
+    return pscale(num, inv, p), pscale(den, inv, p)
 
 
 def crt_pair(r1, m1, r2, m2):

@@ -31,10 +31,14 @@ g taken by an exact k-th root (k = 1 proves it squarefree).  Larger ones
 are reconstructed from modular images: per prime and per integer M-value
 the slice Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
 characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
-computed from power sums in O(d^3); the squarefree monic part of each
-slice is a rational function of M in each coefficient, and Cauchy
-interpolation plus CRT and rational reconstruction lift the exact integer
-polynomial.  Every fit takes the first large quotient of its Euclid run;
+computed from power sums in O(d^3).  riley_polynomial checks that
+lc_u(phi) is +-M^a, so lc_u(phi_i) is a power of M up to sign, and so are
+lc_L of the resultant and, by Gauss's lemma, lc_L(A_i) = +-M^b: the monic
+squarefree part of a slice is A_i(m, L)/(+-m^b).  Cauchy interpolation
+fits each coefficient as +-A_ij(M)/M^b, so every denominator is a power
+of M, and shifting the numerators to M^b gives +-A_i mod p, with integer
+coefficients, which CRT and rational reconstruction lift.  Every fit
+takes the first large quotient of its Euclid run;
 a factor's first prime fits on a doubling number of points, and each
 later prime starts at the point count the degrees found need.  Rational
 reconstruction starts at a factor's first kept image; a candidate is
@@ -100,17 +104,13 @@ def longitude_data(pres: TwoBridgePresentation):
 def _apoly_direct(phi, p11, length):
     """Res_u(phi, L*M^length - P) with pure-M and repeated factors removed.
 
-    With lc_u(phi) a monomial, so is lc_L of the resultant: its only pure-M
+    lc_u(phi) divides the Riley polynomial's, +-M^a (riley_polynomial
+    checks it), so lc_L of the resultant is a monomial: its only pure-M
     factors are integers and powers of M.  Stripped of those, R is g^k, g
     the minimal polynomial of P/M^length (module docstring).  k_m =
     _power_at(R, m) is k unless g(m, L) repeats a root mod the prime, and
     then larger; k_m = 1 proves R squarefree, and an exact k_m-th root is g,
     as R is no k'-th power for k' > k.  Points run past disc_L(g)'s roots."""
-    lead = phi.coefficients_in("u")[-1]
-    if len(lead) != 1:
-        raise EliminationError(
-            f"leading u-coefficient {lead} of the Riley polynomial "
-            "is not a monomial")
     lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
     r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
@@ -178,6 +178,10 @@ def _in_M(c: MultiPoly) -> QPoly:
 class _PointCache:
     """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes.
 
+    phi(m, u) has u-degree du_phi at every m >= 1, since lc_u(phi) is
+    +-M^a (riley_polynomial checks it for the Riley polynomial, and a
+    factor's divides it).
+
     ``skip`` holds the points whose slice was degenerate or short mod an
     earlier prime (M = 1 on every ladder factor): later primes pass them
     over, which is safe since any points give the same fit."""
@@ -195,8 +199,6 @@ class _PointCache:
         if m not in self._data:
             phim = [col(m) for col in self.phi_tab]
             pm = [col(m) for col in self.p_tab]
-            while phim and phim[-1] == 0:
-                phim.pop()
             while pm and pm[-1] == 0:
                 pm.pop()
             self._data[m] = (phim, pm, m ** self.length)
@@ -213,7 +215,8 @@ class _PointCache:
 def _slice_squarefree(cache, m, p):
     """Monic squarefree part of Res_u(phi(m), L*c - P(m)) over GF(p)[L].
 
-    Returns None for degenerate slices (degree drops mod p).
+    Returns None for degenerate slices: phi(m) or c vanishing mod p (p
+    divides m; only small primes reach this), or the L-slice collapsing.
 
     Up to a constant factor that resultant is prod_i (L - beta(alpha_i))
     over the roots alpha_i of phi(m), with beta = P(m)/c: the
@@ -228,8 +231,6 @@ def _slice_squarefree(cache, m, p):
     """
     phim, pm, c = cache.get(m)
     d = cache.du_phi
-    if len(phim) - 1 != d:
-        return None
     fm = [x % p for x in phim]
     if fm[-1] == 0:
         return None
@@ -274,13 +275,18 @@ _HELD_OUT = 6
 
 
 def _ahat_mod_p(cache, p, count):
-    """Normalized image of the A-polynomial mod p.
+    """Image of the A-polynomial mod p, +-A mod p.
 
     Returns (d, dden, coeffs, count) with coeffs mapping (L-power,
     M-power) to residues, normalized so the (d, dden) coefficient is 1,
     and count = max_j(a_j + b_j) + 10 over the (numerator, denominator)
     degrees of the reconstructed coefficient functions, the next prime's
     ``count``; None when the prime misbehaves.
+
+    lc_L(A) is +-M^b (module docstring), so the monic squarefree slice at a
+    good point is A(m, L)/(+-m^b): coefficient j is +-A_j(M)/M^b, and a fit
+    whose denominator is not a power of M rejects the prime.  Shifting
+    every numerator to M^dden, dden the largest b, gives +-A mod p.
 
     Every coefficient is fitted on n points by _modp.cauchy_interpolate,
     which needs deg num + deg den + 10 <= n, and six held-out points check
@@ -291,46 +297,33 @@ def _ahat_mod_p(cache, p, count):
     raise EliminationError: they do not depend on the prime, since an
     unlucky prime only lowers them."""
     slices = {}
-    cursor = [0]
 
-    def more_points(n):
-        out = []
-        m = cursor[0]
-        while len(out) < n:
+    def points(n, d=None):
+        """The first n sampled M whose slice is not None, and of degree d
+        when d is given, sampling M = 1, 2, ... past cache.skip as needed."""
+        pts = [m for m, s in slices.items()
+               if s is not None and d in (None, len(s) - 1)]
+        m = max(slices, default=0)
+        while len(pts) < n:
             m += 1
             if m in cache.skip:
                 continue
-            if m in slices:
-                if slices[m] is not None:
-                    out.append(m)
-                continue
-            s = _slice_squarefree(cache, m, p)
-            slices[m] = s
-            if s is not None:
-                out.append(m)
+            s = slices[m] = _slice_squarefree(cache, m, p)
+            if s is not None and d in (None, len(s) - 1):
+                pts.append(m)
             if m > 50 * n + 2000:
                 raise EliminationError("modular engine ran out of sample points")
-        cursor[0] = m
-        return out
+        return pts[:n]
 
     npts = count or _FIRST_POINTS
-    more_points(npts + _HELD_OUT)
-    d = max(len(s) - 1 for s in slices.values() if s is not None)
+    d = max(len(slices[m]) - 1 for m in points(npts + _HELD_OUT))
     if d <= 0:
         return None
-
-    def good_points(n):
-        while True:
-            pts = [m for m, s in sorted(slices.items())
-                   if s is not None and len(s) - 1 == d]
-            if len(pts) >= n:
-                return pts[:n]
-            more_points(n - len(pts))
 
     def fit(npts):
         """Every coefficient function on npts points, checked on the
         held-out points."""
-        pts = good_points(npts + _HELD_OUT)
+        pts = points(npts + _HELD_OUT, d)
         xs = [m % p for m in pts[:npts]]
         recon = []
         for j in range(d):
@@ -363,21 +356,13 @@ def _ahat_mod_p(cache, p, count):
             f"modular reconstruction mod {p} reached coefficient degree "
             f"{reached}, past the cap _MAX_RECON_DEGREE = {_MAX_RECON_DEGREE}")
     cache.skip.update(m for m, s in slices.items() if s is None or len(s) - 1 != d)
-
-    den = [1]
-    for _, dj in recon:
-        den = _modp.plcm(den, dj, p)
-    dden = len(den) - 1
-    coeffs = {}
-    for k, c in enumerate(den):
-        if c:
-            coeffs[(d, k)] = c
-    for j, (num, dj) in enumerate(recon):
-        mult = _modp.pdivmod(den, dj, p)[0]
-        cj = _modp.pmul(num, mult, p)
-        for k, c in enumerate(cj):
-            if c:
-                coeffs[(j, k)] = c
+    if any(any(den[:-1]) for _, den in recon):
+        return None
+    dden = max(len(den) - 1 for _, den in recon)
+    coeffs = {(d, dden): 1}
+    for j, (num, den) in enumerate(recon):
+        shift = dden + 1 - len(den)
+        coeffs.update(((j, shift + k), c) for k, c in enumerate(num) if c)
     return d, dden, coeffs, count
 
 
@@ -480,13 +465,9 @@ def _apoly_modular(phi, p11, length):
             "modular reconstruction failed to stabilize "
             f"within {_MAX_PRIMES} primes")
 
-    denom = 1
-    for f in candidate.values():
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    terms = {}
-    for (j, k), f in candidate.items():
-        terms[(j, k)] = int(f * denom)
-    out = MultiPoly(("L", "M"), terms).primitive_part().sign_normalized()
+    if any(f.denominator != 1 for f in candidate.values()):
+        raise EliminationError("the modular lift has a non-integer coefficient")
+    out = MultiPoly(("L", "M"), {k: int(f) for k, f in candidate.items()}).sign_normalized()
     _verify_vanishing(out, cache, points=6)
     return out
 
@@ -494,8 +475,8 @@ def _apoly_modular(phi, p11, length):
 def _verify_vanishing(apoly, cache, points=6):
     """Exact check over Z: A(P/c, m) = 0 in Q[u]/phi(m) at integer points.
 
-    Checks the first ``points`` M = 1, 2, ... at which phi(m) keeps its
-    u-degree n.  With l = lc(phi(m)), the substitution u = v/l makes
+    Checks M = 1..``points``; phi(m) keeps its u-degree n at each (see
+    _PointCache).  With l = lc(phi(m)), the substitution u = v/l makes
     f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) = Q[v]/f, and
     QPoly.divmod by f stays in Z.  P(m)/c becomes X/s with X =
     l^e * P(m)(v/l) mod f and s = l^e * c, e = deg P(m), both divided by
@@ -506,15 +487,9 @@ def _verify_vanishing(apoly, cache, points=6):
     factor the check takes 0.15-0.22 s, where the same check in Fraction
     QPoly arithmetic over Q[u] took 3.2 s (2-core x86-64, Python 3.11)."""
     cols = [_in_M(c) for c in apoly.coefficients_in("L")]
-    checked = 0
-    m = 0
-    while checked < points:
-        m += 1
+    for m in range(1, points + 1):
         phim, pm, c = cache.get(m)
-        n = len(phim) - 1
-        if n != cache.du_phi or not phim:
-            continue
-        lc = phim[-1]
+        n, lc = cache.du_phi, phim[-1]
         f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])
         e = max(len(pm) - 1, 0)
         x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)]).divmod(f)[1]
@@ -532,7 +507,6 @@ def _verify_vanishing(apoly, cache, points=6):
         if not num.is_zero():
             raise EliminationError(
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
-        checked += 1
 
 
 # -- public entry points -------------------------------------------------------
@@ -540,8 +514,9 @@ def _verify_vanishing(apoly, cache, points=6):
 
 # a Riley factor is eliminated directly when its u-degree times deg_u(P)
 # is at most this, else by modular images: direct is faster on every factor
-# up to 45, and neither wins reliably on 4/15's product-52 one (CHANGES.md).
-_DIRECT_MAX_PRODUCT = 45
+# up to 76, by 2x to 20x on the 20 with q <= 21 above 45, and modular wins
+# on 2/15's product-91 one (CHANGES.md).
+_DIRECT_MAX_PRODUCT = 76
 
 
 def a_polynomial(p_over_q, keep_abelian=False) -> APoly:

@@ -75,7 +75,13 @@ class PresentationError(ValueError):
 
 
 def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
-    """The Riley polynomial of the presentation, in (M, u)."""
+    """The Riley polynomial of the presentation, in (M, u).
+
+    Its leading u-coefficient is checked to be +-M^a, so phi(m, u) keeps
+    its u-degree at every integer m >= 1.  Both A-polynomial engines rely
+    on this: the direct one for a resultant whose only pure-M factors are
+    integers and powers of M, the modular one for images that are
+    +-A mod p (see tbk.charvar.apoly)."""
     w, _ = scaled_word_matrix(pres.relator_word())
     lhs = _mat_mul(w, _LETTERS[(0, 1)])
     rhs = _mat_mul(_LETTERS[(1, 1)], w)
@@ -90,4 +96,9 @@ def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
         raise PresentationError(
             f"entry condition for {pres.fraction} gives {phi} "
             f"(expected u-degree {(q - 1) // 2})")
+    lead = phi.coefficients_in("u")[-1]
+    if len(lead.terms) != 1 or abs(*lead.terms.values()) != 1:
+        raise PresentationError(
+            f"leading u-coefficient {lead} of the Riley polynomial of "
+            f"{pres.fraction} is not +-M^a")
     return phi

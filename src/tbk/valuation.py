@@ -23,6 +23,12 @@ from .slopes import Slope
 # would otherwise build a dense polynomial of that degree.
 MAX_POWER = 1000
 
+# Longest matrix entry, in characters, that parse_ratfunc reads.  Python's
+# parser and parse_ratfunc's evaluator recurse once per operator, and a
+# sum of 1,200 t's already passes the interpreter's default limit of 1,000
+# frames; an entry this short stays well inside it.
+MAX_ENTRY_LENGTH = 500
+
 
 class RatFunc:
     """Rational function num/den over Q(t), stored in lowest terms with a
@@ -259,8 +265,15 @@ _ALLOWED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
 
 
 def parse_ratfunc(text: str) -> RatFunc:
-    """Parse entries such as ``t^2/(1+t)``, ``3``, ``1/t`` or ``t^-1``."""
-    src = text.replace("^", "**").strip()
+    """Parse entries such as ``t^2/(1+t)``, ``3``, ``1/t`` or ``t^-1``.
+
+    An entry longer than MAX_ENTRY_LENGTH characters raises ValueError
+    before it is parsed."""
+    src = text.strip()
+    if len(src) > MAX_ENTRY_LENGTH:
+        raise ValueError(f"entry of {len(src)} characters passes "
+                         f"MAX_ENTRY_LENGTH = {MAX_ENTRY_LENGTH}")
+    src = src.replace("^", "**")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -279,7 +292,7 @@ def parse_ratfunc(text: str) -> RatFunc:
             if node.id != "t":
                 raise ValueError(f"unknown symbol {node.id!r} in {text!r}")
             return RatFunc.t()
-        if isinstance(node, ast.UnaryOp):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             v = ev(node.operand)
             return -v if isinstance(node.op, ast.USub) else v
         if isinstance(node, ast.BinOp):

@@ -80,7 +80,7 @@ def test_riley_degree_sweep_q45():
 def test_riley_is_one_entry_condition():
     # with W = M^n rho(w), W a - b W has d11 = d22 = 0 and d21 = u * d12,
     # so the Riley polynomial is d12 normalized; its leading u-coefficient
-    # is +-M^k, which the direct engine's cleanup relies on
+    # is +-M^k, which riley_polynomial checks and both engines rely on
     from tbk.charvar.riley import _LETTERS, _mat_mul, scaled_word_matrix
 
     u = MultiPoly.variable("u")
@@ -96,6 +96,24 @@ def test_riley_is_one_entry_condition():
         assert phi == d12.strip_monomial().primitive_part().sign_normalized()
         [coeff] = phi.coefficients_in("u")[-1].terms.values()
         assert abs(coeff) == 1, (p, q)
+
+
+def test_riley_refuses_a_leading_coefficient_that_is_no_monomial(monkeypatch):
+    # W scaled by M + 2 keeps d11 = d22 = 0 and multiplies d12, so phi,
+    # by M + 2: lc_u(phi) = (M + 2) * M^a, which riley_polynomial refuses
+    from tbk.charvar import riley
+
+    word_matrix = riley.scaled_word_matrix
+
+    def scaled(letters):
+        mat, n = word_matrix(letters)
+        return tuple(x * (M + 2) for x in mat), n
+
+    pres = presentation(Fraction(4, 15))
+    assert riley_polynomial(pres).degree("u") == 7
+    monkeypatch.setattr(riley, "scaled_word_matrix", scaled)
+    with pytest.raises(riley.PresentationError, match=r"is not \+-M\^a$"):
+        riley_polynomial(pres)
 
 
 def test_scaled_word_matrix_matches_multipoly_products():
@@ -274,8 +292,9 @@ def test_kth_root_exact():
 
 def test_auto_engine_choice(monkeypatch):
     # a_polynomial runs a Riley factor direct when its u-degree times
-    # deg_u(P) is at most 45: every factor with q <= 11 (products up to
-    # 45); 4/15's u-degree-4 factor (52) and both of 6/35's run modular
+    # deg_u(P) is at most 76: every factor with q <= 11 (products up to
+    # 45), both of 4/15's (39 and 52) and 8/21's u-degree-4 one (76);
+    # 8/21's u-degree-6 factor (114) and both of 6/35's run modular
     from tbk.charvar import apoly
 
     runs = []
@@ -291,7 +310,10 @@ def test_auto_engine_choice(monkeypatch):
     assert {name for name, _ in runs} == {"_apoly_direct"}
     runs.clear()
     a_polynomial(Fraction(4, 15))
-    assert sorted(runs) == [("_apoly_direct", 3), ("_apoly_modular", 4)]
+    assert sorted(runs) == [("_apoly_direct", 3), ("_apoly_direct", 4)]
+    runs.clear()
+    a_polynomial(Fraction(8, 21))
+    assert sorted(runs) == [("_apoly_direct", 4), ("_apoly_modular", 6)]
     runs.clear()
     a_polynomial(Fraction(6, 35))
     assert [name for name, _ in runs] == ["_apoly_modular"] * 2
@@ -346,6 +368,40 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
         assert n <= count + 6, (count, n)
 
 
+@pytest.mark.parametrize("pq, work", (
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 120, "cauchy_interpolate": 10,
+              "failed fits": 0}),
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 176, "cauchy_interpolate": 24,
+              "failed fits": 2}),
+))
+def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
+    # every factor modular: the primes, slices and Cauchy fits (and the
+    # fits that fail) the engine spends on the ladder, so a change that
+    # means to keep the engine's work can show it does
+    from tbk.charvar import _modp, apoly
+
+    counts = dict.fromkeys(work, 0)
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            out = fn(*args)
+            counts[name] += 1
+            if name == "cauchy_interpolate" and out is None:
+                counts["failed fits"] += 1
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(apoly, "_ahat_mod_p")
+    counted(apoly, "_slice_squarefree")
+    counted(_modp, "cauchy_interpolate")
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    a_polynomial(Fraction(pq))
+    assert counts == work
+
+
 def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
     # an image with a lower (d, dden) signature comes from an unlucky prime
     # and is discarded; its point count must not reach the next prime
@@ -372,6 +428,32 @@ def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
     assert len(calls) >= 3
     assert calls[0] is None
     assert calls[1] == calls[2] == first[3]
+
+
+def test_modular_image_refuses_a_denominator_that_is_no_power_of_M(monkeypatch):
+    # lc_L(A) = +-M^b makes every coefficient function's denominator a
+    # power of M; one fit returned as num * (M + 1) / (M + 1), which still
+    # matches every point, rejects the prime
+    from tbk.charvar import _modp, apoly
+
+    data = riley_factor_data(Fraction(4, 15))
+    p = next(_modp.prime_stream())
+    assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is not None
+    cauchy_interpolate = _modp.cauchy_interpolate
+    changed = []
+
+    def once(xs, ys, p):
+        fit = cauchy_interpolate(xs, ys, p)
+        if fit is not None and not changed:
+            num, den = fit
+            assert den == [1]
+            changed.append(fit)
+            fit = _modp.pmul(num, [1, 1], p), [1, 1]
+        return fit
+
+    monkeypatch.setattr(_modp, "cauchy_interpolate", once)
+    assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is None
+    assert changed
 
 
 def riley_factor_data(pq):

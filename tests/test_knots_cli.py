@@ -227,6 +227,21 @@ def test_cli_valuation_refuses_huge_power(tmp_path):
     assert f"passes MAX_POWER = {MAX_POWER}" in proc.stderr
 
 
+@pytest.mark.parametrize("terms", (1200, 3000))
+def test_cli_valuation_refuses_long_entry(tmp_path, terms):
+    # a sum of 1,200 t's overflowed the evaluator's recursion and 3,000
+    # the parser's; the length cap refuses both as invalid input
+    from tbk.valuation import MAX_ENTRY_LENGTH
+
+    f = tmp_path / "long.txt"
+    f.write_text("t ; 0 ; 0 ; 1/t\n" + " + ".join(["t"] * terms) + " ; 0 ; 0 ; 1/t\n")
+    proc = run_python(["-m", "tbk.cli", "valuation", str(f)], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "line 2:" in proc.stderr
+    assert f"passes MAX_ENTRY_LENGTH = {MAX_ENTRY_LENGTH}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_verify_small(capsys):
     assert main(["verify", "--paper", "--n-min", "2", "--n-max", "2"]) == 0
     out = capsys.readouterr().out

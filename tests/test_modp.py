@@ -249,6 +249,15 @@ def random_rational_function(rng, a, b, xs, p):
             return num, den
 
 
+def assert_fits_every_node(fit, xs, ys, p):
+    """An accepted fit has den(x_i) != 0 and num(x_i) = y_i * den(x_i)."""
+    if fit is not None:
+        num, den = fit
+        for x, y in zip(xs, ys):
+            dv = _modp.peval(den, x, p)
+            assert dv and (_modp.peval(num, x, p) - y * dv) % p == 0, (x, fit)
+
+
 def nodes(rng, n, gaps, p):
     if gaps:
         return sorted(rng.sample(range(1, min(p, 10 ** 6)), n))
@@ -274,10 +283,20 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
             n = 2 * bound + 10
             assert n <= len(xs)
             assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) == (num, den)
+        # one value off: a fit, wherever one is accepted, matches every node
+        bad = list(ys)
+        bad[rng.randrange(need)] += rng.randrange(1, p)
+        for n in range(need, need + 8):
+            assert_fits_every_node(
+                _modp.cauchy_interpolate(xs[:n], bad[:n], p), xs[:n], bad[:n], p)
     # the zero function, and data no low-degree function fits
     xs = nodes(rng, 40, gaps, p)
     assert _modp.cauchy_interpolate(xs, [0] * 40, p) == ([], [1])
-    assert _modp.cauchy_interpolate(xs, [rng.randrange(p) for _ in xs], p) is None
+    noise = [rng.randrange(p) for _ in xs]
+    assert _modp.cauchy_interpolate(xs, noise, p) is None
+    for n in range(1, len(xs)):
+        assert_fits_every_node(_modp.cauchy_interpolate(xs[:n], noise[:n], p),
+                               xs[:n], noise[:n], p)
 
 
 def test_cauchy_degree_bounds_too_few_points():

@@ -6,6 +6,7 @@ import pytest
 
 from tbk.slopes import Slope
 from tbk.valuation import (
+    MAX_ENTRY_LENGTH,
     MAX_POWER,
     Mat2,
     QPoly,
@@ -146,6 +147,21 @@ def test_parse_ratfunc():
         parse_ratfunc("__import__('os')")
     with pytest.raises(ValueError):
         parse_ratfunc("x + 1")
+    for text in ("not t", "~t"):  # unary operators other than + and -
+        with pytest.raises(ValueError, match="unsupported syntax"):
+            parse_ratfunc(text)
+
+
+def test_parse_ratfunc_entry_length_cap():
+    # the parser and the evaluator recurse once per operator: an entry at
+    # the cap parses, even as 499 nested unary minus signs, and one
+    # character more is refused before parsing
+    odd = MAX_ENTRY_LENGTH % 2
+    assert parse_ratfunc("-" * (MAX_ENTRY_LENGTH - 1) + "t") == (T if odd else -T)
+    assert parse_ratfunc("+".join(["t"] * (MAX_ENTRY_LENGTH // 2))) == MAX_ENTRY_LENGTH // 2 * T
+    for text in ("t" + "+t" * (MAX_ENTRY_LENGTH // 2), "-" * MAX_ENTRY_LENGTH + "t"):
+        with pytest.raises(ValueError, match=f"passes MAX_ENTRY_LENGTH = {MAX_ENTRY_LENGTH}"):
+            parse_ratfunc(text)
 
 
 def test_power_by_squaring():
