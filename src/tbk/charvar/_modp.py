@@ -288,8 +288,11 @@ def cauchy_interpolate(xs, ys, p):
     needs; a function with that many spare points has such a quotient,
     and random data almost never does (von zur Gathen and Gerhard, Modern
     Computer Algebra, 5.7).  As r_i = t_i * interpolant mod the product,
-    r_i(x_i) = y_i * t_i(x_i): the pair, rid of gcd(r_i, t_i), fits every
-    node where t_i does not vanish, and a fit is refused where t_i does.
+    r_i(x_i) = y_i * t_i(x_i): the pair fits every node where t_i does not
+    vanish, and a fit is refused where t_i does.  An accepted pair is
+    coprime: r_i = s_i * prod(x - x_j) + t_i * interpolant with
+    gcd(s_i, t_i) = 1, so a common factor of r_i and t_i divides the
+    product, and t_i, nonzero at every node, shares no factor with it.
     The zero interpolant gives ([], [1]); a zero remainder after it has
     t_i = 0 at some node.
     """
@@ -303,17 +306,10 @@ def cauchy_interpolate(xs, ys, p):
         q, r = pdivmod(r0, r1, p)
         r0, r1 = r1, r
         t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    if len(r0) - len(r1) < SPARE_POINTS + 2:
+    if len(r0) - len(r1) < SPARE_POINTS + 2 or not all(peval(t1, x, p) for x in xs):
         return None
-    if not all(peval(t1, x, p) for x in xs):
-        return None
-    num, den = r1, t1
-    g = pgcd_monic(num, den, p) if num else []
-    if len(g) > 1:
-        num = pdivmod(num, g, p)[0]
-        den = pdivmod(den, g, p)[0]
-    inv = pinv(den[-1], p, "cauchy_interpolate")
-    return pscale(num, inv, p), pscale(den, inv, p)
+    inv = pinv(t1[-1], p, "cauchy_interpolate")
+    return pscale(r1, inv, p), pscale(t1, inv, p)
 
 
 def crt_pair(r1, m1, r2, m2):

@@ -25,6 +25,29 @@ dropped.  The components of the A-polynomial (Macasieb-Petersen-van
 Luijk: two for J(k, k)) therefore come by construction, the A-polynomial
 is their deduplicated product, and no polynomial in L is ever factored.
 
+Eliminate in s = M^2.  An A-polynomial has only even powers of M
+(Cooper-Culler-Gillet-Long-Shalen, Invent. Math. 118, 1994, 2), and so
+have the inputs: conjugating by diag(1, -1) sends rho_M(g_i) to
+-rho_(-M)(g_i) with the same u, the longitude has exponent sum 0 and
+len is even, so P(-M, u) = P(M, u); the relation is kept and M does not
+divide phi, so phi(-M, u) = phi(M, u).  _eliminate takes g = gcd(len,
+every M-exponent of P and phi_i), 2 on all 410 Riley factors with
+q <= 41, and runs an engine on phi_i(s, u), P(s, u) and len/g with
+s = M^g, still written M.  This is exact: phi_i is irreducible over
+Q(M), so K = F (x) Q(M), F = Q(s)[u]/phi_i, is a field, and beta =
+P/M^len lies in F.  The characteristic polynomial of beta on K over
+Q(M) is its characteristic polynomial on F over Q(s), so it, its
+squarefree part (beta's minimal polynomial, separable) and the direct
+engine's resultant are the same polynomials over Z[s], read with
+s = M^g.  lc_u stays +-s^a, c = s^(len/g) and every fit denominator
+stays a power of s, so neither engine changes and g = 1 runs the same
+code; the sign normalization, primitive part and monomial strip commute
+with multiplying the factor's M-exponents back by g.  The sample points,
+the degrees, _MAX_RECON_DEGREE and the EliminationError texts all count
+in the engine's variable, s.  Factoring stays in M: a factor irreducible
+over Z[s, u] can split over Z[M, u] (u^2 - s), and its image would not
+be irreducible.
+
 Small factors run through the exact subresultant engine directly, the
 exponent k of the resultant g^k read off a specialization mod a prime and
 g taken by an exact k-th root (k = 1 proves it squarefree).  Larger ones
@@ -110,7 +133,9 @@ def _apoly_direct(phi, p11, length):
     the minimal polynomial of P/M^length (module docstring).  k_m =
     _power_at(R, m) is k unless g(m, L) repeats a root mod the prime, and
     then larger; k_m = 1 proves R squarefree, and an exact k_m-th root is g,
-    as R is no k'-th power for k' > k.  Points run past disc_L(g)'s roots."""
+    as R is no k'-th power for k' > k.  Points run past disc_L(g)'s roots.
+    M is the engine's variable: under a_polynomial the points are M^2 = 2..N.
+    """
     lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
     r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
@@ -175,33 +200,41 @@ def _in_M(c: MultiPoly) -> QPoly:
     return QPoly(col)
 
 
+def _u_M_terms(poly):
+    """[(u-exponent, M-exponent, coefficient)] of a polynomial in M and u."""
+    return [(e_u, e_m, c) for (e_m, e_u), c in poly.in_variables(("M", "u")).terms.items()]
+
+
 class _PointCache:
     """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes.
 
     phi(m, u) has u-degree du_phi at every m >= 1, since lc_u(phi) is
     +-M^a (riley_polynomial checks it for the Riley polynomial, and a
-    factor's divides it).
+    factor's divides it).  A slice sums the terms of phi and P over one
+    table of powers of m: P of 6/35 has 351 terms in 2,894 dense slots.
 
     ``skip`` holds the points whose slice was degenerate or short mod an
     earlier prime (M = 1 on every ladder factor): later primes pass them
     over, which is safe since any points give the same fit."""
 
     def __init__(self, phi, p11, length):
-        self.phi_tab = [_in_M(c) for c in phi.coefficients_in("u")]
-        self.p_tab = [_in_M(c) for c in p11.coefficients_in("u")]
+        self.phi_terms, self.p_terms = _u_M_terms(phi), _u_M_terms(p11)
         self.length = length
-        self.du_phi = len(self.phi_tab) - 1
+        self.du_phi = phi.degree("u")
+        self._du_p = p11.degree("u")
+        self._dm = max(phi.degree("M"), p11.degree("M"))
         self.skip = set()
         self._data = {}
         self._inverses = {}
 
     def get(self, m):
         if m not in self._data:
-            phim = [col(m) for col in self.phi_tab]
-            pm = [col(m) for col in self.p_tab]
-            while pm and pm[-1] == 0:
-                pm.pop()
-            self._data[m] = (phim, pm, m ** self.length)
+            powers = list(itertools.accumulate(itertools.repeat(m, self._dm), mul, initial=1))
+            phim, pm = [0] * (self.du_phi + 1), [0] * (self._du_p + 1)
+            for out, terms in ((phim, self.phi_terms), (pm, self.p_terms)):
+                for e_u, e_m, c in terms:
+                    out[e_u] += c * powers[e_m]
+            self._data[m] = (phim, _modp.ptrim(pm), m ** self.length)
         return self._data[m]
 
     def inverses(self, p):
@@ -269,7 +302,7 @@ def _slice_squarefree(cache, m, p):
     return _modp.squarefree_monic(char[::-1], p)
 
 
-_MAX_RECON_DEGREE = 512
+_MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
 _FIRST_POINTS = 26  # a factor's first fit count, moved to 2n - 10 on failure
 _HELD_OUT = 6
 
@@ -509,13 +542,27 @@ def _verify_vanishing(apoly, cache, points=6):
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
 
 
+def _eliminate(engine, phi, p11, length):
+    """engine's A-polynomial factor of phi, eliminated in s = M^g.
+
+    g is the gcd of length and of every M-exponent of phi and P; the
+    engine runs on phi(s, u), P(s, u) and length / g, written in M, and
+    its factor's M-exponents are multiplied back by g (module docstring)."""
+    terms = [_u_M_terms(phi), _u_M_terms(p11)]
+    g = gcd(length, *(e_m for poly in terms for _, e_m, _ in poly))
+    phi, p11 = (MultiPoly(("M", "u"), {(e_m // g, e_u): c for e_u, e_m, c in poly})
+                for poly in terms)
+    factor = engine(phi, p11, length // g)
+    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()})
+
+
 # -- public entry points -------------------------------------------------------
 
 
 # a Riley factor is eliminated directly when its u-degree times deg_u(P)
-# is at most this, else by modular images: direct is faster on every factor
-# up to 76, by 2x to 20x on the 20 with q <= 21 above 45, and modular wins
-# on 2/15's product-91 one (CHANGES.md).
+# is at most this, else by modular images: with both engines in M^2,
+# direct is faster on 19 of the 20 factors with q <= 21 from 46 to 76, by
+# up to 9x, and ties on the 20th; above 76 the engines split (CHANGES.md).
 _DIRECT_MAX_PRODUCT = 76
 
 
@@ -534,7 +581,7 @@ def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
     factors = []
     for phi_i in _riley_factors(phi, 1):
         small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
-        factor = (_apoly_direct if small else _apoly_modular)(phi_i, p11, length)
+        factor = _eliminate(_apoly_direct if small else _apoly_modular, phi_i, p11, length)
         if factor not in factors:  # distinct Riley factors, one A-factor
             factors.append(factor)
     if keep_abelian:

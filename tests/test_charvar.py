@@ -319,6 +319,72 @@ def test_auto_engine_choice(monkeypatch):
     assert [name for name, _ in runs] == ["_apoly_modular"] * 2
 
 
+def test_riley_and_longitude_are_even_in_M():
+    # the parity _eliminate relies on: for every knot fraction with
+    # q <= 25, length and every M-exponent of P, of phi and of each Riley
+    # factor are even, so a_polynomial eliminates in M^2
+    from tbk.charvar import apoly
+
+    count = 0
+    for p, q in reduced_fractions(25):
+        pres = presentation(Fraction(p, q))
+        phi = riley_polynomial(pres)
+        p11, _, length = longitude_data(pres)
+        assert length % 2 == 0, (p, q)
+        for poly in [phi, p11] + apoly._riley_factors(phi, 1):
+            i = poly.variables.index("M")
+            assert all(e[i] % 2 == 0 for e in poly.terms), (p, q, poly)
+        count += 1
+    assert count == 136
+
+
+def test_engines_in_M_match_the_factors_eliminated_in_M_squared():
+    # on the Riley factors of every knot fraction with q <= 13, each
+    # engine run on the unsubstituted (phi_i, P, length) gives the factor
+    # a_polynomial records from phi_i(M^2, u), P(M^2, u) and length / 2
+    from tbk.charvar import apoly
+
+    count = 0
+    for p, q in reduced_fractions(13):
+        pq = Fraction(p, q)
+        pres = presentation(pq)
+        p11, _, length = longitude_data(pres)
+        recorded = a_polynomial(pq).factors
+        found = []
+        for phi_i in apoly._riley_factors(riley_polynomial(pres), 1):
+            direct = apoly._apoly_direct(phi_i, p11, length)
+            assert apoly._apoly_modular(phi_i, p11, length) == direct, pq
+            assert direct in recorded, pq
+            found.append(direct)
+            count += 1
+        assert set(found) == set(recorded), pq
+    assert count == 42
+
+
+def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
+    # phi = u^2 - M^2, P = u^2 and length 0 reach the engine as u^2 - M,
+    # u^2 and 0, and its L - M returns as L - M^2; an odd M-exponent
+    # (g = 1) passes everything through unchanged
+    from tbk.charvar import apoly
+
+    u = MultiPoly.variable("u")
+    calls = []
+
+    def engine(phi, p11, length):
+        calls.append((phi, p11, length))
+        return apoly._apoly_direct(phi, p11, length)
+
+    assert apoly._eliminate(engine, u ** 2 - M ** 2, u ** 2, 0) == L - M ** 2
+    assert calls == [(u ** 2 - M, u ** 2, 0)]
+    calls.clear()
+    assert apoly._eliminate(engine, u ** 2 - M, u ** 2, 0) == L - M
+    assert calls == [(u ** 2 - M, u ** 2, 0)]
+    calls.clear()
+    odd, p11 = u ** 2 - M ** 3 * u - M ** 2, u * M ** 2
+    assert apoly._eliminate(engine, odd, p11, 4) == apoly._apoly_direct(odd, p11, 4)
+    assert calls == [(odd, p11, 4)]
+
+
 def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     # every prime after a factor's first starts its fits at the point count
     # the prime before it returned, max_j(a_j + b_j) + 10 over the degrees
@@ -369,10 +435,10 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("pq, work", (
-    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 120, "cauchy_interpolate": 10,
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 109, "cauchy_interpolate": 10,
               "failed fits": 0}),
-    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 176, "cauchy_interpolate": 24,
-              "failed fits": 2}),
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 121, "cauchy_interpolate": 22,
+              "failed fits": 0}),
 ))
 def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     # every factor modular: the primes, slices and Cauchy fits (and the
@@ -546,7 +612,8 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
 
 def test_modular_reconstruction_cap_fails_fast(monkeypatch):
     # the coefficient degrees do not depend on the prime, so a fit past the
-    # cap ends the elimination after one confirming prime, not 400 primes
+    # cap ends the elimination after one confirming prime, not 400 primes;
+    # the cap counts degrees in s = M^2, where 6/35's reach 12
     from tbk.charvar import apoly
 
     primes = []
@@ -556,11 +623,11 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
         primes.append(p)
         return ahat_mod_p(cache, p, count)
 
-    monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 16)
+    monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 8)
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
     monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
     with pytest.raises(apoly.EliminationError,
-                       match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 16") as err:
+                       match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 8") as err:
         a_polynomial(Fraction(6, 35))
     assert len(primes) == 2
     assert str(primes[-1]) in str(err.value)

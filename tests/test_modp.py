@@ -139,7 +139,7 @@ def test_slice_squarefree_matches_unreduced_resultants():
     pres = presentation(Fraction(4, 15))
     p11, _, length = longitude_data(pres)
     cache = _PointCache(riley_polynomial(pres), p11, length)
-    assert cache.du_phi == 7 and len(cache.p_tab) - 1 > cache.du_phi
+    assert cache.du_phi == 7 and p11.degree("u") > cache.du_phi
     degenerate = 0
     # primes above du_phi + 1, so that the L-nodes 0..du_phi stay distinct
     for p in (P61, 10007, 101, 13, 11):
@@ -299,6 +299,32 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
                                xs[:n], noise[:n], p)
 
 
+@pytest.mark.parametrize("p", (P61, 101))
+def test_cauchy_accepted_fits_are_coprime(p):
+    # with no gcd taken, every accepted fit is coprime with a monic den: on
+    # seeded rational functions, on them with one value off, and on noise,
+    # over every prefix of the nodes
+    rng = random.Random(p + 7)
+    accepted = 0
+    for trial in range(30):
+        a, b = rng.randint(0, 8), rng.randint(0, 8)
+        xs = nodes(rng, a + b + 2 + _modp.SPARE_POINTS + rng.randint(0, 12), trial % 2, p)
+        num, den = random_rational_function(rng, a, b, xs, p)
+        ys = [_modp.peval(num, x, p) * pow(_modp.peval(den, x, p), -1, p) % p
+              for x in xs]
+        bad = list(ys)
+        bad[rng.randrange(len(xs))] += rng.randrange(1, p)
+        noise = [rng.randrange(p) for _ in xs]
+        for values in (ys, bad, noise):
+            for n in range(1, len(xs) + 1):
+                fit = _modp.cauchy_interpolate(xs[:n], values[:n], p)
+                if fit is not None:
+                    f, g = fit
+                    assert g[-1] == 1 and _modp.pgcd_monic(f, g, p) == [1], (fit, n)
+                    accepted += 1
+    assert accepted > 100
+
+
 def test_cauchy_degree_bounds_too_few_points():
     # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
     xs = list(range(1, 12))
@@ -311,8 +337,8 @@ def test_cauchy_degree_bounds_too_few_points():
 def test_cauchy_stops_at_the_first_large_quotient(monkeypatch):
     # a degree-22 polynomial on 34 points is its own interpolant, and the
     # first quotient, prod(x - x_i) div it, has degree 12: the fit takes
-    # that pair with no Euclid step, and its one division is the gcd of
-    # num and den
+    # that pair with no Euclid step and no division, since an accepted
+    # pair is coprime
     p = 10007
     rng = random.Random(22)
     xs = list(range(1, 35))
@@ -327,7 +353,7 @@ def test_cauchy_stops_at_the_first_large_quotient(monkeypatch):
 
     monkeypatch.setattr(_modp, "pdivmod", counted)
     assert _modp.cauchy_interpolate(xs, ys, p) == (num, den)
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def assert_valid_reconstruction(f, r, m):
