@@ -10,8 +10,9 @@ against 20 us for the Fermat power pow(x, p - 2, p), and 0 is refused
 rather than mapped to 0.  newton_interp inverts each distinct node
 difference once, and pdivmod reduces a working coefficient only when it
 becomes the next quotient coefficient.  apoly._slice_squarefree takes
-each slice as one characteristic polynomial (power sums and Newton's
-identities) instead of d + 1 scalar resultants and an interpolation in L.
+each slice as a minimal polynomial, from the first d/k power sums of a
+characteristic polynomial and Newton's identities, instead of d + 1
+scalar resultants, an interpolation in L and a squarefree part.
 cauchy_interpolate fits by one rule: the first extended-Euclid pair whose
 quotient is large, so a fit costs only the Euclid steps down to it.
 """
@@ -125,16 +126,6 @@ def pgcd_monic(a, b, p):
 
 def pderiv(a, p):
     return ptrim([i * c % p for i, c in enumerate(a)][1:])
-
-
-def squarefree_monic(a, p):
-    """Monic squarefree part a / gcd(a, a')."""
-    if not a:
-        return []
-    g = pgcd_monic(a, pderiv(a, p), p)
-    if len(g) > 1:
-        a = pdivmod(a, g, p)[0]
-    return pscale(a, pinv(a[-1], p, "squarefree_monic"), p)
 
 
 def ppowmod(a, e, f, p):

@@ -16,14 +16,15 @@ mod a prime, a p-adic Hensel lift, recombination by exact division), then
 an (M - m0)-adic lift of those factors, each candidate proved by exact
 division.  Resultants are multiplicative, Res_u(phi_1 phi_2, g) =
 Res_u(phi_1, g) Res_u(phi_2, g), so u is eliminated from each irreducible
-factor phi_i separately.  Each result is irreducible: Res_u(phi_i,
-L M^len - P) is, up to a power of lc_u(phi_i), the norm from the field
-Q(M)[u]/phi_i to Q(M) of L - P/M^len, which is a power of the minimal
-polynomial of P/M^len over Q(M); its squarefree part is that minimal
-polynomial, irreducible over Q(M), and primitive once pure-M factors are
-dropped.  The components of the A-polynomial (Macasieb-Petersen-van
-Luijk: two for J(k, k)) therefore come by construction, the A-polynomial
-is their deduplicated product, and no polynomial in L is ever factored.
+factor phi_i separately.  Each result is a power of an irreducible:
+Res_u(phi_i, L M^len - P) is, up to a power of lc_u(phi_i), the norm from
+the field Q(M)[u]/phi_i to Q(M) of L - P/M^len, which is A_i^k, A_i the
+minimal polynomial of P/M^len over Q(M), irreducible, and primitive once
+pure-M factors are dropped; k = du(phi_i)/deg_L(A_i) is the degree of the
+map from the component onto its A-curve, which a_polynomial records.
+The components of the A-polynomial (Macasieb-Petersen-van Luijk: two for
+J(k, k)) therefore come by construction, the A-polynomial is their
+deduplicated product, and no polynomial in L is ever factored.
 
 Eliminate in s = M^2.  An A-polynomial has only even powers of M
 (Cooper-Culler-Gillet-Long-Shalen, Invent. Math. 118, 1994, 2), and so
@@ -35,41 +36,39 @@ every M-exponent of P and phi_i), 2 on all 410 Riley factors with
 q <= 41, and runs an engine on phi_i(s, u), P(s, u) and len/g with
 s = M^g, still written M.  This is exact: phi_i is irreducible over
 Q(M), so K = F (x) Q(M), F = Q(s)[u]/phi_i, is a field, and beta =
-P/M^len lies in F.  The characteristic polynomial of beta on K over
-Q(M) is its characteristic polynomial on F over Q(s), so it, its
-squarefree part (beta's minimal polynomial, separable) and the direct
-engine's resultant are the same polynomials over Z[s], read with
-s = M^g.  lc_u stays +-s^a, c = s^(len/g) and every fit denominator
-stays a power of s, so neither engine changes and g = 1 runs the same
-code; the sign normalization, primitive part and monomial strip commute
-with multiplying the factor's M-exponents back by g.  The sample points,
-the degrees, _MAX_RECON_DEGREE and the EliminationError texts all count
-in the engine's variable, s.  Factoring stays in M: a factor irreducible
-over Z[s, u] can split over Z[M, u] (u^2 - s), and its image would not
-be irreducible.
+P/M^len lies in F.  Its characteristic polynomial on K over Q(M) is the
+one on F over Q(s), so it, its minimal polynomial, k and the direct
+engine's resultant are the same over Z[s], read with s = M^g.  lc_u
+stays +-s^a, c = s^(len/g) and every fit denominator stays a power of s,
+so neither engine changes and g = 1 runs the same code; the sign
+normalization, primitive part and monomial strip commute with
+multiplying the factor's M-exponents back by g.  The sample points, the
+degrees, _MAX_RECON_DEGREE and the EliminationError texts all count in
+the engine's variable, s.  Factoring stays in M: a factor irreducible
+over Z[s, u] can split over Z[M, u] (u^2 - s), and its image would not.
 
-Small factors run through the exact subresultant engine directly, the
-exponent k of the resultant g^k read off a specialization mod a prime and
-g taken by an exact k-th root (k = 1 proves it squarefree).  Larger ones
-are reconstructed from modular images: per prime and per integer M-value
-the slice Res_u(phi_i(m), L c - P(m)) is, up to a constant, the
-characteristic polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m),
-computed from power sums in O(d^3).  riley_polynomial checks that
-lc_u(phi) is +-M^a, so lc_u(phi_i) is a power of M up to sign, and so are
-lc_L of the resultant and, by Gauss's lemma, lc_L(A_i) = +-M^b: the monic
-squarefree part of a slice is A_i(m, L)/(+-m^b).  Cauchy interpolation
-fits each coefficient as +-A_ij(M)/M^b, so every denominator is a power
-of M, and shifting the numerators to M^b gives +-A_i mod p, with integer
-coefficients, which CRT and rational reconstruction lift.  Every fit
-takes the first large quotient of its Euclid run;
-a factor's first prime fits on a doubling number of points, and each
-later prime starts at the point count the degrees found need.  Rational
-reconstruction starts at a factor's first kept image; a candidate is
-accepted when two consecutive reconstructions agree and it passes an
-exact check, vanishing on the representation curve at integer sample
-points, done in Z[v] after the substitution u = v/lc that makes phi_i(m)
-monic.  A factor with small coefficients thus takes two primes, one to
-lift and one to confirm.
+Small factors run through the exact subresultant engine directly, k
+read off a specialization mod a prime and A_i taken by an exact k-th
+root (k = 1 proves it squarefree).  Larger ones are reconstructed from
+modular images: per prime and per integer M-value the slice is A_i(m, L)
+made monic, from the first d/k power sums of the characteristic
+polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m), which is
+Res_u(phi_i(m), L c - P(m)) up to a constant, in O(d^3/k); a probe reads
+k once per factor.  riley_polynomial checks that lc_u(phi) is +-M^a, so
+lc_u(phi_i) is a power of M up to sign, and so are lc_L of the resultant
+and, by Gauss's lemma, lc_L(A_i) = +-M^b: a slice is A_i(m, L)/(+-m^b).
+Cauchy interpolation fits each coefficient as +-A_ij(M)/M^b, so every
+denominator is a power of M, and shifting the numerators to M^b gives
++-A_i mod p, with integer coefficients, which CRT and rational
+reconstruction lift.  Every fit takes the first large quotient of its
+Euclid run; a factor's first prime fits on a doubling number of points,
+and each later prime starts at the point count the degrees found need.
+Rational reconstruction starts at a factor's first kept image; a
+candidate is accepted when two consecutive reconstructions agree, it
+vanishes on the representation curve at integer sample points (checked
+in Z[v] after the substitution u = v/lc that makes phi_i(m) monic) and
+it is no proper power.  A factor with small coefficients thus takes two
+primes, one to lift and one to confirm.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from ..exactnum import (
 )
 from . import _modp
 from .presentation import TwoBridgePresentation, presentation
-from .riley import riley_polynomial, scaled_word_matrix
+from .riley import _word_rows, riley_polynomial
 
 
 class EliminationError(RuntimeError):
@@ -100,11 +99,15 @@ class APoly:
     """An A-polynomial and its irreducible factors over Z.
 
     ``factors`` are distinct, primitive and lex-positive, and multiply to
-    ``poly``; they default to ``(poly,)``."""
+    ``poly``; they default to ``(poly,)``.  ``map_degrees``, if given, has
+    each factor's map degree k (module docstring); an A-factor that several
+    Riley factors give records their least k (1/9: L*M^18 + 1 has k = 1
+    and k = 3, and records 1), and L - 1 records 1."""
 
     poly: MultiPoly
     component_tag: str = "full"
     factors: tuple = ()
+    map_degrees: tuple = ()
 
     def __post_init__(self):
         if self.poly.is_zero():
@@ -116,37 +119,42 @@ class APoly:
 
 
 def longitude_data(pres: TwoBridgePresentation):
-    """(P, lower_left, length): M^length * rho(longitude) top row data."""
-    mat, length = scaled_word_matrix(pres.longitude_word())
-    return mat[0], mat[2], length
+    """(P, length): P the (1, 1) entry of M^length * rho(longitude)."""
+    word = pres.longitude_word()
+    [(p11, _)] = _word_rows([({(0, 0): 1}, {})], word)  # the top row only
+    return p11, len(word)
 
 
 # -- exact small-case engine -------------------------------------------------
 
 
 def _apoly_direct(phi, p11, length):
-    """Res_u(phi, L*M^length - P) with pure-M and repeated factors removed.
+    """(g, k) with g^k = Res_u(phi, L*M^length - P) rid of pure-M factors.
 
     lc_u(phi) divides the Riley polynomial's, +-M^a (riley_polynomial
     checks it), so lc_L of the resultant is a monomial: its only pure-M
     factors are integers and powers of M.  Stripped of those, R is g^k, g
-    the minimal polynomial of P/M^length (module docstring).  k_m =
-    _power_at(R, m) is k unless g(m, L) repeats a root mod the prime, and
-    then larger; k_m = 1 proves R squarefree, and an exact k_m-th root is g,
-    as R is no k'-th power for k' > k.  Points run past disc_L(g)'s roots.
-    M is the engine's variable: under a_polynomial the points are M^2 = 2..N.
-    """
+    the minimal polynomial of P/M^length (module docstring)."""
     lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
     r = poly_resultant(phi, lm - p11, "u")
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
-    r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
+    return _power_root(
+        r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized())
+
+
+def _power_root(r):
+    """(g, k) with r = g^k, g irreducible.  k_m = _power_at(r, m) is k
+    unless g(m, L) repeats a root mod the prime, and then larger; k_m = 1
+    proves r squarefree, and an exact k_m-th root is g, as r is no k'-th
+    power for k' > k.  Points run past disc_L(g)'s roots.  M is the
+    engine's variable: under a_polynomial the points are M^2 = 2..N."""
     points = (2 * r.degree("L") - 1) * r.degree("M") + 1
     for m in range(2, 2 + points):  # R(+-1, L) repeat roots on 38 of 42, q <= 13
         k = _power_at(r, m)
         g = r if k == 1 else _kth_root(r, k) if k else None
         if g is not None:
-            return g
+            return g, k
     raise EliminationError(
         f"the resultant is no power of an irreducible at M = 2..{1 + points}")
 
@@ -213,9 +221,10 @@ class _PointCache:
     factor's divides it).  A slice sums the terms of phi and P over one
     table of powers of m: P of 6/35 has 351 terms in 2,894 dense slots.
 
-    ``skip`` holds the points whose slice was degenerate or short mod an
-    earlier prime (M = 1 on every ladder factor): later primes pass them
-    over, which is safe since any points give the same fit."""
+    ``k``, the map degree, is read by ``probe`` on the first prime.
+    ``skip`` holds the points whose slice was degenerate mod an earlier
+    prime (p divides m): later primes pass them over, which is safe since
+    any points give the same fit."""
 
     def __init__(self, phi, p11, length):
         self.phi_terms, self.p_terms = _u_M_terms(phi), _u_M_terms(p11)
@@ -223,6 +232,7 @@ class _PointCache:
         self.du_phi = phi.degree("u")
         self._du_p = p11.degree("u")
         self._dm = max(phi.degree("M"), p11.degree("M"))
+        self.k = None
         self.skip = set()
         self._data = {}
         self._inverses = {}
@@ -244,26 +254,43 @@ class _PointCache:
                                        for k in range(1, self.du_phi + 1)]
         return self._inverses[p]
 
+    def probe(self, p):
+        """k = du_phi // e, e the largest squarefree degree mod p of the
+        slices with k = 1, whole characteristic polynomials, at M = 2..5
+        (None if all are degenerate).  e <= deg_L(A) = du_phi / k, so k is
+        never read too small; too large, it fails _apoly_modular's checks.
+        Returns the probe's slices if k = 1, as they are then the slices."""
+        self.k = 1
+        chars = {m: _slice_squarefree(self, m, p) for m in range(2, 6)}
+        e = max((len(c) - len(_modp.pgcd_monic(c, _modp.pderiv(c, p), p))
+                 for c in chars.values() if c), default=0)
+        self.k = self.du_phi // e if e else None
+        return chars if self.k == 1 else {}
+
 
 def _slice_squarefree(cache, m, p):
-    """Monic squarefree part of Res_u(phi(m), L*c - P(m)) over GF(p)[L].
+    """g(m, L) mod p, g = A/lc_L(A) the minimal polynomial of P/c.
 
-    Returns None for degenerate slices: phi(m) or c vanishing mod p (p
-    divides m; only small primes reach this), or the L-slice collapsing.
+    The name, from when this was the squarefree part of the resultant,
+    stays because perfbench/tracing.py wraps the function by it.  Returns
+    None for degenerate slices: phi(m) or c vanishing mod p (p divides m;
+    only small primes reach this), or the L-slice collapsing.
 
-    Up to a constant factor that resultant is prod_i (L - beta(alpha_i))
-    over the roots alpha_i of phi(m), with beta = P(m)/c: the
-    characteristic polynomial of multiplication by beta on GF(p)[u]/phi(m)
-    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.4).
-    Its power sums s_k = Tr(beta^k) = t B^k e_0 come from the traces
-    t_j = Tr(u^j) (Newton's identities on phi(m)) and d products with the
-    transpose of the multiply-by-beta matrix B, whose columns beta * u^j
-    mod phi(m) are one shift-and-reduce each; Newton's identities turn the
-    power sums into coefficients.  They divide by 1..d, so p must exceed
-    d (the engine's primes are about 2^61).
+    Up to a constant factor Res_u(phi(m), L*c - P(m)) is prod_i (L -
+    beta(alpha_i)) over the roots alpha_i of phi(m), with beta = P(m)/c:
+    the characteristic polynomial of multiplication by beta on
+    GF(p)[u]/phi(m) (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.2.4).  It is g^k in Z[M, 1/M][L], k = cache.k, so g(m, L)^k
+    at every point, also where g(m, L) repeats a root; the first e = d/k
+    power sums s_j = Tr(beta^j) = t B^j e_0, over k, give g(m, L) by
+    Newton's identities.  They come from the traces t_j = Tr(u^j)
+    (Newton's identities on phi(m)) and e products with the transpose of
+    the multiply-by-beta matrix B, whose columns beta * u^j mod phi(m) are
+    one shift-and-reduce each.  Newton's identities divide by 1..d, so p
+    must exceed d (the engine's primes are about 2^61).
     """
     phim, pm, c = cache.get(m)
-    d = cache.du_phi
+    d, k = cache.du_phi, cache.k
     fm = [x % p for x in phim]
     if fm[-1] == 0:
         return None
@@ -286,20 +313,20 @@ def _slice_squarefree(cache, m, p):
             col = [(x - top * y) % p for x, y in zip(col, f)]
         cols.append(col)
     traces = [d % p]
-    for k in range(1, d):  # power sums of phi(m)'s roots
-        acc = k * f[d - k] + sum(map(mul, f[d - k + 1:], traces[1:]))
+    for j in range(1, d):  # power sums of phi(m)'s roots
+        acc = j * f[d - j] + sum(map(mul, f[d - j + 1:], traces[1:]))
         traces.append(-acc % p)
-    sums = []
-    w = traces
-    for _ in range(d):
-        w = [sum(map(mul, col, w)) % p for col in cols]
-        sums.append(w[0])
     inverses = cache.inverses(p)
-    char = [1]  # monic, descending: char[k] is the coefficient of L^(d-k)
-    for k in range(1, d + 1):
-        acc = sum(map(mul, char, reversed(sums[:k])))
-        char.append(-acc * inverses[k] % p)
-    return _modp.squarefree_monic(char[::-1], p)
+    sums = []  # power sums of g(m, L)'s roots
+    w = traces
+    for _ in range(d // k):
+        w = [sum(map(mul, col, w)) % p for col in cols]
+        sums.append(w[0] * inverses[k] % p)
+    out = [1]  # monic, descending: out[j] is the coefficient of L^(e-j)
+    for j in range(1, d // k + 1):
+        acc = sum(map(mul, out, reversed(sums[:j])))
+        out.append(-acc * inverses[j] % p)
+    return out[::-1]
 
 
 _MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
@@ -316,47 +343,44 @@ def _ahat_mod_p(cache, p, count):
     degrees of the reconstructed coefficient functions, the next prime's
     ``count``; None when the prime misbehaves.
 
-    lc_L(A) is +-M^b (module docstring), so the monic squarefree slice at a
-    good point is A(m, L)/(+-m^b): coefficient j is +-A_j(M)/M^b, and a fit
-    whose denominator is not a power of M rejects the prime.  Shifting
-    every numerator to M^dden, dden the largest b, gives +-A mod p.
+    lc_L(A) is +-M^b (module docstring), so the slice at a good point is
+    A(m, L)/(+-m^b), of degree d = du_phi / k: coefficient j is
+    +-A_j(M)/M^b, and a fit whose denominator is not a power of M rejects
+    the prime.  Shifting every numerator to M^dden, dden the largest b,
+    gives +-A mod p.
 
     Every coefficient is fitted on n points by _modp.cauchy_interpolate,
     which needs deg num + deg den + 10 <= n, and six held-out points check
     every fit.  n starts at ``count``, or 26 on a factor's first prime
     (count None), and moves to 2n - 10 when a fit or its check fails.
     Points in cache.skip are passed over, and those whose slice is
-    degenerate or short here join it.  Degrees past _MAX_RECON_DEGREE
-    raise EliminationError: they do not depend on the prime, since an
-    unlucky prime only lowers them."""
-    slices = {}
+    degenerate here join it.  Degrees past _MAX_RECON_DEGREE raise
+    EliminationError: they do not depend on the prime, since an unlucky
+    prime only lowers them."""
+    slices = {} if cache.k else cache.probe(p)
+    if not cache.k:
+        return None
 
-    def points(n, d=None):
-        """The first n sampled M whose slice is not None, and of degree d
-        when d is given, sampling M = 1, 2, ... past cache.skip as needed."""
-        pts = [m for m, s in slices.items()
-               if s is not None and d in (None, len(s) - 1)]
-        m = max(slices, default=0)
+    def points(n):
+        """The first n of M = 1, 2, ... past cache.skip with a slice."""
+        pts, m = [], 0
         while len(pts) < n:
             m += 1
-            if m in cache.skip:
-                continue
-            s = slices[m] = _slice_squarefree(cache, m, p)
-            if s is not None and d in (None, len(s) - 1):
-                pts.append(m)
             if m > 50 * n + 2000:
                 raise EliminationError("modular engine ran out of sample points")
-        return pts[:n]
+            if m not in cache.skip and m not in slices:
+                slices[m] = _slice_squarefree(cache, m, p)
+            if slices.get(m) is not None:
+                pts.append(m)
+        return pts
 
+    d = cache.du_phi // cache.k
     npts = count or _FIRST_POINTS
-    d = max(len(slices[m]) - 1 for m in points(npts + _HELD_OUT))
-    if d <= 0:
-        return None
 
     def fit(npts):
         """Every coefficient function on npts points, checked on the
         held-out points."""
-        pts = points(npts + _HELD_OUT, d)
+        pts = points(npts + _HELD_OUT)
         xs = [m % p for m in pts[:npts]]
         recon = []
         for j in range(d):
@@ -388,7 +412,7 @@ def _ahat_mod_p(cache, p, count):
         raise EliminationError(
             f"modular reconstruction mod {p} reached coefficient degree "
             f"{reached}, past the cap _MAX_RECON_DEGREE = {_MAX_RECON_DEGREE}")
-    cache.skip.update(m for m, s in slices.items() if s is None or len(s) - 1 != d)
+    cache.skip.update(m for m, s in slices.items() if s is None)
     if any(any(den[:-1]) for _, den in recon):
         return None
     dden = max(len(den) - 1 for _, den in recon)
@@ -437,14 +461,15 @@ def _lift(residues, modulus, primes):
 
 
 def _apoly_modular(phi, p11, length):
-    """The A-polynomial factor of phi by modular images and CRT.
+    """(A, k): phi's A-polynomial factor by modular images and CRT.
 
     After each kept image the images so far are lifted by rational
     reconstruction; a candidate is accepted when two consecutive lifts
-    agree, and then only if it passes the exact check _verify_vanishing.
-    A kept image that disagrees with a small fraction the other images
-    fit (see _lift) is dropped, so one wrong image costs primes, not the
-    lift."""
+    agree, and then only if it passes the exact check _verify_vanishing
+    (which a k read too large fails) and _power_root proves it squarefree
+    (a k too small lifts A^k).  A kept image that disagrees with a small
+    fraction the other images fit (see _lift) is dropped, so one wrong
+    image costs primes, not the lift."""
     cache = _PointCache(phi, p11, length)
     primes = _modp.prime_stream()
     images = []  # (prime, coefficients) of the kept images
@@ -502,7 +527,11 @@ def _apoly_modular(phi, p11, length):
         raise EliminationError("the modular lift has a non-integer coefficient")
     out = MultiPoly(("L", "M"), {k: int(f) for k, f in candidate.items()}).sign_normalized()
     _verify_vanishing(out, cache, points=6)
-    return out
+    if _power_root(out)[1] != 1:
+        raise EliminationError(
+            f"the modular lift is a proper power: the map degree {cache.k} "
+            "was read too small")
+    return out, cache.k
 
 
 def _verify_vanishing(apoly, cache, points=6):
@@ -547,13 +576,14 @@ def _eliminate(engine, phi, p11, length):
 
     g is the gcd of length and of every M-exponent of phi and P; the
     engine runs on phi(s, u), P(s, u) and length / g, written in M, and
-    its factor's M-exponents are multiplied back by g (module docstring)."""
+    its factor's M-exponents are multiplied back by g (module docstring),
+    beside its k."""
     terms = [_u_M_terms(phi), _u_M_terms(p11)]
     g = gcd(length, *(e_m for poly in terms for _, e_m, _ in poly))
     phi, p11 = (MultiPoly(("M", "u"), {(e_m // g, e_u): c for e_u, e_m, c in poly})
                 for poly in terms)
-    factor = engine(phi, p11, length // g)
-    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()})
+    factor, k = engine(phi, p11, length // g)
+    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()}), k
 
 
 # -- public entry points -------------------------------------------------------
@@ -571,26 +601,27 @@ def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
 
     keep_abelian multiplies the abelian factor (L - 1) back in.  The
     result records the irreducible factors, one per distinct Riley-factor
-    image, each eliminated by the engine its u-degree selects.
+    image, each eliminated by the engine its u-degree selects, and their
+    map degrees.
     """
     pres = presentation(p_over_q)
     phi = riley_polynomial(pres)
-    p11, _, length = longitude_data(pres)
+    p11, length = longitude_data(pres)
     du_p = max(p11.degree("u"), 1)
 
-    factors = []
+    found = {}  # A-factor -> the least k of the Riley factors giving it
     for phi_i in _riley_factors(phi, 1):
         small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
-        factor = _eliminate(_apoly_direct if small else _apoly_modular, phi_i, p11, length)
-        if factor not in factors:  # distinct Riley factors, one A-factor
-            factors.append(factor)
+        factor, k = _eliminate(_apoly_direct if small else _apoly_modular, phi_i, p11, length)
+        found[factor] = min(k, found.get(factor, k))
     if keep_abelian:
-        factors.append(MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1}))
+        found[MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1})] = 1
 
+    factors = tuple(found)
     poly = factors[0]
     for factor in factors[1:]:
         poly = poly * factor
-    return APoly(poly, "full", tuple(factors))
+    return APoly(poly, "full", factors, tuple(found.values()))
 
 
 # -- factoring the Riley polynomial ---------------------------------------------

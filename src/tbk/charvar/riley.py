@@ -56,18 +56,22 @@ def _combine(x, mx, y, my):
     return out
 
 
-def scaled_word_matrix(letters):
-    """(matrix, n) with matrix = M^n * rho(word) over Z[M, u].
+def _word_rows(rows, letters):
+    """rows * M^n * rho(word), rows given as pairs of term dicts.
 
     Every letter's image is a matrix of monomials, so the product is
     carried as term dicts, each letter an exponent shift plus adds, and
     each MultiPoly is built once at the end."""
-    rows = [({(0, 0): 1}, {}), ({}, {(0, 0): 1})]
     for letter in letters:
         e, f, g, h = _LETTER_TERMS[letter]
         rows = [(_combine(x, e, y, g), _combine(x, f, y, h)) for x, y in rows]
-    (a, b), (c, d) = rows
-    return (_p(a), _p(b), _p(c), _p(d)), len(letters)
+    return [(_p(x), _p(y)) for x, y in rows]
+
+
+def scaled_word_matrix(letters):
+    """(matrix, n) with matrix = M^n * rho(word) over Z[M, u]."""
+    (a, b), (c, d) = _word_rows([({(0, 0): 1}, {}), ({}, {(0, 0): 1})], letters)
+    return (a, b, c, d), len(letters)
 
 
 class PresentationError(ValueError):

@@ -127,6 +127,28 @@ def test_scaled_word_matrix_matches_multipoly_products():
             assert mat == word_matrix_oracle(word), (p, q)
 
 
+def test_reversed_word_matrix_is_the_reversed_transpose():
+    # W~ = M^n rho(reversed word) is [[rev W22, rev W12], [rev W21, rev W11]]
+    # with rev f = M^(2n) f(M^-1): each scaled letter X has that relation
+    # to itself, and X -> J X^T J reverses products; every p/q with q < 40
+    from tbk.charvar.riley import scaled_word_matrix
+
+    count = 0
+    for p, q in reduced_fractions(39):
+        word = presentation(Fraction(p, q)).relator_word()
+        (a, b, c, d), n = scaled_word_matrix(word)
+        rev_mat, _ = scaled_word_matrix(tuple(reversed(word)))
+        i = a.variables.index("M")
+
+        def rev(f):
+            return MultiPoly(f.variables, {e[:i] + (2 * n - e[i],) + e[i + 1:]: x
+                                           for e, x in f.terms.items()})
+
+        assert rev_mat == (rev(d), rev(b), rev(c), rev(a)), (p, q)
+        count += 1
+    assert count == 316
+
+
 def test_riley_trefoil_exact():
     u = MultiPoly.variable("u")
     phi = riley_polynomial(presentation(Fraction(1, 3)))
@@ -136,11 +158,13 @@ def test_riley_trefoil_exact():
 def test_longitude_upper_triangular_on_curve():
     # the (2,1) entry of the longitude matrix is divisible by the Riley
     # polynomial: exact pseudo-remainder check at small sizes
+    from tbk.charvar.riley import scaled_word_matrix
+
     for pq in (Fraction(1, 3), Fraction(2, 5), Fraction(3, 7), Fraction(2, 7),
                Fraction(4, 9)):
         pres = presentation(pq)
         phi = riley_polynomial(pres)
-        _, lower, _ = longitude_data(pres)
+        (_, _, lower, _), _ = scaled_word_matrix(pres.longitude_word())
         assert poly_prem(lower, phi, "u").is_zero(), pq
 
 
@@ -195,7 +219,7 @@ def small_riley_factors(q_max, max_product):
 
     for p, q in reduced_fractions(q_max):
         pres = presentation(Fraction(p, q))
-        p11, _, length = longitude_data(pres)
+        p11, length = longitude_data(pres)
         for phi_i in apoly._riley_factors(riley_polynomial(pres), 1):
             if phi_i.degree("u") * max(p11.degree("u"), 1) <= max_product:
                 yield Fraction(p, q), phi_i, p11, length
@@ -215,7 +239,7 @@ def test_direct_squarefree_proof_matches_gcd_oracle():
     for pq, phi_i, p11, length in small_riley_factors(17, 66):
         lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
         r = poly_resultant(phi_i, lm - p11, "u")
-        assert apoly._apoly_direct(phi_i, p11, length) == direct_cleanup_oracle(r), pq
+        assert apoly._apoly_direct(phi_i, p11, length)[0] == direct_cleanup_oracle(r), pq
         r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
         if apoly._power_at(r, 2) > 1:
             powers.add((pq, phi_i.degree("u")))
@@ -251,7 +275,7 @@ def test_direct_squarefree_proof_falls_back(monkeypatch):
 
     monkeypatch.setattr(apoly, "_power_at", recorded)
     out = apoly._apoly_direct(u ** 2 - (M - 2) ** 2, u, 0)
-    assert out == ((L - M + 2) * (L + M - 2)).sign_normalized()
+    assert out == (((L - M + 2) * (L + M - 2)).sign_normalized(), 1)
     assert points == [(2, 2), (3, 1)]
 
 
@@ -262,7 +286,7 @@ def test_direct_engine_refuses_without_a_root(monkeypatch):
     from tbk.charvar import apoly
 
     u = MultiPoly.variable("u")
-    assert apoly._apoly_direct(u ** 2 - M, u ** 2, 0) == L - M
+    assert apoly._apoly_direct(u ** 2 - M, u ** 2, 0) == (L - M, 2)
     monkeypatch.setattr(apoly, "_kth_root", lambda r, k: None)
     with pytest.raises(apoly.EliminationError, match=r"at M = 2\.\.8$"):
         apoly._apoly_direct(u ** 2 - M, u ** 2, 0)
@@ -329,7 +353,7 @@ def test_riley_and_longitude_are_even_in_M():
     for p, q in reduced_fractions(25):
         pres = presentation(Fraction(p, q))
         phi = riley_polynomial(pres)
-        p11, _, length = longitude_data(pres)
+        p11, length = longitude_data(pres)
         assert length % 2 == 0, (p, q)
         for poly in [phi, p11] + apoly._riley_factors(phi, 1):
             i = poly.variables.index("M")
@@ -348,12 +372,12 @@ def test_engines_in_M_match_the_factors_eliminated_in_M_squared():
     for p, q in reduced_fractions(13):
         pq = Fraction(p, q)
         pres = presentation(pq)
-        p11, _, length = longitude_data(pres)
+        p11, length = longitude_data(pres)
         recorded = a_polynomial(pq).factors
         found = []
         for phi_i in apoly._riley_factors(riley_polynomial(pres), 1):
-            direct = apoly._apoly_direct(phi_i, p11, length)
-            assert apoly._apoly_modular(phi_i, p11, length) == direct, pq
+            direct, k = apoly._apoly_direct(phi_i, p11, length)
+            assert apoly._apoly_modular(phi_i, p11, length) == (direct, k), pq
             assert direct in recorded, pq
             found.append(direct)
             count += 1
@@ -361,10 +385,90 @@ def test_engines_in_M_match_the_factors_eliminated_in_M_squared():
     assert count == 42
 
 
+@pytest.mark.parametrize("rule", (ALL_DIRECT, ALL_MODULAR), ids=("direct", "modular"))
+def test_map_degree_is_u_degree_over_L_degree(monkeypatch, rule):
+    # every Riley factor of every knot fraction with q <= 17, under each
+    # engine: the k the engine reads (the direct one by _power_at, the
+    # modular one by the probe) is du(phi_i) / deg_L(A_i), and a_polynomial
+    # records beside each A-factor the least k of the Riley factors giving it
+    from tbk.charvar import apoly
+
+    runs = []
+    eliminate = apoly._eliminate
+
+    def recorded(engine, phi, p11, length):
+        factor, k = eliminate(engine, phi, p11, length)
+        runs.append((engine.__name__, phi.degree("u"), factor, k))
+        return factor, k
+
+    monkeypatch.setattr(apoly, "_eliminate", recorded)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", rule)
+    engine = "_apoly_direct" if rule == ALL_DIRECT else "_apoly_modular"
+    count = 0
+    for p, q in reduced_fractions(17):
+        runs.clear()
+        ap = a_polynomial(Fraction(p, q))
+        least = {}
+        for name, du, factor, k in runs:
+            assert name == engine
+            assert k * factor.degree("L") == du, (p, q, du, k)
+            least[factor] = min(k, least.get(factor, k))
+        assert ap.map_degrees == tuple(least[f] for f in ap.factors), (p, q)
+        count += len(runs)
+    assert count == 72
+
+
+def test_duplicated_a_factor_records_the_least_map_degree():
+    # 1/9: the u-degree-1 Riley factor (k = 1) and the u-degree-3 one
+    # (k = 3) both give L*M^18 + 1, recorded once with k = 1; keep_abelian
+    # records k = 1 for L - 1
+    from tbk.charvar import apoly
+
+    pres = presentation(Fraction(1, 9))
+    p11, length = longitude_data(pres)
+    riley = sorted(apoly._riley_factors(riley_polynomial(pres), 1),
+                   key=lambda f: f.degree("u"))
+    assert [f.degree("u") for f in riley] == [1, 3]
+    eliminated = [apoly._eliminate(apoly._apoly_direct, f, p11, length) for f in riley]
+    assert eliminated == [(L * M ** 18 + 1, 1), (L * M ** 18 + 1, 3)]
+    ap = a_polynomial(Fraction(1, 9))
+    assert ap.factors == (L * M ** 18 + 1,) and ap.map_degrees == (1,)
+    ap = a_polynomial(Fraction(6, 35), keep_abelian=True)
+    assert [f.degree("L") for f in ap.factors] == [6, 5, 1]
+    assert ap.map_degrees == (2, 1, 1)
+
+
+@pytest.mark.parametrize("wrong", ("double", "one"))
+def test_modular_engine_refuses_a_wrong_map_degree(monkeypatch, wrong):
+    # 6/35's large factor has k = 2: read as 4, its slices are no minimal
+    # polynomials and the lift fails an exact check; read as 1, the engine
+    # lifts A^2, which vanishes on the curve, and _power_root refuses it
+    from tbk.charvar import apoly
+
+    probe = apoly._PointCache.probe
+    read = []
+
+    def patched(cache, p):
+        out = probe(cache, p)
+        if cache.du_phi == 12:
+            read.append(cache.k)
+            cache.k = 2 * cache.k if wrong == "double" else 1
+            out = {}
+        return out
+
+    monkeypatch.setattr(apoly._PointCache, "probe", patched)
+    with pytest.raises(apoly.EliminationError) as err:
+        a_polynomial(Fraction(6, 35))
+    assert read == [2]
+    if wrong == "one":
+        assert "map degree 1 was read too small" in str(err.value)
+
+
 def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
     # phi = u^2 - M^2, P = u^2 and length 0 reach the engine as u^2 - M,
-    # u^2 and 0, and its L - M returns as L - M^2; an odd M-exponent
-    # (g = 1) passes everything through unchanged
+    # u^2 and 0, and its L - M, with k = 2 as the resultant is (L - M)^2,
+    # returns as L - M^2; an odd M-exponent (g = 1) passes everything
+    # through unchanged
     from tbk.charvar import apoly
 
     u = MultiPoly.variable("u")
@@ -374,10 +478,10 @@ def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
         calls.append((phi, p11, length))
         return apoly._apoly_direct(phi, p11, length)
 
-    assert apoly._eliminate(engine, u ** 2 - M ** 2, u ** 2, 0) == L - M ** 2
+    assert apoly._eliminate(engine, u ** 2 - M ** 2, u ** 2, 0) == (L - M ** 2, 2)
     assert calls == [(u ** 2 - M, u ** 2, 0)]
     calls.clear()
-    assert apoly._eliminate(engine, u ** 2 - M, u ** 2, 0) == L - M
+    assert apoly._eliminate(engine, u ** 2 - M, u ** 2, 0) == (L - M, 2)
     assert calls == [(u ** 2 - M, u ** 2, 0)]
     calls.clear()
     odd, p11 = u ** 2 - M ** 3 * u - M ** 2, u * M ** 2
@@ -435,15 +539,17 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("pq, work", (
-    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 109, "cauchy_interpolate": 10,
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 111, "cauchy_interpolate": 10,
               "failed fits": 0}),
-    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 121, "cauchy_interpolate": 22,
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 123, "cauchy_interpolate": 22,
               "failed fits": 0}),
 ))
 def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     # every factor modular: the primes, slices and Cauchy fits (and the
     # fits that fail) the engine spends on the ladder, so a change that
-    # means to keep the engine's work can show it does
+    # means to keep the engine's work can show it does.  The slices count
+    # the map degree probe: four on each factor's first prime, which are
+    # the first prime's slices at M^2 = 2..5 on the k = 1 factor
     from tbk.charvar import _modp, apoly
 
     counts = dict.fromkeys(work, 0)
@@ -485,9 +591,7 @@ def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", unlucky_second)
-    pres = presentation(Fraction(4, 15))
-    phi = riley_polynomial(pres)
-    p11, _, length = longitude_data(pres)
+    phi, p11, length = riley_factor_data(Fraction(4, 15))
     first = ahat_mod_p(apoly._PointCache(phi, p11, length),
                        next(apoly._modp.prime_stream()), None)
     apoly._apoly_modular(phi, p11, length)
@@ -527,7 +631,7 @@ def riley_factor_data(pq):
     from tbk.charvar import apoly
 
     pres = presentation(pq)
-    p11, _, length = longitude_data(pres)
+    p11, length = longitude_data(pres)
     factors = apoly._riley_factors(riley_polynomial(pres), 1)
     return max(factors, key=lambda f: f.degree("u")), p11, length
 
@@ -541,7 +645,7 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
     from tbk.charvar import apoly
 
     data = riley_factor_data(pq)
-    expected = apoly._apoly_modular(*data)
+    expected, k = apoly._apoly_modular(*data)
     calls = []
     ahat_mod_p = apoly._ahat_mod_p
 
@@ -557,7 +661,7 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", corrupted)
-    assert apoly._apoly_modular(*data) == expected
+    assert apoly._apoly_modular(*data) == (expected, k)
     assert len(calls) >= 3
     assert expected in a_polynomial(pq).factors
 

@@ -113,7 +113,8 @@ def test_crt_pair_composite_second_modulus():
 
 
 def unreduced_slice(cache, m, p):
-    """The slice with -P(m) + c*l used as is at every L-node."""
+    """Res_u(phi(m), L*c - P(m)) made monic, from scalar resultants with
+    -P(m) + c*l used as is at every L-node l = 0..du_phi."""
     phim, pm, c = cache.get(m)
     if len(phim) - 1 != cache.du_phi:
         return None
@@ -132,41 +133,70 @@ def unreduced_slice(cache, m, p):
     r = _modp.newton_interp(ls, vals, p)
     if len(r) - 1 != cache.du_phi:
         return None
-    return _modp.squarefree_monic(r, p)
+    return _modp.pscale(r, pow(r[-1], -1, p), p)
+
+
+def check_minimal_slices(component, p11, length, primes, points):
+    """On an irreducible Riley factor, with k read by the engine's probe
+    mod P61: at every (m, p) the slice to the k is the monic unreduced
+    resultant, or both are None.  Returns (k, slices, degenerate, short),
+    short counting the slices whose resultant's squarefree part is
+    shorter: at roots of the discriminant, where the slice still has
+    degree du_phi / k."""
+    cache = _PointCache(component, p11, length)
+    cache.probe(P61)
+    k = cache.k
+    slices = degenerate = short = 0
+    for p in primes:
+        if p <= cache.du_phi:
+            continue  # the L-nodes 0..du_phi must stay distinct mod p
+        for m in points:
+            expected = unreduced_slice(cache, m, p)
+            got = _slice_squarefree(cache, m, p)
+            slices += 1
+            if expected is None:
+                assert got is None, (component, m, p)
+                degenerate += 1
+                continue
+            power = [1]
+            for _ in range(k):
+                power = _modp.pmul(power, got, p)
+            assert power == expected, (component, m, p)
+            square_part = _modp.pgcd_monic(expected, _modp.pderiv(expected, p), p)
+            short += len(expected) - len(square_part) < len(got) - 1
+    return k, slices, degenerate, short
 
 
 def test_slice_squarefree_matches_unreduced_resultants():
+    # 4/15's Riley factors: u-degree 3 with k = 1 and u-degree 4 with k = 2;
+    # P has the larger u-degree, so each slice reduces it mod phi(m)
     pres = presentation(Fraction(4, 15))
-    p11, _, length = longitude_data(pres)
-    cache = _PointCache(riley_polynomial(pres), p11, length)
-    assert cache.du_phi == 7 and p11.degree("u") > cache.du_phi
-    degenerate = 0
-    # primes above du_phi + 1, so that the L-nodes 0..du_phi stay distinct
-    for p in (P61, 10007, 101, 13, 11):
-        for m in range(1, 25):
-            expected = unreduced_slice(cache, m, p)
-            assert _slice_squarefree(cache, m, p) == expected, (m, p)
-            degenerate += expected is None
+    p11, length = longitude_data(pres)
+    found = {}
+    degenerate = short = 0
+    for component in _riley_factors(riley_polynomial(pres), 1):
+        assert p11.degree("u") > component.degree("u")
+        k, _, d, s = check_minimal_slices(component, p11, length,
+                                          (P61, 10007, 101, 13, 11), range(1, 25))
+        found[component.degree("u")] = k
+        degenerate += d
+        short += s
+    assert found == {3: 1, 4: 2}
     assert degenerate > 0  # the small primes hit degenerate slices
+    assert short > 0  # and the discriminant points (M = 1) are checked
 
 
 @pytest.mark.parametrize("fraction", ("4/15", "6/35", "1/9", "8/21", "3/7"))
 def test_characteristic_slice_matches_resultants_on_riley_factors(fraction):
     pres = presentation(Fraction(fraction))
-    phi = riley_polynomial(pres)
-    p11, _, length = longitude_data(pres)
+    p11, length = longitude_data(pres)
     slices = degenerate = 0
-    for component in [phi] + _riley_factors(phi, 1):
-        cache = _PointCache(component, p11, length)
-        for p in (P61, 10007, 101, 13, 11):
-            if p <= cache.du_phi:
-                continue  # the L-nodes 0..du_phi must stay distinct mod p
-            for m in range(1, 25):
-                expected = unreduced_slice(cache, m, p)
-                assert _slice_squarefree(cache, m, p) == expected, (component, m, p)
-                slices += 1
-                degenerate += expected is None
-    assert slices >= 24 * 3 * 2 and degenerate > 0
+    for component in _riley_factors(riley_polynomial(pres), 1):
+        _, n, d, _ = check_minimal_slices(component, p11, length,
+                                          (P61, 10007, 101, 13, 11), range(1, 25))
+        slices += n
+        degenerate += d
+    assert slices >= 24 * 3 and degenerate > 0
 
 
 def test_pdivmod_matches_stepwise_reduction():
