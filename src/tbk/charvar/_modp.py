@@ -3,24 +3,31 @@ and for factoring the Riley polynomial (powering and inverses modulo a
 polynomial, distinct-degree and Cantor-Zassenhaus equal-degree factoring).
 
 Polynomials are plain lists of ints (ascending powers, trimmed).  The
-elimination's primes are around 2^61, which Python ints handle directly.
+elimination's primes lie just above 2^29 (apoly._ELIMINATION_PRIMES_FROM),
+so every residue is a one-digit CPython int and every product of two fits
+in two digits; the Riley factorization's Hensel primes stay around 2^61
+(prime_stream's default), where fewer lifts pass its bound.
 
-Inverses go through ``pinv``: pow(x, -1, p) costs about 4 us at 61 bits
-against 20 us for the Fermat power pow(x, p - 2, p), and 0 is refused
-rather than mapped to 0.  newton_interp inverts each distinct node
-difference once, and pdivmod reduces a working coefficient only when it
-becomes the next quotient coefficient.  apoly._slice_squarefree takes
+Inverses go through ``pinv``: pow(x, -1, p) costs about 1.8 us at 29 bits
+and 6 us at 61 bits, against 2.6 and 27 us for the Fermat power
+pow(x, p - 2, p) (2-core x86-64, Python 3.11), and 0 is refused rather
+than mapped to 0.  pdivmod reduces a working coefficient only when
+it becomes the next quotient coefficient.  apoly._slice_squarefree takes
 each slice as a minimal polynomial, from the first d/k power sums of a
 characteristic polynomial and Newton's identities, instead of d + 1
 scalar resultants, an interpolation in L and a squarefree part.
 cauchy_interpolate fits by one rule: the first extended-Euclid pair whose
-quotient is large, so a fit costs only the Euclid steps down to it.
+quotient is large, so a fit costs only the Euclid steps down to it.  The
+fits of one prime share their nodes, so the node product prod(X - x_i),
+the inverted node differences and the Newton basis are built once per
+node set (InterpolationNodes).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def is_prime(n: int) -> bool:
@@ -228,37 +235,64 @@ def resultant_scalar(f, g, p):
         f, g = g, r
 
 
-def _mul_linear(a, x, deg, p):
-    """a <- a * (X - x) in place; a has degree at most deg and room for
-    one more coefficient."""
-    for i in range(deg + 1, 0, -1):
-        a[i] = (a[i - 1] - x * a[i]) % p
-    a[0] = -x * a[0] % p
+def _mul_linear(a, x, p):
+    """a * (X - x) over GF(p), a new list one longer than a."""
+    return [(s - x * t) % p for s, t in zip([0, *a], a + [0])]
+
+
+class InterpolationNodes(tuple):
+    """Nodes x_0..x_(n-1) over GF(p) with what interpolating at them needs,
+    built once and shared by every fit at them: the engine fits all the
+    coefficient functions of a prime at one node set.
+
+    ``levels[k - 1]`` holds 1/(x_i - x_(i-k)) for i = k..n-1, the divisors
+    of the k-th divided differences, each distinct difference inverted once
+    (a repeated node raises ZeroDivisionError); ``rows[i]`` holds the X^i
+    coefficients of the Newton basis N_k = prod_(j<k) (X - x_j) for k =
+    i..n-1; ``product`` is N_n = prod(X - x_i).  None of them is changed
+    after construction."""
+
+    def __new__(cls, xs, p):
+        self = super().__new__(cls, xs)
+        self.p = p
+        inverses = {}
+        self.levels = []
+        for k in range(1, len(self)):
+            row = []
+            for a, b in zip(self, self[k:]):
+                diff = (b - a) % p
+                inv = inverses.get(diff)
+                if inv is None:
+                    inv = inverses[diff] = pinv(diff, p, "newton_interp")
+                row.append(inv)
+            self.levels.append(row)
+        basis = [[1]]
+        for x in self:
+            basis.append(_mul_linear(basis[-1], x, p))
+        self.rows = [[basis[k][i] for k in range(i, len(self))] for i in range(len(self))]
+        self.product = basis[-1]
+        return self
+
+    @classmethod
+    def of(cls, xs, p):
+        """xs itself when it already holds the nodes' work mod p."""
+        return xs if isinstance(xs, cls) and xs.p == p else cls(xs, p)
 
 
 def newton_interp(xs, ys, p):
     """Interpolating polynomial through (xs, ys) over GF(p).
 
-    The divided differences divide by node differences x_i - x_{i-k};
-    each distinct difference is inverted once.  A repeated node raises
-    ZeroDivisionError.
+    xs may be InterpolationNodes, whose work is then reused.  Each level
+    of divided differences is one pass over the coefficients, and the
+    Newton form sum_k c_k N_k is expanded by the basis rows, one dot
+    product per power of X.
     """
-    n = len(xs)
+    nodes = InterpolationNodes.of(xs, p)
     coeffs = list(ys)
-    inverses = {}
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            diff = (xs[i] - xs[i - k]) % p
-            inv = inverses.get(diff)
-            if inv is None:
-                inv = inverses[diff] = pinv(diff, p, "newton_interp")
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inv % p
-    # expand Newton form by Horner: poly <- poly * (x - xs[k]) + coeffs[k]
-    poly = [0] * n
-    for k in range(n - 1, -1, -1):
-        _mul_linear(poly, xs[k], n - 2 - k, p)
-        poly[0] = (poly[0] + coeffs[k]) % p
-    return ptrim(poly)
+    for k, inverses in enumerate(nodes.levels, 1):
+        coeffs[k:] = [(b - a) * inv % p
+                      for a, b, inv in zip(coeffs[k - 1:], coeffs[k:], inverses)]
+    return ptrim([sum(map(mul, row, coeffs[i:])) % p for i, row in enumerate(nodes.rows)])
 
 
 # Points a fit must leave over: it counts only when its Euclid quotient has
@@ -285,13 +319,11 @@ def cauchy_interpolate(xs, ys, p):
     gcd(s_i, t_i) = 1, so a common factor of r_i and t_i divides the
     product, and t_i, nonzero at every node, shares no factor with it.
     The zero interpolant gives ([], [1]); a zero remainder after it has
-    t_i = 0 at some node.
+    t_i = 0 at some node.  xs may be InterpolationNodes, whose product and
+    Newton work are then reused.
     """
-    n = len(xs)
-    r0 = [1] + [0] * n
-    for deg, x in enumerate(xs):
-        _mul_linear(r0, x, deg, p)
-    r1 = newton_interp(xs, ys, p)
+    xs = InterpolationNodes.of(xs, p)
+    r0, r1 = xs.product, newton_interp(xs, ys, p)
     t0, t1 = [], [1]
     while r1 and len(r0) - len(r1) < SPARE_POINTS + 2:
         q, r = pdivmod(r0, r1, p)

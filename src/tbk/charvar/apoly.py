@@ -67,8 +67,9 @@ Rational reconstruction starts at a factor's first kept image; a
 candidate is accepted when two consecutive reconstructions agree, it
 vanishes on the representation curve at integer sample points (checked
 in Z[v] after the substitution u = v/lc that makes phi_i(m) monic) and
-it is no proper power.  A factor with small coefficients thus takes two
-primes, one to lift and one to confirm.
+it is no proper power.  A factor whose coefficients lie within one
+prime's balanced bound, about 2^14 for the engine's primes just above
+2^29, thus takes two primes, one to lift and one to confirm.
 """
 
 from __future__ import annotations
@@ -259,13 +260,44 @@ class _PointCache:
         slices with k = 1, whole characteristic polynomials, at M = 2..5
         (None if all are degenerate).  e <= deg_L(A) = du_phi / k, so k is
         never read too small; too large, it fails _apoly_modular's checks.
-        Returns the probe's slices if k = 1, as they are then the slices."""
+        Returns the probe's slices for the k read: the characteristic
+        polynomials themselves if k = 1, else read from their first
+        du_phi / k power sums as _slice_squarefree reads them."""
         self.k = 1
         chars = {m: _slice_squarefree(self, m, p) for m in range(2, 6)}
         e = max((len(c) - len(_modp.pgcd_monic(c, _modp.pderiv(c, p), p))
                  for c in chars.values() if c), default=0)
-        self.k = self.du_phi // e if e else None
-        return chars if self.k == 1 else {}
+        k = self.k = self.du_phi // e if e else None
+        if k is None or k == 1:
+            return chars
+        return {m: c and _minimal_slice(_power_sums(c[:-1], self.du_phi // k, p)[1:],
+                                        k, self.inverses(p), p)
+                for m, c in chars.items()}
+
+
+def _power_sums(f, n, p):
+    """[d, s_1, ..., s_n] mod p, s_j the j-th power sum of the roots of the
+    monic polynomial X^d + f[d-1] X^(d-1) + ... + f[0], n <= d, by Newton's
+    identities."""
+    d = len(f)
+    sums = [d % p]
+    for j in range(1, n + 1):
+        acc = j * f[d - j] + sum(map(mul, f[d - j + 1:], sums[1:]))
+        sums.append(-acc % p)
+    return sums
+
+
+def _minimal_slice(traces, k, inverses, p):
+    """g(m, L) mod p, ascending, from the first e power sums Tr(beta^j),
+    j = 1..e, of the characteristic polynomial g(m, L)^k: those of g are
+    Tr(beta^j) / k, and Newton's identities give g; inverses[j] = 1/j mod
+    p for j <= max(e, k)."""
+    sums = [t * inverses[k] % p for t in traces]
+    out = [1]  # monic, descending: out[j] is the coefficient of L^(e-j)
+    for j in range(1, len(sums) + 1):
+        acc = sum(map(mul, out, reversed(sums[:j])))
+        out.append(-acc * inverses[j] % p)
+    return out[::-1]
 
 
 def _slice_squarefree(cache, m, p):
@@ -287,7 +319,8 @@ def _slice_squarefree(cache, m, p):
     (Newton's identities on phi(m)) and e products with the transpose of
     the multiply-by-beta matrix B, whose columns beta * u^j mod phi(m) are
     one shift-and-reduce each.  Newton's identities divide by 1..d, so p
-    must exceed d (the engine's primes are about 2^61).
+    must exceed d; the engine's primes lie just above 2^29, so every
+    residue here is a one-digit int.
     """
     phim, pm, c = cache.get(m)
     d, k = cache.du_phi, cache.k
@@ -312,21 +345,12 @@ def _slice_squarefree(cache, m, p):
         if top:
             col = [(x - top * y) % p for x, y in zip(col, f)]
         cols.append(col)
-    traces = [d % p]
-    for j in range(1, d):  # power sums of phi(m)'s roots
-        acc = j * f[d - j] + sum(map(mul, f[d - j + 1:], traces[1:]))
-        traces.append(-acc % p)
-    inverses = cache.inverses(p)
-    sums = []  # power sums of g(m, L)'s roots
-    w = traces
+    traces = []  # Tr(beta^j), j = 1..d/k
+    w = _power_sums(f, d - 1, p)  # Tr(u^j), j = 0..d-1
     for _ in range(d // k):
         w = [sum(map(mul, col, w)) % p for col in cols]
-        sums.append(w[0] * inverses[k] % p)
-    out = [1]  # monic, descending: out[j] is the coefficient of L^(e-j)
-    for j in range(1, d // k + 1):
-        acc = sum(map(mul, out, reversed(sums[:j])))
-        out.append(-acc * inverses[j] % p)
-    return out[::-1]
+        traces.append(w[0])
+    return _minimal_slice(traces, k, cache.inverses(p), p)
 
 
 _MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
@@ -357,7 +381,7 @@ def _ahat_mod_p(cache, p, count):
     degenerate here join it.  Degrees past _MAX_RECON_DEGREE raise
     EliminationError: they do not depend on the prime, since an unlucky
     prime only lowers them."""
-    slices = {} if cache.k else cache.probe(p)
+    slices = {} if cache.k else cache.probe(p)  # the probe's points are slices too
     if not cache.k:
         return None
 
@@ -381,7 +405,7 @@ def _ahat_mod_p(cache, p, count):
         """Every coefficient function on npts points, checked on the
         held-out points."""
         pts = points(npts + _HELD_OUT)
-        xs = [m % p for m in pts[:npts]]
+        xs = _modp.InterpolationNodes([m % p for m in pts[:npts]], p)  # shared by the d fits
         recon = []
         for j in range(d):
             rf = _modp.cauchy_interpolate(xs, [slices[m][j] for m in pts[:npts]], p)
@@ -423,7 +447,9 @@ def _ahat_mod_p(cache, p, count):
     return d, dden, coeffs, count
 
 
-_MAX_PRIMES = 400  # ~7000 digits of CRT capacity; far beyond honest use
+# 400 primes of 29 bits: ~3500 digits of CRT capacity, so coefficients of
+# up to ~1700 digits; 10/99's largest have 8.  Far beyond honest use.
+_MAX_PRIMES = 400
 
 
 def _crt_fold(residues, modulus, coeffs, p):
@@ -471,7 +497,7 @@ def _apoly_modular(phi, p11, length):
     fraction the other images fit (see _lift) is dropped, so one wrong
     image costs primes, not the lift."""
     cache = _PointCache(phi, p11, length)
-    primes = _modp.prime_stream()
+    primes = _modp.prime_stream(_ELIMINATION_PRIMES_FROM)
     images = []  # (prime, coefficients) of the kept images
     residues = {}
     modulus = 1
@@ -691,6 +717,18 @@ def _hensel_padic(f, g0, h0, p, pk):
 # 838 ms (2-core x86-64, Python 3.11).
 _FACTOR_PRIMES_FROM = 1 << 15
 
+# The modular elimination's primes start here, so that every residue of a
+# slice, an image and a fit is a one-digit CPython int (below 2^30) and a
+# product of two has two digits: a d = 12 slice of 6/35 takes 163 us
+# against 285 us with primes above 2^61 (2-core x86-64, Python 3.11).
+# One prime reconstructs coefficients up to about 2^14, so a larger factor
+# takes more primes (10/99's u-degree-40 one, with 24-bit coefficients,
+# three instead of two), but each costs about 0.6 as much.  The Riley
+# factorization's Hensel lift keeps prime_stream's 2^61 primes: on 10/99
+# it takes three bivariate lifts and 0.22 s, against five and 0.30 s from
+# 2^29.
+_ELIMINATION_PRIMES_FROM = 1 << 29
+
 
 def _int_poly_factors(coeffs):
     """Irreducible factors over Z of a primitive integer polynomial.
@@ -784,8 +822,7 @@ def _hensel_bivariate(phi: MultiPoly, g0, h0, m0, p):
         for j in range(du):
             acc = f[j][k]
             for a in range(max(0, j - dh), min(j, dg) + 1):
-                ga, hb = g[a], h[j - a]
-                acc -= sum(ga[i] * hb[k - i] for i in range(k + 1))
+                acc -= sum(map(mul, g[a][:k + 1], h[j - a][k::-1]))
             e.append(acc % p)
         e = _modp.ptrim(e)
         if e:  # dg*h0 + dh*g(0) = e, g(0) = lead(0)*g0
@@ -860,7 +897,8 @@ def split_components(ap: APoly, canonical_slopes=None):
     Sorts the factors by (L-degree, M-degree, terms).  When
     ``canonical_slopes`` (a set of integers) matches the edge-slope set of
     exactly one of two factors, the factors are tagged canonical / other;
-    otherwise every factor is tagged 'full'.  Returns None when the
+    otherwise every factor is tagged 'full'.  Each part carries its
+    factor's map degree, when ``ap`` records them.  Returns None when the
     A-polynomial is irreducible.
     """
     if len(ap.factors) < 2:
@@ -883,4 +921,6 @@ def split_components(ap: APoly, canonical_slopes=None):
         if len(matches) == 1:
             tags = ["other", "other"]
             tags[matches[0]] = "canonical"
-    return [APoly(f, t) for f, t in zip(irreducible, tags)]
+    ks = dict(zip(ap.factors, ap.map_degrees))
+    return [APoly(f, t, map_degrees=(ks[f],) if ks else ())
+            for f, t in zip(irreducible, tags)]

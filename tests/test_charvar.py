@@ -539,9 +539,9 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("pq, work", (
-    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 111, "cauchy_interpolate": 10,
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 107, "cauchy_interpolate": 10,
               "failed fits": 0}),
-    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 123, "cauchy_interpolate": 22,
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 119, "cauchy_interpolate": 22,
               "failed fits": 0}),
 ))
 def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
@@ -549,7 +549,8 @@ def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     # fits that fail) the engine spends on the ladder, so a change that
     # means to keep the engine's work can show it does.  The slices count
     # the map degree probe: four on each factor's first prime, which are
-    # the first prime's slices at M^2 = 2..5 on the k = 1 factor
+    # also the first prime's slices at M^2 = 2..5, read from the probe's
+    # power sums on the k = 2 factor
     from tbk.charvar import _modp, apoly
 
     counts = dict.fromkeys(work, 0)
@@ -574,6 +575,35 @@ def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     assert counts == work
 
 
+@pytest.mark.parametrize("pq", ("4/15", "6/35"))
+def test_modular_output_does_not_depend_on_prime_size(monkeypatch, pq):
+    # every factor modular: the engine's primes lie between 2^29 and 2^30,
+    # so every residue is a one-digit int; started at 2^12 instead, where
+    # one prime reconstructs coefficients only up to about 45, the output
+    # is the same apoly v1 text, factor by factor, with the same map degrees
+    from tbk.charvar import apoly
+    from tbk.exactnum.textio import format_apoly
+
+    primes = []
+    ahat_mod_p = apoly._ahat_mod_p
+
+    def recorded(cache, p, count):
+        primes.append(p)
+        return ahat_mod_p(cache, p, count)
+
+    def text(ap):
+        return [format_apoly(f) for f in (ap.poly,) + ap.factors], ap.map_degrees
+
+    monkeypatch.setattr(apoly, "_ahat_mod_p", recorded)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    default = text(a_polynomial(Fraction(pq)))
+    assert primes and all(2 ** 29 < p < 2 ** 30 for p in primes)
+    primes.clear()
+    monkeypatch.setattr(apoly, "_ELIMINATION_PRIMES_FROM", 2 ** 12)
+    assert text(a_polynomial(Fraction(pq))) == default
+    assert primes and all(2 ** 12 < p < 2 ** 13 for p in primes)
+
+
 def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
     # an image with a lower (d, dden) signature comes from an unlucky prime
     # and is discarded; its point count must not reach the next prime
@@ -592,8 +622,7 @@ def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", unlucky_second)
     phi, p11, length = riley_factor_data(Fraction(4, 15))
-    first = ahat_mod_p(apoly._PointCache(phi, p11, length),
-                       next(apoly._modp.prime_stream()), None)
+    first = ahat_mod_p(apoly._PointCache(phi, p11, length), engine_prime(), None)
     apoly._apoly_modular(phi, p11, length)
     assert len(calls) >= 3
     assert calls[0] is None
@@ -607,7 +636,7 @@ def test_modular_image_refuses_a_denominator_that_is_no_power_of_M(monkeypatch):
     from tbk.charvar import _modp, apoly
 
     data = riley_factor_data(Fraction(4, 15))
-    p = next(_modp.prime_stream())
+    p = engine_prime()
     assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is not None
     cauchy_interpolate = _modp.cauchy_interpolate
     changed = []
@@ -624,6 +653,13 @@ def test_modular_image_refuses_a_denominator_that_is_no_power_of_M(monkeypatch):
     monkeypatch.setattr(_modp, "cauchy_interpolate", once)
     assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is None
     assert changed
+
+
+def engine_prime():
+    """The modular engine's first prime, just above 2^29."""
+    from tbk.charvar import _modp, apoly
+
+    return next(_modp.prime_stream(apoly._ELIMINATION_PRIMES_FROM))
 
 
 def riley_factor_data(pq):
@@ -699,7 +735,7 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
         a_polynomial(pq)
     assert len(checked) >= len(fractions) + 4
 
-    p = next(_modp.prime_stream())
+    p = engine_prime()
     rng = random.Random(5)
     for poly, cache in checked:
         assert vanishing_failure_oracle(poly, cache) is None
@@ -827,6 +863,22 @@ def test_split_components_k2():
             assert slopes == {0, -14}
         else:
             assert slopes == {0, -8}
+
+
+def test_split_components_carry_map_degrees():
+    # 6/35: the (5, 22) part is the k = 1 Riley factor's image and the
+    # (6, 24) part the k = 2 one's; each part carries its factor's k, with
+    # or without the slope tags, and none when the APoly records none
+    from tbk.charvar import APoly
+
+    ap = a_polynomial(Fraction(6, 35))
+    ks = dict(zip(ap.factors, ap.map_degrees))
+    for parts in (split_components(ap), split_components(ap, canonical_slopes={0, -22})):
+        assert [(p.poly.degree("L"), p.poly.degree("M")) for p in parts] == [(5, 22), (6, 24)]
+        assert [p.map_degrees for p in parts] == [(1,), (2,)]
+        assert all(p.map_degrees == (ks[p.poly],) for p in parts)
+    bare = split_components(APoly(ap.poly, "full", ap.factors))
+    assert [p.map_degrees for p in bare] == [(), ()]
 
 
 def test_split_components_irreducible():

@@ -8,11 +8,19 @@ import pytest
 import sympy
 
 from tbk.charvar import _modp, longitude_data, presentation, riley_polynomial
-from tbk.charvar.apoly import _PointCache, _riley_factors, _slice_squarefree
+from tbk.charvar.apoly import (
+    _ELIMINATION_PRIMES_FROM,
+    _PointCache,
+    _riley_factors,
+    _slice_squarefree,
+)
 
 from oracles import pdivmod_stepwise, sylvester_resultant
 
-P61 = next(_modp.prime_stream())  # the engine's first prime, about 2^61
+# the elimination's first prime, just above 2^29, and the first of the
+# Riley factorization's Hensel primes, about 2^61
+P29 = next(_modp.prime_stream(_ELIMINATION_PRIMES_FROM))
+P61 = next(_modp.prime_stream())
 SMALL_PRIMES = (101, 10007)
 
 
@@ -31,7 +39,7 @@ def lagrange(xs, ys, p):
     return _modp.ptrim(out)
 
 
-@pytest.mark.parametrize("p", (P61,) + SMALL_PRIMES)
+@pytest.mark.parametrize("p", (P29, P61) + SMALL_PRIMES)
 @pytest.mark.parametrize("gaps", (False, True))
 def test_newton_interp_matches_lagrange(p, gaps):
     rng = random.Random(p + gaps)
@@ -138,13 +146,13 @@ def unreduced_slice(cache, m, p):
 
 def check_minimal_slices(component, p11, length, primes, points):
     """On an irreducible Riley factor, with k read by the engine's probe
-    mod P61: at every (m, p) the slice to the k is the monic unreduced
+    mod P29: at every (m, p) the slice to the k is the monic unreduced
     resultant, or both are None.  Returns (k, slices, degenerate, short),
     short counting the slices whose resultant's squarefree part is
     shorter: at roots of the discriminant, where the slice still has
     degree du_phi / k."""
     cache = _PointCache(component, p11, length)
-    cache.probe(P61)
+    cache.probe(P29)
     k = cache.k
     slices = degenerate = short = 0
     for p in primes:
@@ -177,7 +185,7 @@ def test_slice_squarefree_matches_unreduced_resultants():
     for component in _riley_factors(riley_polynomial(pres), 1):
         assert p11.degree("u") > component.degree("u")
         k, _, d, s = check_minimal_slices(component, p11, length,
-                                          (P61, 10007, 101, 13, 11), range(1, 25))
+                                          (P29, P61, 10007, 101, 13, 11), range(1, 25))
         found[component.degree("u")] = k
         degenerate += d
         short += s
@@ -193,10 +201,62 @@ def test_characteristic_slice_matches_resultants_on_riley_factors(fraction):
     slices = degenerate = 0
     for component in _riley_factors(riley_polynomial(pres), 1):
         _, n, d, _ = check_minimal_slices(component, p11, length,
-                                          (P61, 10007, 101, 13, 11), range(1, 25))
+                                          (P29, P61, 10007, 101, 13, 11), range(1, 25))
         slices += n
         degenerate += d
     assert slices >= 24 * 3 and degenerate > 0
+
+
+@pytest.mark.parametrize("fraction", ("4/15", "6/35", "1/9"))
+def test_probe_slices_are_the_slices_of_the_map_degree_read(fraction):
+    # the probe's four points M^2 = 2..5 are slices of the k it reads: the
+    # characteristic polynomials if k = 1, else the minimal polynomials read
+    # from their power sums, as _slice_squarefree reads them with that k
+    pres = presentation(Fraction(fraction))
+    p11, length = longitude_data(pres)
+    ks = []
+    for component in _riley_factors(riley_polynomial(pres), 1):
+        for p in (P29, 10007, 101):
+            cache = _PointCache(component, p11, length)
+            probed = cache.probe(p)
+            assert sorted(probed) == [2, 3, 4, 5]
+            assert probed == {m: _slice_squarefree(cache, m, p) for m in probed}
+            assert all(len(s) - 1 == cache.du_phi // cache.k for s in probed.values() if s)
+        ks.append(cache.k)
+    assert max(ks) > 1
+
+
+def test_cauchy_fits_share_their_node_work(monkeypatch):
+    # fits at one InterpolationNodes build prod(X - x_i), the inverted node
+    # differences and the Newton basis once, and give what fits at a plain
+    # node list give; the product vanishes at every node
+    rng = random.Random(17)
+    xs = list(range(1, 31))
+    built = []
+    mul_linear = _modp._mul_linear
+
+    def counted(*args):
+        built.append(args[1])
+        return mul_linear(*args)
+
+    monkeypatch.setattr(_modp, "_mul_linear", counted)
+    nodes = _modp.InterpolationNodes(xs, P29)
+    assert built == xs
+    fits = []
+    for _ in range(6):
+        num = [rng.randrange(P29) for _ in range(rng.randint(1, 12))]
+        ys = [_modp.peval(num, x, P29) for x in xs]
+        fits.append((ys, _modp.cauchy_interpolate(nodes, ys, P29)))
+        assert fits[-1][1] == (num, [1])
+        assert _modp.newton_interp(nodes, ys, P29) == lagrange(xs, ys, P29)
+    assert len(built) == len(xs)
+    for ys, fit in fits:
+        assert _modp.cauchy_interpolate(xs, ys, P29) == fit
+    assert nodes.product[-1] == 1 and len(nodes.product) == 31
+    assert all(_modp.peval(nodes.product, x, P29) == 0 for x in xs)
+    # nodes built mod another prime are rebuilt
+    other = _modp.cauchy_interpolate(nodes, fits[0][0], 10007)
+    assert other == _modp.cauchy_interpolate(xs, fits[0][0], 10007)
 
 
 def test_pdivmod_matches_stepwise_reduction():
@@ -294,7 +354,7 @@ def nodes(rng, n, gaps, p):
     return list(range(1, n + 1))
 
 
-@pytest.mark.parametrize("p", (P61, 1000003, 10007))
+@pytest.mark.parametrize("p", (P29, P61, 1000003, 10007))
 @pytest.mark.parametrize("gaps", (False, True))
 def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
     rng = random.Random(p * 2 + gaps)
@@ -329,7 +389,7 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
                                xs[:n], noise[:n], p)
 
 
-@pytest.mark.parametrize("p", (P61, 101))
+@pytest.mark.parametrize("p", (P29, P61, 101))
 def test_cauchy_accepted_fits_are_coprime(p):
     # with no gcd taken, every accepted fit is coprime with a monic den: on
     # seeded rational functions, on them with one value off, and on noise,
@@ -396,8 +456,8 @@ def assert_valid_reconstruction(f, r, m):
 
 @pytest.mark.parametrize("primes", (1, 2))
 def test_rational_reconstruct_recovers_fractions(primes):
-    # one 61-bit prime (a factor's first image) and a two-prime modulus
-    stream = _modp.prime_stream()
+    # one elimination prime (a factor's first image) and a two-prime modulus
+    stream = _modp.prime_stream(_ELIMINATION_PRIMES_FROM)
     m = 1
     for _ in range(primes):
         m *= next(stream)
