@@ -11,8 +11,9 @@ and normalizing (integer content, pure-M factors, repeated factors)
 yields the nonabelian A-polynomial.
 
 Factor, then eliminate.  The Riley polynomial phi is first factored over
-Z[M, u]: Zassenhaus's algorithm on phi(m0, u) over Z (Cantor-Zassenhaus
-mod a prime, a p-adic Hensel lift, recombination by exact division), then
+Z[M, u]: Zassenhaus's algorithm on phi(m0, u) over Z (a distinct-degree
+split by the Frobenius matrix and Cantor-Zassenhaus mod a prime, a p-adic
+Hensel lift, recombination by exact division), then
 an (M - m0)-adic lift of those factors, each candidate proved by exact
 division.  Resultants are multiplicative, Res_u(phi_1 phi_2, g) =
 Res_u(phi_1, g) Res_u(phi_2, g), so u is eliminated from each irreducible
@@ -44,14 +45,17 @@ so neither engine changes and g = 1 runs the same code; the sign
 normalization, primitive part and monomial strip commute with
 multiplying the factor's M-exponents back by g.  The sample points, the
 degrees, _MAX_RECON_DEGREE and the EliminationError texts all count in
-the engine's variable, s.  Factoring stays in M: a factor irreducible
-over Z[s, u] can split over Z[M, u] (u^2 - s), and its image would not.
+the engine's variable, s; _eliminate appends "s = M^g" to such a text.
+Factoring stays in M: a factor irreducible over Z[s, u] can split over
+Z[M, u] (u^2 - s), and its image would not.
 
-Small factors run through the exact subresultant engine directly, k
-read off a specialization mod a prime and A_i taken by an exact k-th
-root (k = 1 proves it squarefree).  Larger ones are reconstructed from
-modular images: per prime and per integer M-value the slice is A_i(m, L)
-made monic, from the first d/k power sums of the characteristic
+Small factors run through the exact subresultant engine directly, on
+phi_i and L*M^len - (P mod phi_i): lc_u(phi_i) = +-M^a is a unit of
+Z[M, 1/M], so the reduction is exact there and moves the resultant by
++-M^j only.  k is read off a specialization mod a prime and A_i taken by
+an exact k-th root (k = 1 proves it squarefree).  Larger ones are
+reconstructed from modular images: per prime and per integer M-value the
+slice is A_i(m, L) made monic, from the first d/k power sums of the characteristic
 polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m), which is
 Res_u(phi_i(m), L c - P(m)) up to a constant, in O(d^3/k); a probe reads
 k once per factor.  riley_polynomial checks that lc_u(phi) is +-M^a, so
@@ -122,7 +126,7 @@ class APoly:
 def longitude_data(pres: TwoBridgePresentation):
     """(P, length): P the (1, 1) entry of M^length * rho(longitude)."""
     word = pres.longitude_word()
-    [(p11, _)] = _word_rows([({(0, 0): 1}, {})], word)  # the top row only
+    [(p11, _)] = _word_rows(word, 1)  # the top row only
     return p11, len(word)
 
 
@@ -136,12 +140,46 @@ def _apoly_direct(phi, p11, length):
     checks it), so lc_L of the resultant is a monomial: its only pure-M
     factors are integers and powers of M.  Stripped of those, R is g^k, g
     the minimal polynomial of P/M^length (module docstring)."""
-    lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
-    r = poly_resultant(phi, lm - p11, "u")
+    r = _direct_resultant(phi, p11, length)
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
     return _power_root(
         r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized())
+
+
+def _direct_resultant(phi, p11, length):
+    """Res_u(phi, L*M^length - P) up to a factor +-M^j.
+
+    lc_u(phi) = +-M^a is a unit of Z[M, 1/M], so there P mod phi is exact,
+    each step an exponent shift.  Res(phi, g) = lc^(deg g - deg r) Res(phi,
+    r) for r = g mod phi, and Res(phi, M^b r) = M^(b du) Res(phi, r), so
+    the resultant of phi and the remainder cleared by the least M^b is the
+    one asked for times +-M^j.  This replaces the subresultant PRS's first
+    pseudo-remainder, whose du_P - du + 1 steps each rescale every
+    coefficient of L*M^length - P by lc."""
+    du = phi.degree("u")
+    cols = [{} for _ in range(du + 1)]
+    for e_u, e_m, c in _u_M_terms(phi):
+        cols[e_u][e_m] = c
+    [(a, sign)] = cols[du].items()  # lc_u(phi) = sign * M^a, sign = 1/sign
+    low = [list(col.items()) for col in cols[:du]]
+    rem = {}
+    for e_u, e_m, c in _u_M_terms(p11):
+        rem.setdefault(e_u, {})[e_m] = c
+    for k in range(max(rem, default=0), du - 1, -1):
+        quotient = [(e - a, c * sign) for e, c in rem.pop(k, {}).items() if c]
+        for j, col in enumerate(low, k - du):  # rem -= quotient * u^(k-du) * phi
+            out = rem.setdefault(j, {})
+            get = out.get
+            for e1, c1 in quotient:
+                for e2, c2 in col:
+                    e = e1 + e2
+                    out[e] = get(e, 0) - c1 * c2
+    terms = [(e_u, e_m, c) for e_u, col in rem.items() for e_m, c in col.items() if c]
+    b = -min([length, *(e_m for _, e_m, _ in terms)])
+    g = {(0, e_m + b, e_u): -c for e_u, e_m, c in terms}
+    g[(1, length + b, 0)] = 1
+    return poly_resultant(phi, MultiPoly(("L", "M", "u"), g), "u")
 
 
 def _power_root(r):
@@ -603,12 +641,18 @@ def _eliminate(engine, phi, p11, length):
     g is the gcd of length and of every M-exponent of phi and P; the
     engine runs on phi(s, u), P(s, u) and length / g, written in M, and
     its factor's M-exponents are multiplied back by g (module docstring),
-    beside its k."""
+    beside its k.  An EliminationError's text counts in s, so with g > 1
+    it is raised again naming s."""
     terms = [_u_M_terms(phi), _u_M_terms(p11)]
     g = gcd(length, *(e_m for poly in terms for _, e_m, _ in poly))
     phi, p11 = (MultiPoly(("M", "u"), {(e_m // g, e_u): c for e_u, e_m, c in poly})
                 for poly in terms)
-    factor, k = engine(phi, p11, length // g)
+    try:
+        factor, k = engine(phi, p11, length // g)
+    except EliminationError as err:
+        if g == 1:
+            raise
+        raise EliminationError(f"{err} (in the engine's variable s = M^{g})") from err
     return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()}), k
 
 
@@ -711,10 +755,13 @@ def _hensel_padic(f, g0, h0, p, pk):
     return g
 
 
-# Primes for factoring over Z start here: Cantor-Zassenhaus costs grow
-# with log p, the Hensel lift's steps with 1/log p.  On phi(2, u) of 10/99,
-# starting at 2^7, 2^10, 2^15, 2^20 and 2^31 took 366, 398, 158, 228 and
-# 838 ms (2-core x86-64, Python 3.11).
+# Primes for factoring over Z start here.  A distinct-degree step is one
+# Frobenius-matrix product whatever the size of p, so log p prices only
+# x^p mod f, Cantor-Zassenhaus's powers and, inversely, the Hensel lift's
+# steps.  _riley_factors over the 94 p/q with q <= 21 took 139-203, 202-205,
+# 240-246 and 292-300 ms from 2^12, 2^15, 2^18 and 2^24, and on 10/99
+# 187-246, 170-250, 221-229 and 288-290 ms (best of 3, two rounds; 2-core
+# x86-64, Python 3.11).
 _FACTOR_PRIMES_FROM = 1 << 15
 
 # The modular elimination's primes start here, so that every residue of a

@@ -6,10 +6,14 @@ Generators go to
 
 and every word of length n is computed as M^n times its image, clearing
 all denominators.  With W = M^n rho(w) = [[w11, w12], [w21, w22]], the
-relation w g1 = g2 w gives four entry conditions in Z[M, u]: d11 = 0,
-d22 = M (w21 + u w12), which vanishes for a two-bridge relator, and then
-d21 = u d12 with d12 = M w11 + (1 - M^2) w12.  So d12, with monomial and
-integer content stripped, is the Riley polynomial, of degree (q-1)/2 in u.
+relation w g1 = g2 w gives four entry conditions in Z[M, u]:
+
+    d11 = M^2 w11 - M^2 w11, which vanishes identically,
+    d22 = M (w21 + u w12), which vanishes for a two-bridge relator,
+    d21 = u d12, with d12 = M w11 + (1 - M^2) w12.
+
+So d12, with monomial and integer content stripped, is the Riley
+polynomial, of degree (q-1)/2 in u.
 """
 
 from __future__ import annotations
@@ -24,53 +28,55 @@ def _p(terms):
     return MultiPoly(_VARS, terms)
 
 
-# scaled generator images M * rho(letter): each entry is one monomial
-# coeff * M^i * u^j, written ((i, j), coeff), or None for a zero entry
-_LETTER_TERMS = {
-    (0, 1): (((2, 0), 1), ((1, 0), 1), None, ((0, 0), 1)),
-    (0, -1): (((0, 0), 1), ((1, 0), -1), None, ((2, 0), 1)),
-    (1, 1): (((2, 0), 1), None, ((1, 1), -1), ((0, 0), 1)),
-    (1, -1): (((0, 0), 1), None, ((1, 1), 1), ((2, 0), 1)),
+# The scaled letters M * rho(letter) act on a row (x, y) as
+#     g1: (M^2 x, M x + y)          g1^-1: (x, M^2 y - M x)
+#     g2: (M^2 x - M u y, y)        g2^-1: (x + M u y, M^2 y)
+# so each letter scales one entry by M^2 and adds +-M u^j times the other
+# entry's old value into one entry: (entry scaled, source, target, sign, j).
+_LETTER_ACTIONS = {
+    (0, 1): (0, 0, 1, 1, 0),
+    (0, -1): (1, 0, 1, -1, 0),
+    (1, 1): (0, 1, 0, -1, 1),
+    (1, -1): (1, 1, 0, 1, 1),
 }
-_LETTERS = {letter: tuple(_p(dict([e]) if e else {}) for e in entries)
-            for letter, entries in _LETTER_TERMS.items()}
 
 
-def _mat_mul(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+def _word_rows(letters, count=2):
+    """The first ``count`` rows of M^n * rho(word), n = len(letters), as
+    pairs of MultiPolys.
 
-
-def _combine(x, mx, y, my):
-    """x * mx + y * my on term dicts, mx and my monomials or None."""
-    out = {}
-    get = out.get
-    for terms, monomial in ((x, mx), (y, my)):
-        if monomial is None:
-            continue
-        (di, dj), coeff = monomial
-        for (i, j), c in terms.items():
-            key = (i + di, j + dj)
-            out[key] = get(key, 0) + c * coeff
-    return out
-
-
-def _word_rows(rows, letters):
-    """rows * M^n * rho(word), rows given as pairs of term dicts.
-
-    Every letter's image is a matrix of monomials, so the product is
-    carried as term dicts, each letter an exponent shift plus adds, and
-    each MultiPoly is built once at the end."""
+    An entry is a dict of terms keyed by the packed exponent i + j*stride
+    of its term M^i u^j, less a pending M-offset, so a letter's M^2 is an
+    offset bump and its add runs in place over the source's terms; the
+    MultiPolys are built once at the end.  A key may be negative, but the
+    true i lies in [0, 2n], below stride, so key + offset decodes."""
+    stride = 2 * len(letters) + 1
+    rows = [([{0: 1}, {}], [0, 0]), ([{}, {0: 1}], [0, 0])][:count]
     for letter in letters:
-        e, f, g, h = _LETTER_TERMS[letter]
-        rows = [(_combine(x, e, y, g), _combine(x, f, y, h)) for x, y in rows]
-    return [(_p(x), _p(y)) for x, y in rows]
+        scaled, src, dst, sign, du = _LETTER_ACTIONS[letter]
+        base = 1 + du * stride - (2 if scaled == dst else 0)
+        for entries, offsets in rows:
+            shift = base + offsets[src] - offsets[dst]
+            offsets[scaled] += 2
+            target = entries[dst]
+            get = target.get
+            if sign > 0:
+                for k, c in entries[src].items():
+                    k += shift
+                    target[k] = get(k, 0) + c
+            else:
+                for k, c in entries[src].items():
+                    k += shift
+                    target[k] = get(k, 0) - c
+    return [tuple(_p({((k + off) % stride, (k + off) // stride): c
+                      for k, c in terms.items()})
+                  for terms, off in zip(entries, offsets))
+            for entries, offsets in rows]
 
 
 def scaled_word_matrix(letters):
     """(matrix, n) with matrix = M^n * rho(word) over Z[M, u]."""
-    (a, b), (c, d) = _word_rows([({(0, 0): 1}, {}), ({}, {(0, 0): 1})], letters)
+    (a, b), (c, d) = _word_rows(letters)
     return (a, b, c, d), len(letters)
 
 
@@ -85,15 +91,18 @@ def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
     its u-degree at every integer m >= 1.  Both A-polynomial engines rely
     on this: the direct one for a resultant whose only pure-M factors are
     integers and powers of M, the modular one for images that are
-    +-A mod p (see tbk.charvar.apoly)."""
-    w, _ = scaled_word_matrix(pres.relator_word())
-    lhs = _mat_mul(w, _LETTERS[(0, 1)])
-    rhs = _mat_mul(_LETTERS[(1, 1)], w)
-    d11, d12, _, d22 = (x - y for x, y in zip(lhs, rhs))
-    if not (d11.is_zero() and d22.is_zero()):
+    +-A mod p (see tbk.charvar.apoly).  d22 and d12 are read off the
+    terms of w11, w12 and w21 (module docstring)."""
+    (w11, w12, w21, _), _ = scaled_word_matrix(pres.relator_word())
+    w11, w12, w21 = w11.terms, w12.terms, w21.terms
+    if w21 != {(i, j + 1): -c for (i, j), c in w12.items()}:  # d22 / M = w21 + u w12
         raise PresentationError(
-            f"diagonal entry conditions for {pres.fraction} do not vanish")
-    phi = d12.strip_monomial().primitive_part().sign_normalized()
+            f"diagonal entry condition d22 for {pres.fraction} does not vanish")
+    d12 = {(i + 1, j): c for (i, j), c in w11.items()}  # M w11 + (1 - M^2) w12
+    for (i, j), c in w12.items():
+        d12[i, j] = d12.get((i, j), 0) + c
+        d12[i + 2, j] = d12.get((i + 2, j), 0) - c
+    phi = _p(d12).strip_monomial().primitive_part().sign_normalized()
 
     q = pres.fraction.denominator
     if phi.is_constant() or phi.degree("u") != (q - 1) // 2:

@@ -5,9 +5,7 @@ about J(2n, 2n): the four admissible expansions, their slopes
 (0, -4n, -4n, -8n+2), the symmetric subset {0, -8n+2}, the flip exchange
 of the two -4n surfaces, the n-1 residue classes per -4n expansion, the
 aggregated detected-slope set, and (for n <= 3, where the elimination is
-desk-sized) the A-polynomial edge-slope sets.  Published Newton-polygon
-corner lists are compared in report mode only: the coordinate convention
-behind them is unresolved, so differences are printed, never failed.
+desk-sized) the A-polynomial edge-slope sets.
 """
 
 from __future__ import annotations
@@ -39,17 +37,6 @@ def expected_expansions(n: int):
         ContinuedFraction(tuple(block + [-2, -2 * n + 1])),
         ContinuedFraction(tuple(block + [-3] + rev_block)),
     ]
-
-
-def published_full_corners(n: int):
-    """Published full-polygon corner list (convention unresolved)."""
-    return [(0, 12 * n - 1), (2, 12 * n - 1), (1, 4 * n),
-            (3, 8 * n - 2), (2, 0), (4, 0)]
-
-
-def published_component_corners(n: int):
-    """Published non-canonical component corner list (convention unresolved)."""
-    return [(0, 8 * n - 2), (1, 8 * n - 2), (1, 0), (2, 0)]
 
 
 @dataclass(frozen=True)
@@ -160,13 +147,10 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
     if with_apoly and n <= APOLY_MAX_N:
         from .charvar import (
             a_polynomial,
-            edge_slopes,
             finite_edge_slopes_as_ints,
             newton_polygon,
             split_components,
         )
-
-        from .charvar.newton import NewtonPolygon, convex_hull
 
         ap = a_polynomial(fraction)
         polygon = newton_polygon(ap)
@@ -175,15 +159,7 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
             sorted({0, -4 * n, -8 * n + 2}),
             sorted(finite_edge_slopes_as_ints(polygon))))
 
-        published = NewtonPolygon(tuple(convex_hull(published_full_corners(n))))
-        notes.append(
-            f"computed full polygon corners: {list(polygon.corners)}; "
-            f"published corner list: {published_full_corners(n)} "
-            "(coordinate convention unresolved; differences reported, not failed)")
-        notes.append(
-            "published full corners read naively give edge slopes "
-            f"{sorted(str(s) for s in edge_slopes(published))} "
-            f"vs the detected set {sorted({0, -4 * n, -8 * n + 2})}")
+        notes.append(f"computed full polygon corners: {list(polygon.corners)}")
         parts = split_components(ap, canonical_slopes={0, -8 * n + 2})
         if parts is None:
             notes.append("A-polynomial is irreducible over Z; no component split")
@@ -192,12 +168,6 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
                 corners = list(newton_polygon(part).corners)
                 notes.append(
                     f"{part.component_tag} factor polygon corners: {corners}")
-            other = [p for p in parts if p.component_tag == "other"]
-            if other:
-                notes.append(
-                    f"published non-canonical corner list: "
-                    f"{published_component_corners(n)} vs computed "
-                    f"{list(newton_polygon(other[0]).corners)}")
 
     return KnotRecord(n=n, p=knot.p, q=knot.q,
                       checks=tuple(checks), notes=tuple(notes))

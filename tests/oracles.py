@@ -145,28 +145,40 @@ def sylvester_resultant(f, g):
     return bareiss_determinant(rows)
 
 
-def word_matrix_oracle(letters):
-    """M^n * rho(word) for a word of n letters, as a plain product of
-    MultiPoly matrices, one full polynomial product per letter.
-
-    The generator images are written out here from
-    g1 -> [[M, 1], [0, 1/M]] and g2 -> [[M, 0], [-u, 1/M]], each scaled by M."""
+def letter_images():
+    """M * rho(letter) for the four letters, as 2x2 MultiPoly matrices
+    (a, b, c, d) over Z[M, u], written out from g1 -> [[M, 1], [0, 1/M]]
+    and g2 -> [[M, 0], [-u, 1/M]]."""
     from tbk.exactnum import MultiPoly
 
     M = MultiPoly.variable("M").in_variables(("M", "u"))
     u = MultiPoly.variable("u").in_variables(("M", "u"))
     one, zero = MultiPoly.constant(1, ("M", "u")), MultiPoly.constant(0, ("M", "u"))
-    images = {
+    return {
         (0, 1): (M * M, M, zero, one),
         (0, -1): (one, -M, zero, M * M),
         (1, 1): (M * M, zero, -(M * u), one),
         (1, -1): (one, zero, M * u, M * M),
     }
+
+
+def mat_mul(x, y):
+    """Product of two 2x2 matrices given as (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def word_matrix_oracle(letters):
+    """M^n * rho(word) for a word of n letters, as a plain product of
+    MultiPoly matrices, one full polynomial product per letter."""
+    from tbk.exactnum import MultiPoly
+
+    images = letter_images()
+    one, zero = MultiPoly.constant(1, ("M", "u")), MultiPoly.constant(0, ("M", "u"))
     out = (one, zero, zero, one)
     for letter in letters:
-        a, b, c, d = out
-        e, f, g, h = images[letter]
-        out = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        out = mat_mul(out, images[letter])
     return out
 
 
@@ -187,6 +199,28 @@ def pdivmod_stepwise(a, b, p):
             for i, d in enumerate(b):
                 a[k + i] = (a[k + i] - c * d) % p
     return ptrim(q), ptrim(a)
+
+
+def distinct_degree_by_powering(f, p):
+    """Distinct-degree factorization of a monic squarefree f over GF(p),
+    each Frobenius step h -> h^p mod f taken by repeated squaring (log2 p
+    modular squarings) rather than by a Frobenius matrix."""
+    from tbk.charvar._modp import pdivmod, pgcd_monic, ppowmod, psub
+
+    out = []
+    h = [0, 1]
+    d = 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = ppowmod(h, p, f, p)
+        g = pgcd_monic(f, psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = pdivmod(f, g, p)[0]
+            h = pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
 
 
 def sample_representations(p_over_q: Fraction, count=20, seed=7):

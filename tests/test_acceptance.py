@@ -31,7 +31,7 @@ from tbk.idealpoints import (
     ideal_point_count,
 )
 from tbk.knots import double_twist_fraction
-from tbk.regression import expected_expansions, published_component_corners, published_full_corners
+from tbk.regression import expected_expansions
 from tbk.surfaces import (
     BranchedSurface,
     boundary_slope,
@@ -221,16 +221,6 @@ def test_criterion_8_a_polynomials():
             if n in bidegrees:
                 assert [(p.poly.degree("L"), p.poly.degree("M"))
                         for p in parts] == bidegrees[n]
-            if n == 2:
-                # report mode: published corner lists carry an unresolved
-                # coordinate convention, so differences are printed only
-                print(f"  report: computed full corners {list(polygon.corners)}")
-                print(f"  report: published full corners {published_full_corners(n)}")
-                for part in parts:
-                    print(f"  report: {part.component_tag} corners "
-                          f"{list(newton_polygon(part).corners)}")
-                print(f"  report: published component corners "
-                      f"{published_component_corners(n)}")
 
 
 def test_criterion_9_valuation_properties():

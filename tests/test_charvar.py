@@ -23,6 +23,8 @@ from tbk.slopes import Slope
 from childproc import run_python
 from oracles import (
     direct_cleanup_oracle,
+    letter_images,
+    mat_mul,
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
@@ -81,14 +83,15 @@ def test_riley_is_one_entry_condition():
     # with W = M^n rho(w), W a - b W has d11 = d22 = 0 and d21 = u * d12,
     # so the Riley polynomial is d12 normalized; its leading u-coefficient
     # is +-M^k, which riley_polynomial checks and both engines rely on
-    from tbk.charvar.riley import _LETTERS, _mat_mul, scaled_word_matrix
+    from tbk.charvar.riley import scaled_word_matrix
 
     u = MultiPoly.variable("u")
+    letters = letter_images()
     for p, q in reduced_fractions(25):
         pres = presentation(Fraction(p, q))
         w, _ = scaled_word_matrix(pres.relator_word())
-        lhs = _mat_mul(w, _LETTERS[(0, 1)])
-        rhs = _mat_mul(_LETTERS[(1, 1)], w)
+        lhs = mat_mul(w, letters[(0, 1)])
+        rhs = mat_mul(letters[(1, 1)], w)
         d11, d12, d21, d22 = (x - y for x, y in zip(lhs, rhs))
         assert d11.is_zero() and d22.is_zero(), (p, q)
         assert d21 == u * d12, (p, q)
@@ -250,6 +253,34 @@ def test_direct_squarefree_proof_matches_gcd_oracle():
              for p in (1, q - 1)}
     assert powers == torus | {(Fraction(4, 15), 4), (Fraction(11, 15), 4)}
     assert len(powers) == 16
+
+
+def test_reduced_direct_resultant_matches_the_unreduced_one(monkeypatch):
+    # every factor the direct engine eliminates under a_polynomial for q <=
+    # 15, in the engine's variable: the resultant of phi and P mod phi,
+    # cleared by a power of M, is Res_u(phi, L*M^len - P) up to +-M^j
+    from tbk.charvar import apoly
+    from tbk.exactnum import poly_resultant
+
+    inputs = []
+    direct = apoly._apoly_direct
+
+    def recorded(phi, p11, length):
+        inputs.append((phi, p11, length))
+        return direct(phi, p11, length)
+
+    monkeypatch.setattr(apoly, "_apoly_direct", recorded)
+    for p, q in reduced_fractions(15):
+        a_polynomial(Fraction(p, q))
+    reduced = 0
+    for phi, p11, length in inputs:
+        lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
+        old = poly_resultant(phi, lm - p11, "u").strip_monomial()
+        new = apoly._direct_resultant(phi, p11, length).strip_monomial()
+        assert old in (new, -new), (phi, length)
+        reduced += p11.degree("u") >= phi.degree("u")
+    assert len(inputs) == 52
+    assert reduced == 52
 
 
 def test_direct_squarefree_proof_falls_back(monkeypatch):
@@ -773,6 +804,21 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
     assert str(primes[-1]) in str(err.value)
 
 
+def test_elimination_error_under_a_polynomial_names_the_engine_variable(monkeypatch):
+    # the engine counts in s = M^2; a_polynomial's EliminationError says so,
+    # while the engine's own text is kept as its cause
+    from tbk.charvar import apoly
+
+    monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 8)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    with pytest.raises(apoly.EliminationError) as err:
+        a_polynomial(Fraction(6, 35))
+    cause = err.value.__cause__
+    assert isinstance(cause, apoly.EliminationError)
+    assert "M^2" not in str(cause)
+    assert str(err.value) == f"{cause} (in the engine's variable s = M^2)"
+
+
 def test_a_polynomial_knot_symmetries():
     # p/q and p^-1 mod q / q are the same knot; the mirror (q-p)/q
     # reverses the meridian: A'(L, M) = M^deg_M(A) * A(L, 1/M)
@@ -966,3 +1012,37 @@ def test_edge_slopes_are_boundary_slopes():
                 newton_polygon(a_polynomial(fraction)))
             assert edges <= boundary, fraction
             assert boundary - edges <= {0}, fraction
+
+
+def test_edge_slopes_are_the_detected_slopes():
+    # tbk finds the detected slopes twice: algebraically, as the edge slopes
+    # of the A-polynomial, and combinatorially, as the boundary slopes with
+    # a nonzero ideal-point count.  For a two-bridge knot they agree: a
+    # slope an ideal point detects is an edge slope (Culler-Shalen; CCGLS,
+    # Invent. Math. 118, 1994), and each edge slope comes from an ideal
+    # point of the kind counted (Ohtsuki, J. Math. Soc. Japan 46, 1994).
+    # Every p/q with q <= 17; a mismatch names the branch and the slope.
+    from tbk.idealpoints import detected_slopes_with_counts
+
+    mismatches = []
+    count = 0
+    for p, q in reduced_fractions(17):
+        fraction = Fraction(p, q)
+        algebraic = set()
+        for s in edge_slopes(newton_polygon(a_polynomial(fraction))):
+            if s.is_infinite or s.den != 1:
+                mismatches.append(f"{fraction}: the algebraic branch gives the "
+                                  f"edge slope {s}, which is no integer")
+            else:
+                algebraic.add(s.num)
+        counts = detected_slopes_with_counts(fraction)
+        combinatorial = {s for s, c in counts.items() if c}
+        mismatches += [f"{fraction}: slope {s} is detected only by the algebraic branch "
+                       f"(an edge slope; ideal-point count {counts.get(s, 'none')})"
+                       for s in sorted(algebraic - combinatorial)]
+        mismatches += [f"{fraction}: slope {s} is detected only by the combinatorial "
+                       f"branch ({counts[s]} ideal points; no edge slope)"
+                       for s in sorted(combinatorial - algebraic)]
+        count += 1
+    assert count == 64
+    assert not mismatches, "\n".join(mismatches)

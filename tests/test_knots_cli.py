@@ -146,7 +146,8 @@ def test_cli_elimination_error_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(apoly, "_apoly_direct", fail)
     assert main(["apoly", "2/5"]) == 3
     assert capsys.readouterr().err == (
-        "error: u-elimination produced the zero polynomial\n")
+        "error: u-elimination produced the zero polynomial"
+        " (in the engine's variable s = M^2)\n")
 
     def overflow(*args):
         raise RecursionError("maximum recursion depth exceeded")

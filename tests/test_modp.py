@@ -10,12 +10,13 @@ import sympy
 from tbk.charvar import _modp, longitude_data, presentation, riley_polynomial
 from tbk.charvar.apoly import (
     _ELIMINATION_PRIMES_FROM,
+    _FACTOR_PRIMES_FROM,
     _PointCache,
     _riley_factors,
     _slice_squarefree,
 )
 
-from oracles import pdivmod_stepwise, sylvester_resultant
+from oracles import distinct_degree_by_powering, pdivmod_stepwise, sylvester_resultant
 
 # the elimination's first prime, just above 2^29, and the first of the
 # Riley factorization's Hensel primes, about 2^61
@@ -305,6 +306,48 @@ def test_distinct_and_equal_degree_match_sympy(p):
         assert sorted(got) == expected, f
         checked += 1
     assert split > 0  # Cantor-Zassenhaus split some equal-degree products
+
+
+@pytest.mark.parametrize("p", (3, 101, 32771))
+def test_frobenius_distinct_degree_matches_repeated_powering(p):
+    # random monic squarefree f of degree up to 30, many with several
+    # distinct-degree parts: the Frobenius-matrix steps (rows reduced when
+    # a part splits off) against log2 p squarings per step
+    rng = random.Random(p)
+    checked = parts = 0
+    while checked < 40:
+        f = [rng.randrange(p) for _ in range(rng.randint(0, 30))] + [1]
+        if len(_modp.pgcd_monic(f, _modp.pderiv(f, p), p)) > 1:
+            continue
+        got = _modp.distinct_degree(f, p)
+        assert got == distinct_degree_by_powering(f, p), f
+        parts += len(got) > 2
+        checked += 1
+    assert parts > 0
+
+
+def test_frobenius_distinct_degree_on_riley_slices():
+    # phi(2, u) of every p/q with q <= 45 and p <= 4, u-degrees 1 to 22,
+    # mod the Riley factorization's first prime at which it is squarefree,
+    # as _int_poly_factors takes it
+    count = split = 0
+    for q in range(3, 46, 2):
+        for p in range(1, min(4, q - 1) + 1):
+            if gcd(p, q) != 1:
+                continue
+            phi = riley_polynomial(presentation(Fraction(p, q)))
+            values = [int(c.evaluate({"M": 2})) for c in phi.coefficients_in("u")]
+            for prime in _modp.prime_stream(_FACTOR_PRIMES_FROM):
+                f = [c % prime for c in values]
+                if f[-1] and len(_modp.pgcd_monic(f, _modp.pderiv(f, prime), prime)) == 1:
+                    break
+            f = _modp.pscale(f, pow(f[-1], -1, prime), prime)
+            got = _modp.distinct_degree(f, prime)
+            assert got == distinct_degree_by_powering(f, prime), (p, q)
+            split += len(got) > 1
+            count += 1
+    assert count == 79
+    assert split > 0
 
 
 def test_pinvmod():
