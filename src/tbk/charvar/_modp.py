@@ -14,8 +14,7 @@ pow(x, p - 2, p) (2-core x86-64, Python 3.11), and 0 is refused rather
 than mapped to 0.  pdivmod reduces a working coefficient only when
 it becomes the next quotient coefficient.  apoly._slice_squarefree takes
 each slice as a minimal polynomial, from the first d/k power sums of a
-characteristic polynomial and Newton's identities, instead of d + 1
-scalar resultants, an interpolation in L and a squarefree part.
+characteristic polynomial and Newton's identities.
 cauchy_interpolate fits by one rule: the first extended-Euclid pair whose
 quotient is large, so a fit costs only the Euclid steps down to it.  The
 fits of one prime share their nodes, so the node product prod(X - x_i),

@@ -64,9 +64,11 @@ and, by Gauss's lemma, lc_L(A_i) = +-M^b: a slice is A_i(m, L)/(+-m^b).
 Cauchy interpolation fits each coefficient as +-A_ij(M)/M^b, so every
 denominator is a power of M, and shifting the numerators to M^b gives
 +-A_i mod p, with integer coefficients, which CRT and rational
-reconstruction lift.  Every fit takes the first large quotient of its
-Euclid run; a factor's first prime fits on a doubling number of points,
-and each later prime starts at the point count the degrees found need.
+reconstruction lift.  The sample points M = 1..n, and six held out after
+them, lie below every prime (_ELIMINATION_PRIMES_FROM), so every slice is
+defined.  Every fit takes the first large quotient of its Euclid run; a
+factor's first prime fits on a doubling number of points, and each later
+prime starts at the point count the degrees found need.
 Rational reconstruction starts at a factor's first kept image; a
 candidate is accepted when two consecutive reconstructions agree, it
 vanishes on the representation curve at integer sample points (checked
@@ -260,10 +262,7 @@ class _PointCache:
     factor's divides it).  A slice sums the terms of phi and P over one
     table of powers of m: P of 6/35 has 351 terms in 2,894 dense slots.
 
-    ``k``, the map degree, is read by ``probe`` on the first prime.
-    ``skip`` holds the points whose slice was degenerate mod an earlier
-    prime (p divides m): later primes pass them over, which is safe since
-    any points give the same fit."""
+    ``k``, the map degree, is read by ``probe`` on the first prime."""
 
     def __init__(self, phi, p11, length):
         self.phi_terms, self.p_terms = _u_M_terms(phi), _u_M_terms(p11)
@@ -272,7 +271,6 @@ class _PointCache:
         self._du_p = p11.degree("u")
         self._dm = max(phi.degree("M"), p11.degree("M"))
         self.k = None
-        self.skip = set()
         self._data = {}
         self._inverses = {}
 
@@ -295,21 +293,21 @@ class _PointCache:
 
     def probe(self, p):
         """k = du_phi // e, e the largest squarefree degree mod p of the
-        slices with k = 1, whole characteristic polynomials, at M = 2..5
-        (None if all are degenerate).  e <= deg_L(A) = du_phi / k, so k is
-        never read too small; too large, it fails _apoly_modular's checks.
+        slices with k = 1, whole characteristic polynomials, at M = 2..5.
+        e <= deg_L(A) = du_phi / k, so k is never read too small; too
+        large, it fails _apoly_modular's checks.
         Returns the probe's slices for the k read: the characteristic
         polynomials themselves if k = 1, else read from their first
         du_phi / k power sums as _slice_squarefree reads them."""
         self.k = 1
         chars = {m: _slice_squarefree(self, m, p) for m in range(2, 6)}
-        e = max((len(c) - len(_modp.pgcd_monic(c, _modp.pderiv(c, p), p))
-                 for c in chars.values() if c), default=0)
-        k = self.k = self.du_phi // e if e else None
-        if k is None or k == 1:
+        e = max(len(c) - len(_modp.pgcd_monic(c, _modp.pderiv(c, p), p))
+                for c in chars.values())
+        k = self.k = self.du_phi // e
+        if k == 1:
             return chars
-        return {m: c and _minimal_slice(_power_sums(c[:-1], self.du_phi // k, p)[1:],
-                                        k, self.inverses(p), p)
+        return {m: _minimal_slice(_power_sums(c[:-1], self.du_phi // k, p)[1:],
+                                  k, self.inverses(p), p)
                 for m, c in chars.items()}
 
 
@@ -342,9 +340,10 @@ def _slice_squarefree(cache, m, p):
     """g(m, L) mod p, g = A/lc_L(A) the minimal polynomial of P/c.
 
     The name, from when this was the squarefree part of the resultant,
-    stays because perfbench/tracing.py wraps the function by it.  Returns
-    None for degenerate slices: phi(m) or c vanishing mod p (p divides m;
-    only small primes reach this), or the L-slice collapsing.
+    stays because perfbench/tracing.py wraps the function by it.  The
+    engine's points m lie below its primes p, so lc_u(phi(m)) = +-m^a and
+    c = m^len are units mod p and the slice is defined; a p dividing m
+    raises pinv's ZeroDivisionError naming this function.
 
     Up to a constant factor Res_u(phi(m), L*c - P(m)) is prod_i (L -
     beta(alpha_i)) over the roots alpha_i of phi(m), with beta = P(m)/c:
@@ -363,17 +362,9 @@ def _slice_squarefree(cache, m, p):
     phim, pm, c = cache.get(m)
     d, k = cache.du_phi, cache.k
     fm = [x % p for x in phim]
-    if fm[-1] == 0:
-        return None
-    cp = c % p
-    if cp == 0:
-        return None
-    base = _modp.ptrim([(-x) % p for x in pm]) or [0]
-    if len(base) == 1 and any((base[0] + cp * ell) % p == 0 for ell in range(d + 1)):
-        return None  # L-slice hit the zero polynomial
     inv = _modp.pinv(fm[-1], p, "_slice_squarefree")
     f = [x * inv % p for x in fm[:-1]]  # phi(m) monic, leading 1 dropped
-    col = _modp.pdivmod(_modp.pscale(pm, _modp.pinv(cp, p, "_slice_squarefree"), p),
+    col = _modp.pdivmod(_modp.pscale(pm, _modp.pinv(c, p, "_slice_squarefree"), p),
                         f + [1], p)[1]
     col += [0] * (d - len(col))
     cols = [col]
@@ -411,50 +402,35 @@ def _ahat_mod_p(cache, p, count):
     the prime.  Shifting every numerator to M^dden, dden the largest b,
     gives +-A mod p.
 
-    Every coefficient is fitted on n points by _modp.cauchy_interpolate,
-    which needs deg num + deg den + 10 <= n, and six held-out points check
-    every fit.  n starts at ``count``, or 26 on a factor's first prime
-    (count None), and moves to 2n - 10 when a fit or its check fails.
-    Points in cache.skip are passed over, and those whose slice is
-    degenerate here join it.  Degrees past _MAX_RECON_DEGREE raise
-    EliminationError: they do not depend on the prime, since an unlucky
-    prime only lowers them."""
+    Every coefficient is fitted on the points M = 1..n by
+    _modp.cauchy_interpolate, which needs deg num + deg den + 10 <= n, and
+    the six held-out points M = n + 1..n + 6 check every fit.  n starts at
+    ``count``, or 26 on a factor's first prime (count None), and moves to
+    2n - 10 when a fit or its check fails.  Degrees past _MAX_RECON_DEGREE
+    raise EliminationError: they do not depend on the prime, since an
+    unlucky prime only lowers them.  So n - 10 <= 2 * _MAX_RECON_DEGREE,
+    and every point lies below p (_ELIMINATION_PRIMES_FROM)."""
     slices = {} if cache.k else cache.probe(p)  # the probe's points are slices too
-    if not cache.k:
-        return None
-
-    def points(n):
-        """The first n of M = 1, 2, ... past cache.skip with a slice."""
-        pts, m = [], 0
-        while len(pts) < n:
-            m += 1
-            if m > 50 * n + 2000:
-                raise EliminationError("modular engine ran out of sample points")
-            if m not in cache.skip and m not in slices:
-                slices[m] = _slice_squarefree(cache, m, p)
-            if slices.get(m) is not None:
-                pts.append(m)
-        return pts
-
     d = cache.du_phi // cache.k
     npts = count or _FIRST_POINTS
 
     def fit(npts):
-        """Every coefficient function on npts points, checked on the
-        held-out points."""
-        pts = points(npts + _HELD_OUT)
-        xs = _modp.InterpolationNodes([m % p for m in pts[:npts]], p)  # shared by the d fits
+        """Every coefficient function on M = 1..npts, checked on the
+        held-out points after them."""
+        for m in range(1, npts + _HELD_OUT + 1):
+            if m not in slices:
+                slices[m] = _slice_squarefree(cache, m, p)
+        xs = _modp.InterpolationNodes(range(1, npts + 1), p)  # shared by the d fits
         recon = []
         for j in range(d):
-            rf = _modp.cauchy_interpolate(xs, [slices[m][j] for m in pts[:npts]], p)
+            rf = _modp.cauchy_interpolate(xs, [slices[m][j] for m in xs], p)
             if rf is None:
                 return None
             recon.append(rf)
-        for m in pts[npts:]:
+        for m in range(npts + 1, npts + _HELD_OUT + 1):
             for j, (num, den) in enumerate(recon):
-                dv = _modp.peval(den, m % p, p)
-                if dv == 0 or (_modp.peval(num, m % p, p)
-                               - slices[m][j] * dv) % p:
+                dv = _modp.peval(den, m, p)
+                if dv == 0 or (_modp.peval(num, m, p) - slices[m][j] * dv) % p:
                     return None
         return recon
 
@@ -474,7 +450,6 @@ def _ahat_mod_p(cache, p, count):
         raise EliminationError(
             f"modular reconstruction mod {p} reached coefficient degree "
             f"{reached}, past the cap _MAX_RECON_DEGREE = {_MAX_RECON_DEGREE}")
-    cache.skip.update(m for m, s in slices.items() if s is None)
     if any(any(den[:-1]) for _, den in recon):
         return None
     dden = max(len(den) - 1 for _, den in recon)
@@ -533,7 +508,8 @@ def _apoly_modular(phi, p11, length):
     (which a k read too large fails) and _power_root proves it squarefree
     (a k too small lifts A^k).  A kept image that disagrees with a small
     fraction the other images fit (see _lift) is dropped, so one wrong
-    image costs primes, not the lift."""
+    image costs primes, not the lift.  Past the cap the first prime
+    raises: k is cached from it, so a later prime would repeat its fits."""
     cache = _PointCache(phi, p11, length)
     primes = _modp.prime_stream(_ELIMINATION_PRIMES_FROM)
     images = []  # (prime, coefficients) of the kept images
@@ -541,20 +517,11 @@ def _apoly_modular(phi, p11, length):
     modulus = 1
     signature = None
     count = None
-    capped = False
     candidate = None
 
     for _ in range(_MAX_PRIMES):
         p = next(primes)
-        try:
-            image = _ahat_mod_p(cache, p, count)
-        except EliminationError:
-            if capped:
-                raise
-            # past the cap or out of sample points: neither depends on the
-            # prime, so one more prime confirms it
-            capped = True
-            continue
+        image = _ahat_mod_p(cache, p, count)
         if image is None:
             continue
         d, dden, coeffs, image_count = image
@@ -766,8 +733,12 @@ _FACTOR_PRIMES_FROM = 1 << 15
 
 # The modular elimination's primes start here, so that every residue of a
 # slice, an image and a fit is a one-digit CPython int (below 2^30) and a
-# product of two has two digits: a d = 12 slice of 6/35 takes 163 us
-# against 285 us with primes above 2^61 (2-core x86-64, Python 3.11).
+# product of two has two digits.  They exceed every sample point: the
+# largest that _ahat_mod_p reaches is 2 * _MAX_RECON_DEGREE + 2 +
+# _modp.SPARE_POINTS + _HELD_OUT = 1040, below 2^12, so lc_u(phi_i(m)) =
+# +-m^a and c = m^len are units mod p for every sample point m and no
+# slice is degenerate.  A d = 12 slice of 6/35 takes 163 us against
+# 285 us with primes above 2^61 (2-core x86-64, Python 3.11).
 # One prime reconstructs coefficients up to about 2^14, so a larger factor
 # takes more primes (10/99's u-degree-40 one, with 24-bit coefficients,
 # three instead of two), but each costs about 0.6 as much.  The Riley

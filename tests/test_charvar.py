@@ -783,7 +783,7 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
 
 def test_modular_reconstruction_cap_fails_fast(monkeypatch):
     # the coefficient degrees do not depend on the prime, so a fit past the
-    # cap ends the elimination after one confirming prime, not 400 primes;
+    # cap ends the elimination on its first prime, not after 400 primes;
     # the cap counts degrees in s = M^2, where 6/35's reach 12
     from tbk.charvar import apoly
 
@@ -800,8 +800,33 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
     with pytest.raises(apoly.EliminationError,
                        match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 8") as err:
         a_polynomial(Fraction(6, 35))
-    assert len(primes) == 2
+    assert len(primes) == 1
     assert str(primes[-1]) in str(err.value)
+
+
+def test_modular_sample_points_lie_below_every_prime(monkeypatch):
+    # _ahat_mod_p fits on M = 1..n and checks on six points after them,
+    # with n - 10 <= 2 * _MAX_RECON_DEGREE (larger n raises the cap), so
+    # no p it runs on divides a sample point m: lc_u(phi_i(m)) and c stay
+    # units and no slice is degenerate; the prime-size test starts the
+    # primes at 2^12
+    from tbk.charvar import _modp, apoly
+
+    largest = 2 * apoly._MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS + apoly._HELD_OUT
+    assert largest < 1 << 12
+    assert largest < apoly._ELIMINATION_PRIMES_FROM
+    points = {}
+    slice_squarefree = apoly._slice_squarefree
+
+    def recorded_slice(cache, m, p):
+        points.setdefault(p, set()).add(m)
+        return slice_squarefree(cache, m, p)
+
+    monkeypatch.setattr(apoly, "_slice_squarefree", recorded_slice)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    a_polynomial(Fraction(6, 35))
+    for p, ms in points.items():
+        assert ms == set(range(1, max(ms) + 1)) and max(ms) < p, p
 
 
 def test_elimination_error_under_a_polynomial_names_the_engine_variable(monkeypatch):
