@@ -49,16 +49,18 @@ the engine's variable, s; _eliminate appends "s = M^g" to such a text.
 Factoring stays in M: a factor irreducible over Z[s, u] can split over
 Z[M, u] (u^2 - s), and its image would not.
 
-Small factors run through the exact subresultant engine directly, on
-phi_i and L*M^len - (P mod phi_i): lc_u(phi_i) = +-M^a is a unit of
-Z[M, 1/M], so the reduction is exact there and moves the resultant by
-+-M^j only.  k is read off a specialization mod a prime and A_i taken by
-an exact k-th root (k = 1 proves it squarefree).  Larger ones are
-reconstructed from modular images: per prime and per integer M-value the
-slice is A_i(m, L) made monic, from the first d/k power sums of the characteristic
-polynomial of multiplication by P(m)/c in GF(p)[u]/phi_i(m), which is
-Res_u(phi_i(m), L c - P(m)) up to a constant, in O(d^3/k); a probe reads
-k once per factor.  riley_polynomial checks that lc_u(phi) is +-M^a, so
+Both engines start from R/M^len' = P/M^len, R = P mod phi_i over
+Z[M, 1/M] (exact: lc_u(phi_i) = +-M^a is a unit there) times a power of
+M, reduced once per factor (_reduced_longitude).  Small factors run
+through the exact subresultant engine directly, on phi_i and
+L*M^len' - R, which moves the resultant by +-M^j only.  k is read off a
+specialization mod a prime and A_i taken by an exact k-th root (k = 1
+proves it squarefree).  Larger ones are reconstructed from modular
+images: per prime and per integer M-value the slice is A_i(m, L) made
+monic, from the first d/k power sums of the characteristic polynomial
+of multiplication by R(m)/c, c = m^len', in GF(p)[u]/phi_i(m), which is
+Res_u(phi_i(m), L c - R(m)) up to a constant, in O(d^3/k); a probe
+reads k once per factor.  riley_polynomial checks that lc_u(phi) is +-M^a, so
 lc_u(phi_i) is a power of M up to sign, and so are lc_L of the resultant
 and, by Gauss's lemma, lc_L(A_i) = +-M^b: a slice is A_i(m, L)/(+-m^b).
 Cauchy interpolation fits each coefficient as +-A_ij(M)/M^b, so every
@@ -152,13 +154,26 @@ def _apoly_direct(phi, p11, length):
 def _direct_resultant(phi, p11, length):
     """Res_u(phi, L*M^length - P) up to a factor +-M^j.
 
+    It is taken as Res_u(phi, L*M^length' - R), R = M^b (P mod phi) from
+    _reduced_longitude: Res(phi, g) = lc^(deg g - deg r) Res(phi, r) for
+    r = g mod phi, and Res(phi, M^b r) = M^(b du) Res(phi, r).  This
+    replaces the subresultant PRS's first pseudo-remainder, whose du_P -
+    du + 1 steps each rescale every coefficient of L*M^length - P by lc."""
+    terms, length = _reduced_longitude(phi, p11, length)
+    g = {(0, e_m, e_u): -c for e_u, e_m, c in terms}
+    g[(1, length, 0)] = 1
+    return poly_resultant(phi, MultiPoly(("L", "M", "u"), g), "u")
+
+
+def _reduced_longitude(phi, p11, length):
+    """(R, length') with R/M^length' = P/M^length in Z[M, 1/M][u]/phi, R
+    as [(u-exponent, M-exponent, coefficient)] of u-degree below phi's.
+
     lc_u(phi) = +-M^a is a unit of Z[M, 1/M], so there P mod phi is exact,
-    each step an exponent shift.  Res(phi, g) = lc^(deg g - deg r) Res(phi,
-    r) for r = g mod phi, and Res(phi, M^b r) = M^(b du) Res(phi, r), so
-    the resultant of phi and the remainder cleared by the least M^b is the
-    one asked for times +-M^j.  This replaces the subresultant PRS's first
-    pseudo-remainder, whose du_P - du + 1 steps each rescale every
-    coefficient of L*M^length - P by lc."""
+    each step an exponent shift; R = M^b (P mod phi), length' = length +
+    b, b the least value making every exponent nonnegative.  On 6/35's
+    u-degree-12 factor, in s = M^2, R has 69 terms, 13-bit coefficients
+    and s-degree 6 with length' = 0; P has 351, 40 bits, 43 and 36."""
     du = phi.degree("u")
     cols = [{} for _ in range(du + 1)]
     for e_u, e_m, c in _u_M_terms(phi):
@@ -179,9 +194,7 @@ def _direct_resultant(phi, p11, length):
                     out[e] = get(e, 0) - c1 * c2
     terms = [(e_u, e_m, c) for e_u, col in rem.items() for e_m, c in col.items() if c]
     b = -min([length, *(e_m for _, e_m, _ in terms)])
-    g = {(0, e_m + b, e_u): -c for e_u, e_m, c in terms}
-    g[(1, length + b, 0)] = 1
-    return poly_resultant(phi, MultiPoly(("L", "M", "u"), g), "u")
+    return [(e_u, e_m + b, c) for e_u, e_m, c in terms], length + b
 
 
 def _power_root(r):
@@ -255,21 +268,22 @@ def _u_M_terms(poly):
 
 
 class _PointCache:
-    """Exact integer slices phi(m, u), P(m, u), m^length, shared by primes.
+    """Exact integer slices phi(m, u), R(m, u), m^length', shared by primes.
 
-    phi(m, u) has u-degree du_phi at every m >= 1, since lc_u(phi) is
-    +-M^a (riley_polynomial checks it for the Riley polynomial, and a
-    factor's divides it).  A slice sums the terms of phi and P over one
-    table of powers of m: P of 6/35 has 351 terms in 2,894 dense slots.
+    R and length' are _reduced_longitude's, so R(m) has u-degree below
+    du_phi, and phi(m, u) has u-degree du_phi at every m >= 1, since
+    lc_u(phi) is +-M^a (riley_polynomial checks it for the Riley
+    polynomial, and a factor's divides it).  A slice sums the terms of phi
+    and R over one table of powers of m: R of 6/35's u-degree-12 factor
+    has 69 terms of s-degree up to 6, where P has 351 up to 43.
 
     ``k``, the map degree, is read by ``probe`` on the first prime."""
 
     def __init__(self, phi, p11, length):
-        self.phi_terms, self.p_terms = _u_M_terms(phi), _u_M_terms(p11)
-        self.length = length
+        self.phi_terms = _u_M_terms(phi)
+        self.r_terms, self.length = _reduced_longitude(phi, p11, length)
         self.du_phi = phi.degree("u")
-        self._du_p = p11.degree("u")
-        self._dm = max(phi.degree("M"), p11.degree("M"))
+        self._dm = max(e_m for _, e_m, _ in self.phi_terms + self.r_terms)
         self.k = None
         self._data = {}
         self._inverses = {}
@@ -277,8 +291,8 @@ class _PointCache:
     def get(self, m):
         if m not in self._data:
             powers = list(itertools.accumulate(itertools.repeat(m, self._dm), mul, initial=1))
-            phim, pm = [0] * (self.du_phi + 1), [0] * (self._du_p + 1)
-            for out, terms in ((phim, self.phi_terms), (pm, self.p_terms)):
+            phim, pm = [0] * (self.du_phi + 1), [0] * self.du_phi
+            for out, terms in ((phim, self.phi_terms), (pm, self.r_terms)):
                 for e_u, e_m, c in terms:
                     out[e_u] += c * powers[e_m]
             self._data[m] = (phim, _modp.ptrim(pm), m ** self.length)
@@ -337,16 +351,16 @@ def _minimal_slice(traces, k, inverses, p):
 
 
 def _slice_squarefree(cache, m, p):
-    """g(m, L) mod p, g = A/lc_L(A) the minimal polynomial of P/c.
+    """g(m, L) mod p, g = A/lc_L(A) the minimal polynomial of R/c.
 
     The name, from when this was the squarefree part of the resultant,
     stays because perfbench/tracing.py wraps the function by it.  The
     engine's points m lie below its primes p, so lc_u(phi(m)) = +-m^a and
-    c = m^len are units mod p and the slice is defined; a p dividing m
+    c = m^len' are units mod p and the slice is defined; a p dividing m
     raises pinv's ZeroDivisionError naming this function.
 
-    Up to a constant factor Res_u(phi(m), L*c - P(m)) is prod_i (L -
-    beta(alpha_i)) over the roots alpha_i of phi(m), with beta = P(m)/c:
+    Up to a constant factor Res_u(phi(m), L*c - R(m)) is prod_i (L -
+    beta(alpha_i)) over the roots alpha_i of phi(m), with beta = R(m)/c:
     the characteristic polynomial of multiplication by beta on
     GF(p)[u]/phi(m) (Cohen, A Course in Computational Algebraic Number
     Theory, 2.2.4).  It is g^k in Z[M, 1/M][L], k = cache.k, so g(m, L)^k
@@ -355,17 +369,16 @@ def _slice_squarefree(cache, m, p):
     Newton's identities.  They come from the traces t_j = Tr(u^j)
     (Newton's identities on phi(m)) and e products with the transpose of
     the multiply-by-beta matrix B, whose columns beta * u^j mod phi(m) are
-    one shift-and-reduce each.  Newton's identities divide by 1..d, so p
-    must exceed d; the engine's primes lie just above 2^29, so every
-    residue here is a one-digit int.
+    one shift-and-reduce each, the first R(m)/c itself (deg_u R < d).
+    Newton's identities divide by 1..d, so p must exceed d; the engine's
+    primes lie just above 2^29, so every residue here is a one-digit int.
     """
     phim, pm, c = cache.get(m)
     d, k = cache.du_phi, cache.k
     fm = [x % p for x in phim]
     inv = _modp.pinv(fm[-1], p, "_slice_squarefree")
     f = [x * inv % p for x in fm[:-1]]  # phi(m) monic, leading 1 dropped
-    col = _modp.pdivmod(_modp.pscale(pm, _modp.pinv(c, p, "_slice_squarefree"), p),
-                        f + [1], p)[1]
+    col = _modp.pscale(pm, _modp.pinv(c, p, "_slice_squarefree"), p)
     col += [0] * (d - len(col))
     cols = [col]
     for _ in range(d - 1):  # beta * u^(j+1) = u * (beta * u^j) mod phi(m)
@@ -566,26 +579,27 @@ def _apoly_modular(phi, p11, length):
 
 
 def _verify_vanishing(apoly, cache, points=6):
-    """Exact check over Z: A(P/c, m) = 0 in Q[u]/phi(m) at integer points.
+    """Exact check over Z: A(R/c, m) = 0 in Q[u]/phi(m) at integer points.
 
-    Checks M = 1..``points``; phi(m) keeps its u-degree n at each (see
-    _PointCache).  With l = lc(phi(m)), the substitution u = v/l makes
-    f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) = Q[v]/f, and
-    QPoly.divmod by f stays in Z.  P(m)/c becomes X/s with X =
-    l^e * P(m)(v/l) mod f and s = l^e * c, e = deg P(m), both divided by
-    gcd(s, content X).  Horner's rule on A(X/s) keeps its partial value
-    as N/D, N in Z[v] and D in Z, and divides out gcd(D, content N) at
-    every step, which keeps N near the size of the value rather than of
-    s^deg_L(A); A vanishes at m when the final N is 0.  On 10/99's larger
-    factor the check takes 0.15-0.22 s, where the same check in Fraction
-    QPoly arithmetic over Q[u] took 3.2 s (2-core x86-64, Python 3.11)."""
+    R/c is P/M^length there (_PointCache).  Checks M = 1..``points``;
+    phi(m) keeps its u-degree n at each.  With l = lc(phi(m)), u = v/l
+    makes f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) =
+    Q[v]/f, and QPoly.divmod by f stays in Z.  R(m)/c becomes X/s, X =
+    l^e * R(m)(v/l) (reduced mod f, as e = deg R(m) < n) and s = l^e * c,
+    both divided by gcd(s, content X).  Horner's rule on A(X/s) keeps its
+    partial value as N/D, N in Z[v] and D in Z, and divides out gcd(D,
+    content N) at every step, which keeps N near the size of the value
+    rather than of s^deg_L(A); A vanishes at m when the final N is 0.  On
+    10/99's larger factor the check takes 0.08-0.11 s, 0.11-0.15 s from
+    the unreduced P(m) and 3.2 s in Fraction QPoly arithmetic over Q[u]
+    (2-core x86-64, Python 3.11)."""
     cols = [_in_M(c) for c in apoly.coefficients_in("L")]
     for m in range(1, points + 1):
         phim, pm, c = cache.get(m)
         n, lc = cache.du_phi, phim[-1]
         f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])
         e = max(len(pm) - 1, 0)
-        x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)]).divmod(f)[1]
+        x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)])
         s = lc ** e * c
         g = gcd(s, *x.coeffs)
         x, s = QPoly([a // g for a in x.coeffs]), s // g
@@ -630,6 +644,7 @@ def _eliminate(engine, phi, p11, length):
 # is at most this, else by modular images: with both engines in M^2,
 # direct is faster on 19 of the 20 factors with q <= 21 from 46 to 76, by
 # up to 9x, and ties on the 20th; above 76 the engines split (CHANGES.md).
+# Both engines start from P mod phi_i; deg_u(P) is still the unreduced one.
 _DIRECT_MAX_PRODUCT = 76
 
 

@@ -309,12 +309,23 @@ def random_cf_entries(rng, max_len=8):
                  for _ in range(n))
 
 
-def vanishing_failure_oracle(apoly, cache, points=6):
+def u_coefficients_at(poly, m):
+    """[c_0, ..., c_d]: the integer u-coefficients of poly(m, u), poly a
+    MultiPoly in M and u, unreduced and untrimmed (d = deg_u poly)."""
+    out = [0] * (poly.degree("u") + 1)
+    for (e_m, e_u), coeff in poly.in_variables(("M", "u")).terms.items():
+        out[e_u] += coeff * m ** e_m
+    return out
+
+
+def vanishing_failure_oracle(apoly, cache, p11, length, points=6):
     """First M at which A(P/c, M) != 0 modulo phi(M, u), or None.
 
     The modular engine's exact check as it was written over Q: Fraction
     QPoly products and divisions by phi(m), over the same points (the
-    first ``points`` M = 1, 2, ... where phi keeps its u-degree)."""
+    first ``points`` M = 1, 2, ... where phi keeps its u-degree).  P(m)
+    and c = m^length come from the longitude entry p11 itself, unreduced,
+    not from the engine's reduced data; phi(m) from ``cache``."""
     from tbk.exactnum import QPoly
 
     cols = apoly.coefficients_in("L")
@@ -323,11 +334,12 @@ def vanishing_failure_oracle(apoly, cache, points=6):
     m = 0
     while checked < points:
         m += 1
-        phim, pm, c = cache.get(m)
+        phim = cache.get(m)[0]
         if len(phim) - 1 != cache.du_phi or not phim:
             continue
         modulus = QPoly(phim)
-        pred = QPoly(pm).divmod(modulus)[1]
+        pred = QPoly(u_coefficients_at(p11, m)).divmod(modulus)[1]
+        c = m ** length
         acc = QPoly()
         power = QPoly.const(1)
         for j in range(d + 1):

@@ -28,6 +28,7 @@ from oracles import (
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
+    u_coefficients_at,
     vanishing_failure_oracle,
     word_matrix_oracle,
 )
@@ -283,6 +284,32 @@ def test_reduced_direct_resultant_matches_the_unreduced_one(monkeypatch):
     assert reduced == 52
 
 
+def test_reduced_longitude_is_p_mod_phi_on_every_riley_factor():
+    # on every Riley factor of the 64 p/q with q <= 17: R has u-degree
+    # below phi's and no negative exponent, b is the least such power (an
+    # exponent or length' is 0), and M^length * R = M^length' * P modulo
+    # phi(m) in Q[u] at m = 1..6
+    from tbk.charvar import apoly
+    from tbk.exactnum import QPoly
+
+    factors = 0
+    for p, q in reduced_fractions(17):
+        pres = presentation(Fraction(p, q))
+        p11, length = longitude_data(pres)
+        for phi in apoly._riley_factors(riley_polynomial(pres), 1):
+            factors += 1
+            r_terms, length_r = apoly._reduced_longitude(phi, p11, length)
+            assert all(e_u < phi.degree("u") for e_u, _, _ in r_terms), (p, q, phi)
+            assert min([length_r, *(e_m for _, e_m, _ in r_terms)]) == 0, (p, q, phi)
+            r = MultiPoly(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in r_terms})
+            for m in range(1, 7):
+                pm, rm = u_coefficients_at(p11, m), u_coefficients_at(r, m)
+                rm += [0] * (len(pm) - len(rm))
+                diff = QPoly([m ** length * a - m ** length_r * b for a, b in zip(rm, pm)])
+                assert diff.divmod(QPoly(u_coefficients_at(phi, m)))[1].is_zero(), (p, q, m)
+    assert factors == 72
+
+
 def test_direct_squarefree_proof_falls_back(monkeypatch):
     # phi = u^2 - (M - 2)^2 and P = u give the squarefree resultant
     # L^2 - (M - 2)^2 = (L - M + 2)(L + M - 2), whose image at M = 2 is
@@ -447,6 +474,19 @@ def test_map_degree_is_u_degree_over_L_degree(monkeypatch, rule):
         assert ap.map_degrees == tuple(least[f] for f in ap.factors), (p, q)
         count += len(runs)
     assert count == 72
+
+
+def test_symmetric_double_twist_a_factors_have_the_pinned_bidegrees():
+    # J(2n, 2n) for n = 2..5 (4/15, 6/35, 8/63, 10/99): exactly two
+    # A-factors, of (L, M)-bidegree (2n - 1, 8n - 2) with map degree 1
+    # and (n(n - 1), 4n(n - 1)) with map degree 2
+    from tbk.knots import double_twist_fraction
+
+    for n in range(2, 6):
+        ap = a_polynomial(double_twist_fraction(n))
+        found = {(f.degree("L"), f.degree("M"), k) for f, k in zip(ap.factors, ap.map_degrees)}
+        assert len(ap.factors) == 2, n
+        assert found == {(2 * n - 1, 8 * n - 2, 1), (n * (n - 1), 4 * n * (n - 1), 2)}, n
 
 
 def test_duplicated_a_factor_records_the_least_map_degree():
@@ -753,12 +793,19 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
     from tbk.charvar import _modp, apoly
 
     checked = []
+    inputs = []  # (P, length) of each modular call, for the oracle
     verify = apoly._verify_vanishing
+    modular = apoly._apoly_modular
+
+    def recorded_inputs(phi, p11, length):
+        inputs.append((p11, length))
+        return modular(phi, p11, length)
 
     def recorded(apoly_poly, cache, points=6):
-        checked.append((apoly_poly, cache))
+        checked.append((apoly_poly, cache, *inputs[-1]))
         verify(apoly_poly, cache, points)
 
+    monkeypatch.setattr(apoly, "_apoly_modular", recorded_inputs)
     monkeypatch.setattr(apoly, "_verify_vanishing", recorded)
     monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
     fractions = [Fraction(p, q) for p, q in reduced_fractions(15)]
@@ -768,15 +815,15 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
 
     p = engine_prime()
     rng = random.Random(5)
-    for poly, cache in checked:
-        assert vanishing_failure_oracle(poly, cache) is None
+    for poly, cache, p11, length in checked:
+        assert vanishing_failure_oracle(poly, cache, p11, length) is None
         assert failing_point(verify, poly, cache) is None
         key = rng.choice(sorted(poly.terms))
         for delta in (1, p * rng.randint(1, 9)):
             terms = dict(poly.terms)
             terms[key] += delta * rng.choice((-1, 1))
             wrong = MultiPoly(poly.variables, terms)
-            at = vanishing_failure_oracle(wrong, cache)
+            at = vanishing_failure_oracle(wrong, cache, p11, length)
             assert at is not None
             assert failing_point(verify, wrong, cache) == at, (poly, delta)
 

@@ -16,7 +16,12 @@ from tbk.charvar.apoly import (
     _slice_squarefree,
 )
 
-from oracles import distinct_degree_by_powering, pdivmod_stepwise, sylvester_resultant
+from oracles import (
+    distinct_degree_by_powering,
+    pdivmod_stepwise,
+    sylvester_resultant,
+    u_coefficients_at,
+)
 
 # the elimination's first prime, just above 2^29, and the first of the
 # Riley factorization's Hensel primes, about 2^61
@@ -121,12 +126,15 @@ def test_crt_pair_composite_second_modulus():
     assert x % 2 ** 10 == 5 and x % (p1 * p2) == 11
 
 
-def unreduced_slice(cache, m, p):
-    """Res_u(phi(m), L*c - P(m)) made monic, from scalar resultants with
-    -P(m) + c*l used as is at the first du_phi + 1 L-nodes l = 0, 1, ...
-    below p where it is no zero polynomial; None when p has too few."""
-    phim, pm, c = cache.get(m)
-    fm = [x % p for x in phim]
+def unreduced_slice(cache, p11, length, m, p):
+    """Res_u(phi(m), L*c - P(m)) made monic, c = m^length, from scalar
+    resultants with -P(m) + c*l used as is at the first du_phi + 1 L-nodes
+    l = 0, 1, ... below p where it is no zero polynomial; None when p has
+    too few.  P(m) and c come from the longitude entry p11 itself, not
+    from the engine's reduced data; phi(m) from ``cache``."""
+    fm = [x % p for x in cache.get(m)[0]]
+    pm = u_coefficients_at(p11, m)
+    c = m ** length
     assert fm[-1] and c % p, (m, p)  # p does not divide m
     ls, vals = [], []
     for ell in range(p):
@@ -168,7 +176,7 @@ def check_minimal_slices(component, p11, length, primes, points):
                     _slice_squarefree(cache, m, p)
                 degenerate += 1
                 continue
-            expected = unreduced_slice(cache, m, p)
+            expected = unreduced_slice(cache, p11, length, m, p)
             if expected is None:
                 few += 1
                 continue
@@ -184,7 +192,8 @@ def check_minimal_slices(component, p11, length, primes, points):
 
 def test_slice_squarefree_matches_unreduced_resultants():
     # 4/15's Riley factors: u-degree 3 with k = 1 and u-degree 4 with k = 2;
-    # P has the larger u-degree, so each slice reduces it mod phi(m)
+    # P has the larger u-degree: the engine reduces it mod phi once per
+    # factor, and the oracle's resultants take it unreduced
     pres = presentation(Fraction(4, 15))
     p11, length = longitude_data(pres)
     found = {}

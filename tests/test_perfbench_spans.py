@@ -26,3 +26,27 @@ def test_tracer_span_targets_resolve():
     missing = [f"{modname}.{attr}" for modname, attr in targets
                if not callable(getattr(importlib.import_module(modname), attr, None))]
     assert not missing, missing
+
+
+def test_tracer_records_a_traced_elimination():
+    # a traced a_polynomial on 4/15 (direct engine) and 6/35 (modular):
+    # every span target resolves, the slices are counted, and the point
+    # caches are measured, which reads each _PointCache._data value as
+    # (phi(m), R(m), c); a change to that shape fails here
+    from fractions import Fraction
+
+    from tbk.charvar import a_polynomial
+
+    tracing = _load_tracing()
+    for modname, _, _ in tracing.SPANS:  # the tracer binds in loaded modules only
+        importlib.import_module(modname)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for pq in (Fraction(4, 15), Fraction(6, 35)):
+            a_polynomial(pq)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert tracer.counts["charvar.modular.slice.calls"] > 0
+    assert tracer.cache_points > 0
