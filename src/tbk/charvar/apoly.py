@@ -51,16 +51,29 @@ Z[M, u] (u^2 - s), and its image would not.
 
 Both engines start from R/M^len' = P/M^len, R = P mod phi_i over
 Z[M, 1/M] (exact: lc_u(phi_i) = +-M^a is a unit there) times a power of
-M, reduced once per factor (_reduced_longitude).  Small factors run
-through the exact subresultant engine directly, on phi_i and
-L*M^len' - R, which moves the resultant by +-M^j only.  k is read off a
-specialization mod a prime and A_i taken by an exact k-th root (k = 1
-proves it squarefree).  Larger ones are reconstructed from modular
-images: per prime and per integer M-value the slice is A_i(m, L) made
-monic, from the first d/k power sums of the characteristic polynomial
-of multiplication by R(m)/c, c = m^len', in GF(p)[u]/phi_i(m), which is
-Res_u(phi_i(m), L c - R(m)) up to a constant, in O(d^3/k); a probe
-reads k once per factor.  riley_polynomial checks that lc_u(phi) is +-M^a, so
+M, reduced once per factor (_reduced_longitude).  Factors of u-degree
+at most _DIRECT_MAX_DEGREE run through the exact subresultant engine
+directly, on phi_i and L*M^len' - R, which moves the resultant by +-M^j
+only; its PRS runs over Z on Kronecker-packed coefficients
+(exactnum.resultants).  The rule comes from both engines timed (best of
+3, 2-core x86-64 host) on 172 Riley factors: every one with q <= 21,
+those of u-degree <= 7 with 23 <= q <= 45, and 6/35's and 8/63's:
+
+    u-degree  factors  direct faster  direct/modular time, median (range)
+      1-5        97         97          0.26 (0.08-0.71)
+       6         24         22          0.40 (0.07-1.12: 8/21, 13/21)
+       7          7          4          0.92 (0.45-3.17: 8/63)
+      8-10       42         10          2.67 (0.23-52: 7/19)
+     12, 24       2          0          6/35 1422 / 10 ms, 8/63 > 20 s
+
+The direct engine reads k off a specialization mod a prime and takes
+A_i by an exact k-th root (k = 1 proves it squarefree).  Larger factors
+are reconstructed from modular images: per prime and per integer
+M-value the slice is A_i(m, L) made monic, from the first d/k power
+sums of the characteristic polynomial of multiplication by R(m)/c, c =
+m^len', in GF(p)[u]/phi_i(m), which is Res_u(phi_i(m), L c - R(m)) up
+to a constant, in O(d^3/k); a probe reads k once per factor.
+riley_polynomial checks that lc_u(phi) is +-M^a, so
 lc_u(phi_i) is a power of M up to sign, and so are lc_L of the resultant
 and, by Gauss's lemma, lc_L(A_i) = +-M^b: a slice is A_i(m, L)/(+-m^b).
 Cauchy interpolation fits each coefficient as +-A_ij(M)/M^b, so every
@@ -640,12 +653,12 @@ def _eliminate(engine, phi, p11, length):
 # -- public entry points -------------------------------------------------------
 
 
-# a Riley factor is eliminated directly when its u-degree times deg_u(P)
-# is at most this, else by modular images: with both engines in M^2,
-# direct is faster on 19 of the 20 factors with q <= 21 from 46 to 76, by
-# up to 9x, and ties on the 20th; above 76 the engines split (CHANGES.md).
-# Both engines start from P mod phi_i; deg_u(P) is still the unreduced one.
-_DIRECT_MAX_PRODUCT = 76
+# a Riley factor is eliminated directly when its u-degree is at most
+# this, else by modular images (the table in the module docstring):
+# direct wins 119 of the 121 timed factors of u-degree <= 6, 4 of the 7
+# of u-degree 7 (8/63's takes 28.4 ms direct, 9.0 modular) and 10 of the
+# 44 from u-degree 8 up (7/19's takes 874 ms direct, 35 modular).
+_DIRECT_MAX_DEGREE = 6
 
 
 def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
@@ -659,11 +672,10 @@ def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
     pres = presentation(p_over_q)
     phi = riley_polynomial(pres)
     p11, length = longitude_data(pres)
-    du_p = max(p11.degree("u"), 1)
 
     found = {}  # A-factor -> the least k of the Riley factors giving it
     for phi_i in _riley_factors(phi, 1):
-        small = phi_i.degree("u") * du_p <= _DIRECT_MAX_PRODUCT
+        small = phi_i.degree("u") <= _DIRECT_MAX_DEGREE
         factor, k = _eliminate(_apoly_direct if small else _apoly_modular, phi_i, p11, length)
         found[factor] = min(k, found.get(factor, k))
     if keep_abelian:

@@ -8,14 +8,17 @@ threads.
 
 Arithmetic in one variable over the others is not restated here:
 ``coefficients_in`` gives the dense coefficient list that ``QPoly``
-takes, and ``poly_prem`` and the resultant run on that.  The gcd and
-squarefree routines at the end serve the tests as oracles; no production
-path calls them.
+takes, and ``poly_prem`` runs on that.  ``Kronecker`` packs a polynomial
+into one integer: the resultant packs its coefficients before its PRS
+over Z, and a product whose term pairs outnumber the slots of the packed
+result is one integer product.  The gcd and squarefree routines at the
+end serve the tests as oracles; no production path calls them.
 """
 
 from __future__ import annotations
 
-from math import gcd as int_gcd
+from itertools import product
+from math import gcd as int_gcd, prod
 
 from .upoly import QPoly
 
@@ -36,6 +39,63 @@ def merge_variables(a, b):
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
+
+
+class Kronecker:
+    """Kronecker substitution x_i -> B^(s_i), B = 2^(8 * width), on
+    polynomials whose exponents e_i lie in lo_i .. lo_i + spans[i] - 1,
+    with s_k = 1 and s_i = s_(i+1) * spans[i+1] (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 8.4).  ``pack`` is evaluation at
+    those powers, a ring homomorphism once the exponents are shifted by
+    lo.  ``unpack`` inverts it on every polynomial with exponents in the
+    box and coefficients of absolute value at most ``bound``: the digits
+    in base B are balanced, |d| < B/2, and 8 * width - 1 exceeds bound's
+    bit length, so the balanced base-B expansion, which is unique, is the
+    coefficient list.  Both go through bytes, one digit per ``width``."""
+
+    __slots__ = ("spans", "strides", "width")
+
+    def __init__(self, spans, bound):
+        self.spans = spans
+        self.width = (bound.bit_length() + 8) // 8
+        strides, s = [], 1
+        for span in reversed(spans):
+            strides.append(s)
+            s *= span
+        self.strides = strides[::-1]
+
+    def pack(self, terms, lo):
+        if not terms:
+            return 0
+        w = self.width
+        slots = {sum((e - l) * s for e, l, s in zip(exps, lo, self.strides)) * w: c
+                 for exps, c in terms.items()}
+        if min(slots) < 0:
+            raise ValueError("exponent below the packing box")
+        size = max(slots) + w
+        pos, neg = bytearray(size), bytearray(size)
+        for k, c in slots.items():
+            if c > 0:
+                pos[k:k + w] = c.to_bytes(w, "little")
+            else:
+                neg[k:k + w] = (-c).to_bytes(w, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    def unpack(self, n, lo):
+        """{exponents: coefficient} of the packed value n; digit j of
+        n + sum_j (B/2) B^j is the coefficient at slot j plus B/2."""
+        w = self.width
+        half = 1 << (8 * w - 1)
+        zero = half.to_bytes(w, "little")
+        size = w * prod(self.spans)
+        data = (n + int.from_bytes(zero * (size // w), "little")).to_bytes(size, "little")
+        terms = {}
+        for exps, k in zip(product(*(range(l, l + s) for l, s in zip(lo, self.spans))),
+                           range(0, size, w)):
+            digit = data[k:k + w]
+            if digit != zero:
+                terms[exps] = int.from_bytes(digit, "little") - half
+        return terms
 
 
 class MultiPoly:
@@ -200,6 +260,17 @@ class MultiPoly:
         a, b = self._aligned(other)
         if len(a.terms) < len(b.terms):
             a, b = b, a
+        if len(b.terms) > 1 and a.variables:
+            (lo_a, hi_a), (lo_b, hi_b) = a._box(), b._box()
+            spans = [ha + hb - la - lb + 1 for ha, hb, la, lb in zip(hi_a, hi_b, lo_a, lo_b)]
+            if len(a.terms) * len(b.terms) > prod(spans):  # dense: one integer product
+                va, vb = a.terms.values(), b.terms.values()
+                bound = min(sum(map(abs, va)) * max(map(abs, vb)),
+                            max(map(abs, va)) * sum(map(abs, vb)))
+                kr = Kronecker(spans, bound)
+                return MultiPoly(a.variables, kr.unpack(
+                    kr.pack(a.terms, lo_a) * kr.pack(b.terms, lo_b),
+                    [x + y for x, y in zip(lo_a, lo_b)]))
         terms = {}
         get = terms.get
         for kb, cb in b.terms.items():
@@ -226,6 +297,11 @@ class MultiPoly:
             if n:
                 base = base * base
         return result
+
+    def _box(self):
+        """(least, largest) exponent of each variable over the terms."""
+        cols = list(zip(*self.terms))
+        return [min(c) for c in cols], [max(c) for c in cols]
 
     # -- structure ---------------------------------------------------------
 

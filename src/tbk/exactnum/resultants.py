@@ -1,27 +1,56 @@
 """Resultants of multivariate integer polynomials with respect to one variable.
 
-The inputs are viewed as ``QPoly`` values in that variable, with
-``MultiPoly`` coefficients in the others, and Brown's subresultant
-polynomial remainder sequence runs on those: ``QPoly.prem`` takes each
-pseudo-remainder, and every division by the PRS scalars is exact in the
-coefficient ring.  It gives the classically signed resultant.  The test
-suite checks it against the Sylvester determinant (``tests/oracles.py``)
-on random inputs.
+The inputs f, g are read as polynomials in ``var`` whose coefficients,
+polynomials in the other variables x, are packed into single integers by
+the Kronecker substitution x_i -> B^(s_i) (``Kronecker``), and Brown's
+subresultant polynomial remainder sequence runs over Z on those:
+``QPoly.prem`` takes each pseudo-remainder and every division by the PRS
+scalars is checked to be exact.  It gives the classically signed
+resultant, which is then unpacked.
+
+Why this is exact.  Packing is evaluation at integers, a ring
+homomorphism h, so the PRS over Z computes h of the PRS over Z[x] as long
+as its two kinds of decision agree with it: which coefficients are zero
+(degrees) and exact division.  Every scalar the PRS over Z[x] tests or
+divides by, and every coefficient of each remainder it keeps, is up to
+sign and a nonzero factor a minor of the Sylvester matrix S(f, g) (the
+fundamental theorem of subresultants, Brown and Traub, J. ACM 18,
+1971), and h is injective on the polynomials that satisfy both bounds
+below, which every such minor does:
+
+* coefficients (Goldstein and Graham, SIAM Review 16, 1974): a square
+  matrix (a_ij) of polynomials has a determinant whose every coefficient
+  is at most prod_i sqrt(sum_j |a_ij|_1^2), |.|_1 the sum of absolute
+  coefficients.  On the unit torus |a_ij(z)| <= |a_ij|_1, Hadamard's
+  inequality bounds |det(z)| by that product, and the largest
+  coefficient is at most the L2 norm on the torus (Parseval).  A minor's
+  rows and columns are a subset of S's, and a row of S has norm >= 1, so
+  with deg_var f = m >= deg_var g = n every minor obeys
+  (sum_j |f_j|_1^2)^(n/2) (sum_j |g_j|_1^2)^(m/2);
+* degrees: a minor takes at most n entries from f's rows and m from g's,
+  so its degree in x_i is at most n deg_xi f + m deg_xi g.
+
+Hence a zero test or exact quotient over Z is one over Z[x], and a
+division that is not exact still raises.  The bound is a priori: the
+digit width is fixed before the PRS runs, never widened after a check.
+When deg_var g = 0, f has no row in S and is not packed.  The test
+suite checks the result against the Sylvester determinant and a PRS over
+MultiPoly coefficients (``tests/oracles.py``) on random inputs.
 """
 
 from __future__ import annotations
 
-from .multipoly import MultiPoly
+from math import isqrt
+
+from .multipoly import Kronecker, MultiPoly
 from .upoly import QPoly
 
 
 def _exact_quo(a, b):
-    if isinstance(a, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ArithmeticError(f"inexact division {a} / {b}")
-        return q
-    return a.exact_div(b)
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact division {a} / {b}")
+    return q
 
 
 def _subresultant(f, g):
@@ -49,19 +78,30 @@ def poly_resultant(f, g, var):
 
     The result is a polynomial in the remaining variables; it vanishes
     exactly when f and g share a common factor involving ``var``.  Raises
-    ValueError when ``var`` occurs in neither input.
+    ValueError when ``var`` occurs in neither input.  Exponents are
+    nonnegative, as everywhere in the package.
     """
     df, dg = f.degree(var), g.degree(var)
     if df <= 0 and dg <= 0:
         raise ValueError(f"variable {var!r} absent from both resultant inputs")
-    if f.is_zero() or g.is_zero():
-        vars_ = tuple(v for v in f._aligned(g)[0].variables if v != var)
-        return MultiPoly.constant(0, vars_)
     fa, ga = f._aligned(g)
-    fq, gq = QPoly(fa.coefficients_in(var)), QPoly(ga.coefficients_in(var))
+    rest = tuple(v for v in fa.variables if v != var)
+    if f.is_zero() or g.is_zero():
+        return MultiPoly.constant(0, rest)
+    fc, gc = fa.coefficients_in(var), ga.coefficients_in(var)
     swap = df < dg
     if swap:
-        fq, gq, df, dg = gq, fq, dg, df
-    res = gq.coeffs[0] ** df if dg == 0 else _subresultant(fq, gq)
+        fc, gc, df, dg = gc, fc, dg, df
+    norms = [sum(sum(map(abs, c.terms.values())) ** 2 for c in cs) for cs in (fc, gc)]
+    spans = [dg * max(c.degree(x) for c in fc) + df * max(c.degree(x) for c in gc) + 1
+             for x in rest]
+    kr = Kronecker(spans, isqrt(norms[0] ** dg * norms[1] ** df))
+    lo = (0,) * len(rest)
+    if dg == 0:  # f has no row in the Sylvester matrix
+        res = kr.pack(gc[0].terms, lo) ** df
+    else:
+        res = _subresultant(*(QPoly([kr.pack(c.terms, lo) for c in cs]) for cs in (fc, gc)))
     # Res(f, g) = (-1)^(df dg) Res(g, f)
-    return -res if swap and df % 2 and dg % 2 else res
+    if swap and df % 2 and dg % 2:
+        res = -res
+    return MultiPoly(rest, kr.unpack(res, lo))

@@ -2,11 +2,12 @@
 
 Coefficients are ascending and stored as a tuple without trailing zeros.
 They come from one exact ring: Z, Q (ints and Fractions mix freely), or
-Z[L, M] as ``MultiPoly`` values, which is how the subresultant PRS and
-``poly_prem`` run.  The constructor only trims, and tests a coefficient
-with ``not c``: it never converts one, so integer polynomials stay
-integer through +, -, *, shift and prem, and any other operand of * is a
-scalar of the coefficient ring.  Only the operations that divide (divmod
+Z[L, M] as ``MultiPoly`` values, which is how ``poly_prem`` and the gcd
+oracles run (the resultant packs its coefficients into integers first).
+The constructor only trims, and tests a coefficient with ``not c``: it
+never converts one, so integer polynomials stay integer through +, -, *,
+shift and prem, and any other operand of * is a scalar of the
+coefficient ring.  Only the operations that divide (divmod
 by a leading coefficient other than +-1, monic, gcd) bring Fractions in;
 each divides by Fraction(lc), so an integer input never yields a float.
 The algorithms are the classical dense ones (von zur Gathen & Gerhard,

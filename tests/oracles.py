@@ -3,9 +3,11 @@
 Each oracle deliberately takes a different route than the library code it
 checks: wider candidate sets with evaluation filters for the expansion
 search, explicit orbit sums for the residue-class count, the Sylvester
-determinant for resultants, numerically sampled representations (with
-high-precision root polishing) for the A-polynomial, and sympy's
-squarefree part for the one the direct engine takes by an exact root.
+determinant and a PRS over polynomial coefficients for resultants, a
+dict loop over term pairs for products, numerically sampled
+representations (with high-precision root polishing) for the
+A-polynomial, and sympy's squarefree part for the one the direct engine
+takes by an exact root.
 """
 
 from __future__ import annotations
@@ -143,6 +145,57 @@ def sylvester_resultant(f, g):
     rows = [[zero] * i + fd + [zero] * (n - 1 - i) for i in range(n)]
     rows += [[zero] * i + gd + [zero] * (m - 1 - i) for i in range(m)]
     return bareiss_determinant(rows)
+
+
+def prs_resultant(f, g, var):
+    """Res_var(f, g) by Brown's subresultant PRS run on ``QPoly`` values
+    with ``MultiPoly`` coefficients in the other variables, every division
+    an exact one in that ring: the library's resultant before it packed
+    the coefficients into integers, whose sizes follow the actual
+    coefficients rather than an a priori bound."""
+    from tbk.exactnum import MultiPoly, QPoly
+
+    def subresultant(f, g):
+        d = f.degree() - g.degree()
+        h = f.prem(g)
+        if d % 2 == 0:
+            h = -h
+        lc = g.coeffs[-1]
+        c = lc ** d
+        res = c
+        c = -c
+        while not h.is_zero():
+            f, g, d = g, h, g.degree() - h.degree()
+            b = -lc * c ** d
+            h = QPoly([x.exact_div(b) for x in f.prem(g).coeffs])
+            lc = g.coeffs[-1]
+            c = ((-lc) ** d).exact_div(c ** (d - 1)) if d > 1 else -lc
+            res = -c
+        return res if g.degree() == 0 else res * 0
+
+    df, dg = f.degree(var), g.degree(var)
+    fa, ga = f._aligned(g)
+    if f.is_zero() or g.is_zero():
+        return MultiPoly.constant(0, tuple(v for v in fa.variables if v != var))
+    fq, gq = QPoly(fa.coefficients_in(var)), QPoly(ga.coefficients_in(var))
+    swap = df < dg
+    if swap:
+        fq, gq, df, dg = gq, fq, dg, df
+    res = gq.coeffs[0] ** df if dg == 0 else subresultant(fq, gq)
+    return -res if swap and df % 2 and dg % 2 else res
+
+
+def schoolbook_product(a, b):
+    """a * b for MultiPolys by the dict loop over every pair of terms."""
+    from tbk.exactnum import MultiPoly
+
+    a, b = a._aligned(b)
+    terms = {}
+    for kb, cb in b.terms.items():
+        for ka, ca in a.terms.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            terms[k] = terms.get(k, 0) + ca * cb
+    return MultiPoly(a.variables, terms)
 
 
 def letter_images():

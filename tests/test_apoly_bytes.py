@@ -78,7 +78,7 @@ def test_apoly_v1_bytes_every_factor_direct(monkeypatch):
     # the direct engine alone reproduces the table for q <= 13
     from tbk.charvar import apoly
 
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", 10 ** 9)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", 10 ** 9)
     small = [pq for pq in APOLY_V1_DIGESTS if Fraction(pq).denominator <= 13]
     assert len(small) == 40
     changed = [pq for pq in small if _digest(pq) != APOLY_V1_DIGESTS[pq]]

@@ -25,6 +25,7 @@ from oracles import (
     direct_cleanup_oracle,
     letter_images,
     mat_mul,
+    prs_resultant,
     random_multipoly,
     relative_apoly_residual,
     sample_representations,
@@ -186,8 +187,8 @@ def test_a_polynomial_figure_eight_exact():
     assert a_polynomial(Fraction(2, 5)).poly == known
 
 
-# values of apoly._DIRECT_MAX_PRODUCT that send every Riley factor to one
-# engine: a factor's degree product is at least 1
+# values of apoly._DIRECT_MAX_DEGREE that send every Riley factor to one
+# engine: a factor's u-degree is at least 1
 ALL_DIRECT, ALL_MODULAR = 10 ** 9, 0
 
 
@@ -209,9 +210,9 @@ def test_a_polynomial_engines_agree(monkeypatch):
     fractions = [Fraction(p, q) for p, q in reduced_fractions(11)]
     assert len(fractions) == 28
     for pq in fractions:
-        monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_DIRECT)
+        monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_DIRECT)
         direct = a_polynomial(pq).poly
-        monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+        monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
         modular = a_polynomial(pq).poly
         assert direct == modular, pq
 
@@ -236,13 +237,12 @@ def test_direct_squarefree_proof_matches_gcd_oracle():
     # that are proper powers g^k: the torus knots 1/q and their mirrors,
     # and the u-degree-4 factors of 4/15 and 11/15
     from tbk.charvar import apoly
-    from tbk.exactnum import poly_resultant
 
     powers = set()
     count = 0
     for pq, phi_i, p11, length in small_riley_factors(17, 66):
         lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
-        r = poly_resultant(phi_i, lm - p11, "u")
+        r = prs_resultant(phi_i, lm - p11, "u")
         assert apoly._apoly_direct(phi_i, p11, length)[0] == direct_cleanup_oracle(r), pq
         r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
         if apoly._power_at(r, 2) > 1:
@@ -261,7 +261,6 @@ def test_reduced_direct_resultant_matches_the_unreduced_one(monkeypatch):
     # 15, in the engine's variable: the resultant of phi and P mod phi,
     # cleared by a power of M, is Res_u(phi, L*M^len - P) up to +-M^j
     from tbk.charvar import apoly
-    from tbk.exactnum import poly_resultant
 
     inputs = []
     direct = apoly._apoly_direct
@@ -276,7 +275,7 @@ def test_reduced_direct_resultant_matches_the_unreduced_one(monkeypatch):
     reduced = 0
     for phi, p11, length in inputs:
         lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
-        old = poly_resultant(phi, lm - p11, "u").strip_monomial()
+        old = prs_resultant(phi, lm - p11, "u").strip_monomial()
         new = apoly._direct_resultant(phi, p11, length).strip_monomial()
         assert old in (new, -new), (phi, length)
         reduced += p11.degree("u") >= phi.degree("u")
@@ -373,10 +372,10 @@ def test_kth_root_exact():
 
 
 def test_auto_engine_choice(monkeypatch):
-    # a_polynomial runs a Riley factor direct when its u-degree times
-    # deg_u(P) is at most 76: every factor with q <= 11 (products up to
-    # 45), both of 4/15's (39 and 52) and 8/21's u-degree-4 one (76);
-    # 8/21's u-degree-6 factor (114) and both of 6/35's run modular
+    # a_polynomial runs a Riley factor direct when its u-degree is at
+    # most 6: every factor with q <= 11 (u-degrees up to 5), both of
+    # 4/15's (3 and 4), both of 8/21's (4 and 6) and 6/35's u-degree-5
+    # one; 6/35's u-degree-12 factor runs modular
     from tbk.charvar import apoly
 
     runs = []
@@ -395,10 +394,10 @@ def test_auto_engine_choice(monkeypatch):
     assert sorted(runs) == [("_apoly_direct", 3), ("_apoly_direct", 4)]
     runs.clear()
     a_polynomial(Fraction(8, 21))
-    assert sorted(runs) == [("_apoly_direct", 4), ("_apoly_modular", 6)]
+    assert sorted(runs) == [("_apoly_direct", 4), ("_apoly_direct", 6)]
     runs.clear()
     a_polynomial(Fraction(6, 35))
-    assert [name for name, _ in runs] == ["_apoly_modular"] * 2
+    assert sorted(runs) == [("_apoly_direct", 5), ("_apoly_modular", 12)]
 
 
 def test_riley_and_longitude_are_even_in_M():
@@ -460,7 +459,7 @@ def test_map_degree_is_u_degree_over_L_degree(monkeypatch, rule):
         return factor, k
 
     monkeypatch.setattr(apoly, "_eliminate", recorded)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", rule)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", rule)
     engine = "_apoly_direct" if rule == ALL_DIRECT else "_apoly_modular"
     count = 0
     for p, q in reduced_fractions(17):
@@ -592,7 +591,7 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
     monkeypatch.setattr(_modp, "cauchy_interpolate", counted_cauchy)
     monkeypatch.setattr(apoly, "_slice_squarefree", counted_slice)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     a_polynomial(Fraction(4, 15))
     assert len(primes) > 1
     assert set(failures) <= {1}
@@ -641,7 +640,7 @@ def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     counted(apoly, "_ahat_mod_p")
     counted(apoly, "_slice_squarefree")
     counted(_modp, "cauchy_interpolate")
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     a_polynomial(Fraction(pq))
     assert counts == work
 
@@ -666,7 +665,7 @@ def test_modular_output_does_not_depend_on_prime_size(monkeypatch, pq):
         return [format_apoly(f) for f in (ap.poly,) + ap.factors], ap.map_degrees
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", recorded)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     default = text(a_polynomial(Fraction(pq)))
     assert primes and all(2 ** 29 < p < 2 ** 30 for p in primes)
     primes.clear()
@@ -807,7 +806,7 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
 
     monkeypatch.setattr(apoly, "_apoly_modular", recorded_inputs)
     monkeypatch.setattr(apoly, "_verify_vanishing", recorded)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     fractions = [Fraction(p, q) for p, q in reduced_fractions(15)]
     for pq in fractions + [Fraction(6, 35), Fraction(8, 63)]:
         a_polynomial(pq)
@@ -843,7 +842,7 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
 
     monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 8)
     monkeypatch.setattr(apoly, "_ahat_mod_p", counted_prime)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     with pytest.raises(apoly.EliminationError,
                        match=r"degree \d+, past the cap _MAX_RECON_DEGREE = 8") as err:
         a_polynomial(Fraction(6, 35))
@@ -870,7 +869,7 @@ def test_modular_sample_points_lie_below_every_prime(monkeypatch):
         return slice_squarefree(cache, m, p)
 
     monkeypatch.setattr(apoly, "_slice_squarefree", recorded_slice)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     a_polynomial(Fraction(6, 35))
     for p, ms in points.items():
         assert ms == set(range(1, max(ms) + 1)) and max(ms) < p, p
@@ -882,7 +881,7 @@ def test_elimination_error_under_a_polynomial_names_the_engine_variable(monkeypa
     from tbk.charvar import apoly
 
     monkeypatch.setattr(apoly, "_MAX_RECON_DEGREE", 8)
-    monkeypatch.setattr(apoly, "_DIRECT_MAX_PRODUCT", ALL_MODULAR)
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     with pytest.raises(apoly.EliminationError) as err:
         a_polynomial(Fraction(6, 35))
     cause = err.value.__cause__

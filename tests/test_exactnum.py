@@ -12,7 +12,12 @@ from tbk.exactnum import (
 )
 from tbk.exactnum.multipoly import poly_gcd, poly_squarefree_part
 
-from oracles import random_multipoly, sylvester_resultant
+from oracles import (
+    prs_resultant,
+    random_multipoly,
+    schoolbook_product,
+    sylvester_resultant,
+)
 
 L = MultiPoly.variable("L")
 M = MultiPoly.variable("M")
@@ -102,6 +107,137 @@ def test_resultant_multiplicative_in_first_argument():
         rhs = poly_resultant(f, h, "u") * poly_resultant(g, h, "u")
         assert lhs == rhs
         checked += 1
+
+
+def assert_resultant_matches_oracles(f, g, var="u"):
+    r = poly_resultant(f, g, var)
+    assert r == prs_resultant(f, g, var), (f, g)
+    assert r == sylvester_resultant(f.coefficients_in(var), g.coefficients_in(var)), (f, g)
+    return r
+
+
+@pytest.mark.parametrize("variables", (("M", "u"), ("L", "M", "u")))
+def test_packed_resultant_on_wide_coefficients(variables):
+    # coefficients up to 2^40 make the packed digits several words wide
+    rng = random.Random(21 + len(variables))
+    checked = 0
+    while checked < 30:
+        f, g = (random_multipoly(rng, variables, max_degree=3, terms=4,
+                                 coeff_bound=1 << 40) for _ in range(2))
+        if f.degree("u") < 1 or g.degree("u") < 1:
+            continue
+        assert_resultant_matches_oracles(f, g)
+        checked += 1
+
+
+def test_packed_resultant_keeps_leading_coefficients_near_a_digit():
+    # a digit of j bits would pack lc_u = M - 2^j to 0 and drop the degree
+    for j in range(1, 13):
+        f = (M - 2 ** j) * u ** 3 + M * u + 1
+        g = (M - 2 ** j) * u ** 2 + L * u - M ** 2
+        r = assert_resultant_matches_oracles(f, g)
+        assert r.degree("M") >= 1 and r.degree("L") == 3
+
+
+def test_packed_resultant_of_a_common_factor_is_zero():
+    rng = random.Random(23)
+    checked = 0
+    while checked < 8:
+        h = random_multipoly(rng, ("L", "M", "u"), max_degree=2, terms=3, coeff_bound=1 << 20)
+        if h.degree("u") < 1:
+            continue
+        f = h * (u ** 2 + L * M - 7)
+        g = h * (3 * u - M + (1 << 35))
+        assert poly_resultant(f, g, "u").is_zero()
+        assert prs_resultant(f, g, "u").is_zero()
+        checked += 1
+
+
+def test_packed_resultant_sign_with_odd_degrees_in_either_order():
+    # deg f < deg g, both odd: Res(f, g) = -Res(g, f)
+    rng = random.Random(24)
+    for df, dg in ((1, 3), (3, 5), (1, 5)):
+        f = u ** df * (M + 2) + random_multipoly(rng, ("M", "u"), df - 1, 3, 1 << 40)
+        g = u ** dg * (1 - M) + random_multipoly(rng, ("M", "u"), dg - 1, 4, 1 << 40)
+        r = assert_resultant_matches_oracles(f, g)
+        assert assert_resultant_matches_oracles(g, f) == -r
+
+
+def test_packed_resultant_with_var_in_one_input_only():
+    f = (L + 2) * u ** 3 - M * u + (1 << 40)
+    g = L * M - (1 << 39)
+    assert assert_resultant_matches_oracles(f, g) == g ** 3
+    assert assert_resultant_matches_oracles(g, f) == g ** 3
+    assert poly_resultant(f, MultiPoly.constant(5), "u") == 125
+
+
+def test_packed_resultant_matches_the_polynomial_prs_on_direct_factors(monkeypatch):
+    # every resultant the direct engine takes for q <= 17, in its own
+    # variable s = M^2, from phi_i and the reduced L*M^len' - R
+    from fractions import Fraction
+    from math import gcd
+
+    from tbk.charvar import a_polynomial, apoly
+
+    calls = []
+
+    def recorded(f, g, var):
+        r = poly_resultant(f, g, var)
+        calls.append((f, g, var, r))
+        return r
+
+    monkeypatch.setattr(apoly, "poly_resultant", recorded)
+    for q in range(3, 18, 2):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                a_polynomial(Fraction(p, q))
+    assert len(calls) == 52
+    for f, g, var, r in calls:
+        assert r == prs_resultant(f, g, var), (f, g)
+
+
+def test_packed_product_matches_schoolbook(monkeypatch):
+    # both sides of the density rule: a pair count above the packed
+    # size multiplies one integer product, below it the dict loop
+    from tbk.exactnum import multipoly
+
+    packed = []
+
+    class Counted(multipoly.Kronecker):
+        def unpack(self, n, lo):
+            packed.append(self.spans)
+            return super().unpack(n, lo)
+
+    monkeypatch.setattr(multipoly, "Kronecker", Counted)
+    rng = random.Random(25)
+    cases = [
+        # lopsided and dense: 2 x 40 terms in a 7 x 7 box
+        (random_multipoly(rng, ("L", "M"), 6, 40, 1 << 64), 3 * L + M ** 2),
+        # sparse: few terms spread over a large box
+        (L ** 30 + M ** 25 * L - 2, M ** 17 + L ** 9),
+        # coefficients cancel: (1 + L)(1 - L + L^2 - ... + L^10) = 1 + L^11
+        (1 + L, sum(((-L) ** i for i in range(11)), MultiPoly.constant(0))),
+        (L + M, L - M),
+        # differing variable sets and constants
+        (random_multipoly(rng, ("L", "M"), 3, 12, 1 << 50),
+         random_multipoly(rng, ("M", "u"), 3, 12, 1 << 50)),
+        (MultiPoly.constant(7), random_multipoly(rng, ("L", "u"), 3, 10, 100)),
+        (MultiPoly.constant(-(1 << 90)), MultiPoly.constant(3, ("L", "M"))),
+        (random_multipoly(rng, ("L", "M"), 3, 8, 5), MultiPoly.constant(0, ("M",))),
+    ]
+    for _ in range(40):
+        cases.append(tuple(
+            random_multipoly(rng, ("L", "M", "u"), rng.randint(1, 5), rng.randint(2, 30),
+                             1 << rng.choice((3, 40, 130)))
+            for _ in range(2)))
+    sides = set()
+    for a, b in cases:
+        before = len(packed)
+        expected = schoolbook_product(a, b)
+        assert a * b == expected, (a, b)
+        assert b * a == expected, (a, b)
+        sides.add(len(packed) - before)
+    assert sides == {0, 2}
 
 
 def test_cleanup_examples():
