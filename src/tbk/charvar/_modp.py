@@ -17,9 +17,8 @@ each slice as a minimal polynomial, from the first d/k power sums of a
 characteristic polynomial and Newton's identities.
 cauchy_interpolate fits by one rule: the first extended-Euclid pair whose
 quotient is large, so a fit costs only the Euclid steps down to it.  The
-fits of one prime share their nodes, so the node product prod(X - x_i),
-the inverted node differences and the Newton basis are built once per
-node set (InterpolationNodes).
+fits of one prime share their nodes, so the node product prod(X - x_i)
+and the Lagrange basis are built once per node set (InterpolationNodes).
 """
 
 from __future__ import annotations
@@ -257,32 +256,28 @@ class InterpolationNodes(tuple):
     built once and shared by every fit at them: the engine fits all the
     coefficient functions of a prime at one node set.
 
-    ``levels[k - 1]`` holds 1/(x_i - x_(i-k)) for i = k..n-1, the divisors
-    of the k-th divided differences, each distinct difference inverted once
-    (a repeated node raises ZeroDivisionError); ``rows[i]`` holds the X^i
-    coefficients of the Newton basis N_k = prod_(j<k) (X - x_j) for k =
-    i..n-1; ``product`` is N_n = prod(X - x_i).  None of them is changed
-    after construction."""
+    ``product`` is prod(X - x_i); ``rows[k]`` holds the X^k coefficients
+    of the Lagrange basis l_i = w_i * q_i, q_i = product / (X - x_i) by
+    synthetic division and w_i = 1/q_i(x_i) = 1/prod_(j != i) (x_i - x_j)
+    (a repeated node raises ZeroDivisionError).  Neither is changed after
+    construction (von zur Gathen and Gerhard, Modern Computer Algebra, 5.2)."""
 
     def __new__(cls, xs, p):
         self = super().__new__(cls, xs)
         self.p = p
-        inverses = {}
-        self.levels = []
-        for k in range(1, len(self)):
-            row = []
-            for a, b in zip(self, self[k:]):
-                diff = (b - a) % p
-                inv = inverses.get(diff)
-                if inv is None:
-                    inv = inverses[diff] = pinv(diff, p, "newton_interp")
-                row.append(inv)
-            self.levels.append(row)
-        basis = [[1]]
+        product = [1]
         for x in self:
-            basis.append(_mul_linear(basis[-1], x, p))
-        self.rows = [[basis[k][i] for k in range(i, len(self))] for i in range(len(self))]
-        self.product = basis[-1]
+            product = _mul_linear(product, x, p)
+        basis = []
+        for x in self:
+            quotient = [1]  # product / (X - x), from the top
+            for c in product[-2:0:-1]:
+                quotient.append((c + x * quotient[-1]) % p)
+            quotient.reverse()
+            w = pinv(peval(quotient, x, p), p, "newton_interp")
+            basis.append([c * w % p for c in quotient])
+        self.rows = list(zip(*basis))
+        self.product = product
         return self
 
     @classmethod
@@ -292,19 +287,14 @@ class InterpolationNodes(tuple):
 
 
 def newton_interp(xs, ys, p):
-    """Interpolating polynomial through (xs, ys) over GF(p).
+    """Interpolating polynomial sum_i y_i * l_i through (xs, ys) over GF(p).
 
-    xs may be InterpolationNodes, whose work is then reused.  Each level
-    of divided differences is one pass over the coefficients, and the
-    Newton form sum_k c_k N_k is expanded by the basis rows, one dot
-    product per power of X.
+    xs may be InterpolationNodes, whose Lagrange basis is then reused, so a
+    fit is one dot product per power of X.  The Newton-form name stays for
+    perfbench/tracing.py, which times it as the ``modp.interp`` span.
     """
     nodes = InterpolationNodes.of(xs, p)
-    coeffs = list(ys)
-    for k, inverses in enumerate(nodes.levels, 1):
-        coeffs[k:] = [(b - a) * inv % p
-                      for a, b, inv in zip(coeffs[k - 1:], coeffs[k:], inverses)]
-    return ptrim([sum(map(mul, row, coeffs[i:])) % p for i, row in enumerate(nodes.rows)])
+    return ptrim([sum(map(mul, row, ys)) % p for row in nodes.rows])
 
 
 # Points a fit must leave over: it counts only when its Euclid quotient has
@@ -332,7 +322,7 @@ def cauchy_interpolate(xs, ys, p):
     product, and t_i, nonzero at every node, shares no factor with it.
     The zero interpolant gives ([], [1]); a zero remainder after it has
     t_i = 0 at some node.  xs may be InterpolationNodes, whose product and
-    Newton work are then reused.
+    Lagrange basis are then reused.
     """
     xs = InterpolationNodes.of(xs, p)
     r0, r1 = xs.product, newton_interp(xs, ys, p)

@@ -411,6 +411,7 @@ def _slice_squarefree(cache, m, p):
 _MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
 _FIRST_POINTS = 26  # a factor's first fit count, moved to 2n - 10 on failure
 _HELD_OUT = 6
+_VERIFY_POINTS = 6  # the exact check's M = 1..6 (_verify_vanishing)
 
 
 def _ahat_mod_p(cache, p, count):
@@ -583,7 +584,7 @@ def _apoly_modular(phi, p11, length):
     if any(f.denominator != 1 for f in candidate.values()):
         raise EliminationError("the modular lift has a non-integer coefficient")
     out = MultiPoly(("L", "M"), {k: int(f) for k, f in candidate.items()}).sign_normalized()
-    _verify_vanishing(out, cache, points=6)
+    _verify_vanishing(out, cache)
     if _power_root(out)[1] != 1:
         raise EliminationError(
             f"the modular lift is a proper power: the map degree {cache.k} "
@@ -591,10 +592,10 @@ def _apoly_modular(phi, p11, length):
     return out, cache.k
 
 
-def _verify_vanishing(apoly, cache, points=6):
+def _verify_vanishing(apoly, cache):
     """Exact check over Z: A(R/c, m) = 0 in Q[u]/phi(m) at integer points.
 
-    R/c is P/M^length there (_PointCache).  Checks M = 1..``points``;
+    R/c is P/M^length there (_PointCache).  Checks M = 1.._VERIFY_POINTS;
     phi(m) keeps its u-degree n at each.  With l = lc(phi(m)), u = v/l
     makes f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) =
     Q[v]/f, and QPoly.divmod by f stays in Z.  R(m)/c becomes X/s, X =
@@ -607,7 +608,7 @@ def _verify_vanishing(apoly, cache, points=6):
     the unreduced P(m) and 3.2 s in Fraction QPoly arithmetic over Q[u]
     (2-core x86-64, Python 3.11)."""
     cols = [_in_M(c) for c in apoly.coefficients_in("L")]
-    for m in range(1, points + 1):
+    for m in range(1, _VERIFY_POINTS + 1):
         phim, pm, c = cache.get(m)
         n, lc = cache.du_phi, phim[-1]
         f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])

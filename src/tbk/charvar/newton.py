@@ -45,10 +45,7 @@ def convex_hull(points):
         while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 0:  # all points collinear: keep the two extremes
-        hull = [pts[0], pts[-1]] if len(pts) > 1 else pts
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def _support_LM(poly: MultiPoly):

@@ -109,6 +109,8 @@ def _cmd_jkl(args) -> int:
 # refused before any elimination starts.  It admits q <= 101, so the
 # double twist knot J(10,10) = 10/99 (degree 49) too.
 MAX_RILEY_DEGREE = 50
+# Largest n of J(2n,2n) that ``tbk verify --paper`` checks (50: about 1 s).
+MAX_VERIFY_N = 50
 
 
 def _cmd_apoly(args) -> int:
@@ -179,6 +181,9 @@ def _cmd_verify(args) -> int:
     if args.n_min > args.n_max:
         print("--n-min must not exceed --n-max", file=sys.stderr)
         return 2
+    if args.n_max > MAX_VERIFY_N:
+        raise ValueError(f"--n-max {args.n_max} is above the limit {MAX_VERIFY_N} "
+                         "of tbk verify --paper")
     report = run_paper_suite(args.n_min, args.n_max)
     if args.json:
         print(report.to_json())

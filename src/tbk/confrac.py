@@ -127,7 +127,9 @@ def _admissible_tails(x: Fraction):
     start = x
     while stack:
         if len(nodes) > MAX_WALK_NODES:
-            raise ValueError(f"admissible enumeration of {start} visits more "
+            bits = start.denominator.bit_length()  # no decimal text for huge ones
+            name = start if bits <= 256 else f"a fraction with a {bits}-bit denominator"
+            raise ValueError(f"admissible enumeration of {name} visits more "
                              f"than {MAX_WALK_NODES} nodes")
         x, node = stack.pop()
         if x == 0:

@@ -800,9 +800,9 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
         inputs.append((p11, length))
         return modular(phi, p11, length)
 
-    def recorded(apoly_poly, cache, points=6):
+    def recorded(apoly_poly, cache):
         checked.append((apoly_poly, cache, *inputs[-1]))
-        verify(apoly_poly, cache, points)
+        verify(apoly_poly, cache)
 
     monkeypatch.setattr(apoly, "_apoly_modular", recorded_inputs)
     monkeypatch.setattr(apoly, "_verify_vanishing", recorded)

@@ -255,6 +255,23 @@ def test_cli_verify_usage_errors(capsys):
     assert main(["verify", "--paper", "--n-min", "5", "--n-max", "3"]) == 2
 
 
+def test_cli_verify_n_cap(capsys, monkeypatch):
+    # n past the cap is refused before the suite runs; the default
+    # --n-max 10 and n = 5 are admitted
+    from tbk import cli, regression
+
+    def refused(*args):
+        raise AssertionError("the suite ran past the cap")
+
+    monkeypatch.setattr(regression, "run_paper_suite", refused)
+    assert main(["verify", "--paper", "--n-min", "5000", "--n-max", "5000"]) == 2
+    err = capsys.readouterr().err
+    assert f"--n-max 5000 is above the limit {cli.MAX_VERIFY_N}" in err
+    assert "Traceback" not in err
+    assert main(["verify", "--paper", "--n-max", str(cli.MAX_VERIFY_N + 1)]) == 2
+    assert 10 <= cli.MAX_VERIFY_N
+
+
 def test_cli_module_entry_point():
     proc = run_python(["-m", "tbk.cli", "expand", "4/15", "--json"])
     assert proc.returncode == 0
@@ -299,6 +316,18 @@ def test_cli_expand_refuses_long_walk():
     proc = run_python(["-m", "tbk.cli", "expand", "[(2)_30]"], timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert "more than 100000 nodes" in proc.stderr
+
+
+def test_cli_expand_walk_cap_names_huge_fraction(capsys, monkeypatch):
+    # [(3)_8400] denotes a fraction of over 4,300 digits, past Python's
+    # int-to-str limit, so the cap's message names it by its size
+    from tbk import confrac
+
+    monkeypatch.setattr(confrac, "MAX_WALK_NODES", 10)
+    assert main(["expand", "[(3)_8400]"]) == 2
+    err = capsys.readouterr().err
+    assert "more than 10 nodes" in err
+    assert "-bit denominator" in err
 
 
 def test_cli_apoly_riley_degree_cap(capsys):
