@@ -46,8 +46,9 @@ normalization, primitive part and monomial strip commute with
 multiplying the factor's M-exponents back by g.  The sample points, the
 degrees, _MAX_RECON_DEGREE and the EliminationError texts all count in
 the engine's variable, s; _eliminate appends "s = M^g" to such a text.
-Factoring stays in M: a factor irreducible over Z[s, u] can split over
-Z[M, u] (u^2 - s), and its image would not.
+Factoring lifts in s first (_riley_factors): a factor of phi(s, u) from
+one local factor stays irreducible over Z[M, u], while one from several
+can split there (u^2 - s) and is lifted again in M.
 
 Both engines start from R/M^len' = P/M^len, R = P mod phi_i over
 Z[M, 1/M] (exact: lc_u(phi_i) = +-M^a is a unit there) times a power of
@@ -79,9 +80,17 @@ and, by Gauss's lemma, lc_L(A_i) = +-M^b: a slice is A_i(m, L)/(+-m^b).
 Cauchy interpolation fits each coefficient as +-A_ij(M)/M^b, so every
 denominator is a power of M, and shifting the numerators to M^b gives
 +-A_i mod p, with integer coefficients, which CRT and rational
-reconstruction lift.  The sample points M = 1..n, and six held out after
-them, lie below every prime (_ELIMINATION_PRIMES_FROM), so every slice is
-defined.  Every fit takes the first large quotient of its Euclid run; a
+reconstruction lift.  The Riley points (M, u) and (1/M, u) have one
+character, with the eigenvectors swapped, so the longitude eigenvalue goes
+to 1/L; when phi_i is palindromic in M (every Riley factor with q <= 33
+is), both lie on it, and A_i(1/M, 1/L) L^dL M^dM = +-A_i(M, L), the
+symmetry CCGLS prove for every A-polynomial.  The slice at M = 1/m mod p
+is then the slice at m reversed and made monic, so a fit on n nodes
+computes the slices at M = 1..n/2 + 1 and mirrors the others
+(_ahat_mod_p).  These real points, and six held out after them, lie below
+every prime, and so do their squares (_ELIMINATION_PRIMES_FROM): every
+slice is defined and no mirrored node is a real point.  Every fit takes
+the first large quotient of its Euclid run; a
 factor's first prime fits on a doubling number of points, and each later
 prime starts at the point count the degrees found need.
 Rational reconstruction starts at a factor's first kept image; a
@@ -290,13 +299,22 @@ class _PointCache:
     and R over one table of powers of m: R of 6/35's u-degree-12 factor
     has 69 terms of s-degree up to 6, where P has 351 up to 43.
 
-    ``k``, the map degree, is read by ``probe`` on the first prime."""
+    ``k``, the map degree, is read by ``probe`` on the first prime.
+    ``palindromic`` says whether M^D phi(1/M, u) = phi(M, u), D the sum of
+    phi's least and largest M-exponents, by one comparison of terms: up to
+    sign is no wider, as lc_u(phi) is one term and must map to itself.
+    Only then does _ahat_mod_p mirror its sample points; the cache holds
+    the real points alone."""
 
     def __init__(self, phi, p11, length):
         self.phi_terms = _u_M_terms(phi)
         self.r_terms, self.length = _reduced_longitude(phi, p11, length)
         self.du_phi = phi.degree("u")
         self._dm = max(e_m for _, e_m, _ in self.phi_terms + self.r_terms)
+        exps = [e_m for _, e_m, _ in self.phi_terms]
+        top = min(exps) + max(exps)
+        self.palindromic = ({(e_u, top - e_m, c) for e_u, e_m, c in self.phi_terms}
+                            == set(self.phi_terms))
         self.k = None
         self._data = {}
         self._inverses = {}
@@ -429,32 +447,57 @@ def _ahat_mod_p(cache, p, count):
     the prime.  Shifting every numerator to M^dden, dden the largest b,
     gives +-A mod p.
 
-    Every coefficient is fitted on the points M = 1..n by
-    _modp.cauchy_interpolate, which needs deg num + deg den + 10 <= n, and
-    the six held-out points M = n + 1..n + 6 check every fit.  n starts at
-    ``count``, or 26 on a factor's first prime (count None), and moves to
-    2n - 10 when a fit or its check fails.  Degrees past _MAX_RECON_DEGREE
-    raise EliminationError: they do not depend on the prime, since an
-    unlucky prime only lowers them.  So n - 10 <= 2 * _MAX_RECON_DEGREE,
-    and every point lies below p (_ELIMINATION_PRIMES_FROM)."""
+    Every coefficient is fitted on n nodes by _modp.cauchy_interpolate,
+    which needs deg num + deg den + 10 <= n, and the six held-out points
+    after the last real node check every fit.  The nodes are the real
+    points M = 1, 2, ..., whose slices _slice_squarefree computes, and,
+    when cache.palindromic, the inverses mod p of 2, 3, ... in turn: A is
+    reciprocal, so the slice at 1/m is the slice at m reversed and divided
+    by its constant term (module docstring).  That takes the real points
+    1..n/2 + 1, about half the slices; a slice with constant term 0 mod p
+    has no mirror, and the fit takes one more real point instead.  The
+    held-out points stay real, so they also check the symmetry.  n starts
+    at ``count``, or 26 on a factor's first prime (count None), and moves
+    to 2n - 10 when a fit or its check fails.  Degrees past
+    _MAX_RECON_DEGREE raise EliminationError: they do not depend on the
+    prime, since an unlucky prime only lowers them.  So n - 10 <= 2 *
+    _MAX_RECON_DEGREE, and every real point and its square lie below p
+    (_ELIMINATION_PRIMES_FROM)."""
     slices = {} if cache.k else cache.probe(p)  # the probe's points are slices too
     d = cache.du_phi // cache.k
     npts = count or _FIRST_POINTS
 
+    def real(m):
+        if m not in slices:
+            slices[m] = _slice_squarefree(cache, m, p)
+        return slices[m]
+
     def fit(npts):
-        """Every coefficient function on M = 1..npts, checked on the
-        held-out points after them."""
-        for m in range(1, npts + _HELD_OUT + 1):
-            if m not in slices:
-                slices[m] = _slice_squarefree(cache, m, p)
-        xs = _modp.InterpolationNodes(range(1, npts + 1), p)  # shared by the d fits
+        """Every coefficient function on npts nodes, checked on the
+        held-out points after the last real one."""
+        xs = []
+        m = 0
+        while len(xs) < npts:
+            m += 1
+            xs.append(m)
+            g = real(m)
+            if cache.palindromic and m > 1 and len(xs) < npts and g[0]:
+                inv = _modp.pinv(m, p, "_ahat_mod_p")
+                if inv not in slices:  # reversed, made monic: the slice at 1/m
+                    c = _modp.pinv(g[0], p, "_ahat_mod_p")
+                    slices[inv] = [x * c % p for x in reversed(g)]
+                xs.append(inv)
+        held = range(m + 1, m + _HELD_OUT + 1)
+        for m in held:
+            real(m)
+        xs = _modp.InterpolationNodes(xs, p)  # shared by the d fits
         recon = []
         for j in range(d):
-            rf = _modp.cauchy_interpolate(xs, [slices[m][j] for m in xs], p)
+            rf = _modp.cauchy_interpolate(xs, [slices[x][j] for x in xs], p)
             if rf is None:
                 return None
             recon.append(rf)
-        for m in range(npts + 1, npts + _HELD_OUT + 1):
+        for m in held:
             for j, (num, den) in enumerate(recon):
                 dv = _modp.peval(den, m, p)
                 if dv == 0 or (_modp.peval(num, m, p) - slices[m][j] * dv) % p:
@@ -700,8 +743,9 @@ def _recombine(seeds, try_group):
     it out of the caller's cofactor), or None.  Every irreducible factor
     is the product of a group of seeds, and the groups partition the
     seeds, so once no group of size below s divides, a dividing group of
-    size s is irreducible.  Returns the factors found; what is left of the
-    caller's cofactor, the product of the remaining seeds, is irreducible.
+    size s is irreducible.  Returns the (factor, group) pairs found and
+    the remaining seeds; what is left of the caller's cofactor, their
+    product, is irreducible.
     """
     found = []
     s = 1
@@ -713,12 +757,12 @@ def _recombine(seeds, try_group):
             rest = [g for i, g in enumerate(seeds) if i not in idx]
             factor = try_group(group, rest)
             if factor is not None:
-                found.append(factor)
+                found.append((factor, group))
                 seeds = rest
                 break
         else:
             s += 1
-    return found
+    return found, seeds
 
 
 def _monic_product(polys, p):
@@ -761,11 +805,14 @@ _FACTOR_PRIMES_FROM = 1 << 15
 
 # The modular elimination's primes start here, so that every residue of a
 # slice, an image and a fit is a one-digit CPython int (below 2^30) and a
-# product of two has two digits.  They exceed every sample point: the
-# largest that _ahat_mod_p reaches is 2 * _MAX_RECON_DEGREE + 2 +
-# _modp.SPARE_POINTS + _HELD_OUT = 1040, below 2^12, so lc_u(phi_i(m)) =
-# +-m^a and c = m^len are units mod p for every sample point m and no
-# slice is degenerate.  A d = 12 slice of 6/35 takes 163 us against
+# product of two has two digits.  They exceed the square of every real
+# sample point: the largest that _ahat_mod_p reaches is 2 *
+# _MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS + _HELD_OUT = 1040, below
+# 2^12, so lc_u(phi_i(m)) = +-m^a and c = m^len are units mod p for every
+# real point m and no slice is degenerate; and 1040^2 < 2^29, so a
+# mirrored node 1/m mod p is never a real point m' (m * m' = 1 mod p has
+# no solution with 1 < m * m' < p) and every node is distinct.
+# A d = 12 slice of 6/35 takes 163 us against
 # 285 us with primes above 2^61 (2-core x86-64, Python 3.11).
 # One prime reconstructs coefficients up to about 2^14, so a larger factor
 # takes more primes (10/99's u-degree-40 one, with 24-bit coefficients,
@@ -836,7 +883,7 @@ def _int_poly_factors(coeffs):
             cofactor = [int(c) for c in quot.coeffs]
             return cand
 
-        factors = _recombine(lifted, try_group)
+        factors = [factor for factor, _ in _recombine(lifted, try_group)[0]]
         factors.append(cofactor)
     if sqf != f:  # the repeated factors are those of f / sqf
         quot = QPoly(f).divmod(QPoly(sqf))[0]
@@ -891,11 +938,16 @@ def _riley_factors(phi: MultiPoly, m0):
     u-degree at every m >= 1, and phi is irreducible when phi(m, u) is.
     The factors of phi(m, u) over Z, at the first m >= m0 where it is
     squarefree (a squarefree phi fails only at roots of its discriminant
-    in M), are grouped (_recombine); a group is lifted (M - m)-adically
-    mod primes until their product passes twice the bound
-    2^(deg_M + deg_u) * ||phi||_2 on the coefficients of a factor (Mahler
-    measure), and the candidate, rid of the monomial lc_u of its
-    cofactor, counts only when it divides exactly.
+    in M), are the seeds that _lift_groups groups into factors.
+
+    With two seeds or more and g > 1, g the gcd of phi's M-exponents,
+    the groups are first lifted on psi(s, u) = phi(M, u), s = M^g, at
+    s = m^g, which halves the lift's precision for g = 2 (every Riley
+    polynomial has g = 2 or more).  A factor G of psi from one seed gives
+    G(M^g, u), irreducible over Z[M, u]: a split G(M^g, u) = A * B with
+    u-degrees >= 1 would split G(m^g, u) = A(m, u) * B(m, u) over Z, as
+    lc_u = +-M^a does not vanish at m.  A factor from two seeds or more
+    can split (u^2 - s), so it is lifted again in M from its own seeds.
     """
     cols = [_in_M(c) for c in phi.coefficients_in("u")]
     tries = 2 * len(cols) * (phi.degree("M") + 1)
@@ -906,6 +958,31 @@ def _riley_factors(phi: MultiPoly, m0):
     else:
         raise EliminationError(
             f"the Riley polynomial is not squarefree at M = {m0}..{m}")
+    # one seed proves phi irreducible, and g = gcd() = 0 skips building psi
+    terms = phi.in_variables(("M", "u")).terms if len(seeds) > 1 else {}
+    g = gcd(*(e_m for e_m, _ in terms))
+    if g < 2:
+        return [factor for factor, _ in _lift_groups(phi, m, seeds)]
+    psi = MultiPoly(("M", "u"), {(e_m // g, e_u): c for (e_m, e_u), c in terms.items()})
+    factors = []
+    for factor, group in _lift_groups(psi, m ** g, seeds):
+        factor = MultiPoly(("M", "u"), {(e_m * g, e_u): c
+                                        for (e_m, e_u), c in factor.terms.items()})
+        factors += ([factor] if len(group) == 1
+                    else [f for f, _ in _lift_groups(factor, m, group)])
+    return factors
+
+
+def _lift_groups(phi, m, seeds):
+    """[(factor, seeds)]: the irreducible factors of phi over Z[M, u],
+    primitive and lex-positive, each with the seeds, the factors of
+    phi(m, u) over Z, whose product is its image.
+
+    The seeds are grouped (_recombine); a group is lifted (M - m)-adically
+    mod primes until their product passes twice the bound 2^(deg_M +
+    deg_u) * ||phi||_2 on the coefficients of a factor (Mahler measure),
+    and the candidate, rid of the monomial lc_u of its cofactor, counts
+    only when it divides exactly."""
     cofactor = phi
 
     def try_group(group, rest):
@@ -932,9 +1009,9 @@ def _riley_factors(phi: MultiPoly, m0):
             return None
         return cand
 
-    factors = _recombine(seeds, try_group)
-    factors.append(cofactor.sign_normalized())
-    return factors
+    found, rest = _recombine(seeds, try_group)
+    found.append((cofactor.sign_normalized(), rest))
+    return found
 
 
 def split_components(ap: APoly, canonical_slopes=None):

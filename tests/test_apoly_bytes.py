@@ -1,4 +1,5 @@
-"""Byte pins for the ``apoly v1`` text of every knot fraction with q <= 15.
+"""Byte pins for the ``apoly v1`` text of every knot fraction with q <= 17,
+and of the ladder knots 8/63 and 10/99, J(8, 8) and J(10, 10).
 
 Each digest is the first 16 hex digits of the SHA-256 of
 ``format_apoly(a_polynomial(p/q).poly)``.  A refactor of the exact
@@ -60,6 +61,24 @@ APOLY_V1_DIGESTS = {
     "11/15": "8bc1812caedbe104",
     "13/15": "84f8ca0ba480625f",
     "14/15": "b9abff88c347a222",
+    "1/17": "f98527cb38087a56",
+    "2/17": "1470a7e812ec6846",
+    "3/17": "67fb8ca3ba453337",
+    "4/17": "77b20da2fdfefc04",
+    "5/17": "becf7e3ce42224be",
+    "6/17": "67fb8ca3ba453337",
+    "7/17": "becf7e3ce42224be",
+    "8/17": "1639a5527e4d8755",
+    "9/17": "1470a7e812ec6846",
+    "10/17": "75ac919e320dbc1c",
+    "11/17": "8a3595750aefb2e4",
+    "12/17": "75ac919e320dbc1c",
+    "13/17": "77b20da2fdfefc04",
+    "14/17": "8a3595750aefb2e4",
+    "15/17": "1639a5527e4d8755",
+    "16/17": "1ff672b654fbbd12",
+    "8/63": "a10d89cd4112292e",
+    "10/99": "697cba30e54d9429",
 }
 
 
@@ -69,7 +88,7 @@ def _digest(pq):
 
 
 def test_apoly_v1_bytes_default_rule():
-    assert len(APOLY_V1_DIGESTS) == 48
+    assert len(APOLY_V1_DIGESTS) == 66
     changed = [pq for pq, d in APOLY_V1_DIGESTS.items() if _digest(pq) != d]
     assert not changed, changed
 

@@ -609,9 +609,9 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
 
 
 @pytest.mark.parametrize("pq, work", (
-    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 107, "cauchy_interpolate": 10,
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 69, "cauchy_interpolate": 10,
               "failed fits": 0}),
-    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 119, "cauchy_interpolate": 22,
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 75, "cauchy_interpolate": 22,
               "failed fits": 0}),
 ))
 def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
@@ -620,7 +620,11 @@ def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     # means to keep the engine's work can show it does.  The slices count
     # the map degree probe: four on each factor's first prime, which are
     # also the first prime's slices at M^2 = 2..5, read from the probe's
-    # power sums on the k = 2 factor
+    # power sums on the k = 2 factor.  Every Riley factor here is
+    # palindromic, so a fit on n nodes computes the slices at M^2 =
+    # 1..n/2 + 1 and mirrors the rest (107 and 119 slices when every node
+    # was computed); the fits keep their node counts, so their number and
+    # the failed ones are those of the unmirrored engine
     from tbk.charvar import _modp, apoly
 
     counts = dict.fromkeys(work, 0)
@@ -851,28 +855,84 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
 
 
 def test_modular_sample_points_lie_below_every_prime(monkeypatch):
-    # _ahat_mod_p fits on M = 1..n and checks on six points after them,
-    # with n - 10 <= 2 * _MAX_RECON_DEGREE (larger n raises the cap), so
-    # no p it runs on divides a sample point m: lc_u(phi_i(m)) and c stay
-    # units and no slice is degenerate; the prime-size test starts the
-    # primes at 2^12
+    # _ahat_mod_p computes slices at the real points M = 1, 2, ..., fits on
+    # them and on the inverses mod p of 2, 3, ... (the mirrored nodes), and
+    # checks on six real points after them, with n - 10 <= 2 *
+    # _MAX_RECON_DEGREE nodes (larger n raises the cap).  So no p it runs
+    # on divides a real point m: lc_u(phi_i(m)) and c stay units and no
+    # slice is degenerate.  Nor is a mirrored node 1/m a real point m',
+    # as 1 < m * m' < p, so all nodes are distinct.  The prime-size test
+    # starts the primes at 2^12
     from tbk.charvar import _modp, apoly
 
     largest = 2 * apoly._MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS + apoly._HELD_OUT
     assert largest < 1 << 12
-    assert largest < apoly._ELIMINATION_PRIMES_FROM
+    assert largest ** 2 < apoly._ELIMINATION_PRIMES_FROM
     points = {}
+    nodes = {}
     slice_squarefree = apoly._slice_squarefree
+    cauchy_interpolate = _modp.cauchy_interpolate
 
     def recorded_slice(cache, m, p):
         points.setdefault(p, set()).add(m)
         return slice_squarefree(cache, m, p)
 
+    def recorded_fit(xs, ys, p):
+        nodes.setdefault(p, []).append(list(xs))
+        return cauchy_interpolate(xs, ys, p)
+
     monkeypatch.setattr(apoly, "_slice_squarefree", recorded_slice)
+    monkeypatch.setattr(_modp, "cauchy_interpolate", recorded_fit)
     monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     a_polynomial(Fraction(6, 35))
+    assert set(nodes) == set(points)
     for p, ms in points.items():
         assert ms == set(range(1, max(ms) + 1)) and max(ms) < p, p
+        for xs in nodes[p]:
+            assert len(set(xs)) == len(xs), p
+            mirrored = set(xs) - ms
+            assert mirrored and not mirrored & ms, p
+            assert {pow(x, -1, p) for x in mirrored} <= ms - {1}, p
+
+
+def test_modular_engine_mirrors_only_palindromic_factors(monkeypatch):
+    # a Riley factor that were not palindromic in M^2 would keep the
+    # unmirrored nodes M^2 = 1..n and compute every slice; no Riley factor
+    # with q <= 33 is one, so the cache is told so here: 6/35 then takes
+    # the 119 slices of the unmirrored engine and gives the same factors
+    from tbk.charvar import _modp, apoly
+
+    monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
+    mirrored = a_polynomial(Fraction(6, 35))
+    init = apoly._PointCache.__init__
+    caches = []
+
+    def not_palindromic(cache, *args):
+        init(cache, *args)
+        caches.append(cache.palindromic)
+        cache.palindromic = False
+
+    slices = []
+    slice_squarefree = apoly._slice_squarefree
+    cauchy_interpolate = _modp.cauchy_interpolate
+    nodes = []
+
+    def recorded_slice(cache, m, p):
+        slices.append(m)
+        return slice_squarefree(cache, m, p)
+
+    def recorded_fit(xs, ys, p):
+        nodes.append(list(xs))
+        return cauchy_interpolate(xs, ys, p)
+
+    monkeypatch.setattr(apoly._PointCache, "__init__", not_palindromic)
+    monkeypatch.setattr(apoly, "_slice_squarefree", recorded_slice)
+    monkeypatch.setattr(_modp, "cauchy_interpolate", recorded_fit)
+    plain = a_polynomial(Fraction(6, 35))
+    assert caches == [True, True]
+    assert len(slices) == 119
+    assert all(xs == list(range(1, len(xs) + 1)) for xs in nodes)
+    assert plain == mirrored
 
 
 def test_elimination_error_under_a_polynomial_names_the_engine_variable(monkeypatch):
@@ -1064,6 +1124,23 @@ def test_a_polynomial_structure():
             assert all(j % 2 == 0 for (_, j) in A.terms)
             for (i, j), c in A.terms.items():
                 assert A.terms.get((dL - i, dM - j)) == c, (p, q, i, j)
+
+
+def test_a_factors_are_reciprocal():
+    # the modular engine's mirrored nodes rest on each factor, not only on
+    # the product: A_i(1/L, 1/M) L^dL M^dM = +-A_i(L, M), as the Riley
+    # points (M, u) and (1/M, u) of a component carry L and 1/L; every
+    # A-factor of every p/q with q <= 17
+    count = 0
+    for p, q in reduced_fractions(17):
+        for A in a_polynomial(Fraction(p, q)).factors:
+            dL, dM = A.degree("L"), A.degree("M")
+            flipped = {(dL - i, dM - j): c for (i, j), c in A.terms.items()}
+            sign = flipped[max(A.terms)] // A.terms[max(A.terms)]
+            assert sign in (1, -1), (p, q, A)
+            assert flipped == {key: sign * c for key, c in A.terms.items()}, (p, q, A)
+            count += 1
+    assert count == 66
 
 
 def test_edge_slopes_are_boundary_slopes():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 
 from tbk.charvar import presentation, riley_polynomial
@@ -111,3 +112,51 @@ def test_riley_factors_irreducible_despite_split_seed():
     assert _int_poly_factors(riley_at(phi, 1)) == [list(riley_at(phi, 1))]
     assert sorted(len(f) - 1 for f in _int_poly_factors(riley_at(phi, 2))) == [2, 4]
     assert _riley_factors(phi, 2) == [phi.sign_normalized()]
+
+
+def test_riley_factors_are_palindromic_in_M():
+    # M^D phi_i(1/M, u) = +-phi_i(M, u), D the sum of the least and largest
+    # M-exponents, for every Riley factor of every p/q with q <= 33: the
+    # Riley points (M, u) and (1/M, u) lie on one factor, which the
+    # modular engine's mirrored nodes rely on
+    count = 0
+    for q in range(3, 34, 2):
+        for p in range(1, q):
+            if gcd(p, q) != 1:
+                continue
+            for f in _riley_factors(riley_polynomial(presentation(Fraction(p, q))), 1):
+                terms = f.terms
+                exps = [e_m for e_m, _ in terms]
+                top = min(exps) + max(exps)
+                flipped = {(top - e_m, e_u): c for (e_m, e_u), c in terms.items()}
+                assert flipped in (terms, {k: -c for k, c in terms.items()}), (p, q, f)
+                count += 1
+    assert count == 270
+
+
+@pytest.mark.parametrize("case", ("even", "odd"))
+def test_riley_factors_lift_in_M_squared_when_exponents_are_even(monkeypatch, case):
+    # u^2 - M^2 has only even M-exponents, so its seeds at M = 2, u - 2 and
+    # u + 2, are first lifted on u^2 - s at s = 4, where it is irreducible;
+    # that factor holds two seeds, so it is lifted again in M and splits
+    # over Z[M, u].  (u - M)(u + 2M) has the odd exponent M^1 and is lifted
+    # in M at M = 2 alone, where its seeds are u - 2 and u + 4.  Each call
+    # of _hensel_bivariate is recorded as (M-degree, point)
+    from tbk.charvar import apoly
+
+    M, u = MultiPoly.variable("M"), MultiPoly.variable("u")
+    factors = (u - M, u + M) if case == "even" else (u - M, u + 2 * M)
+    lifts = [(1, 4), (2, 2)] if case == "even" else [(2, 2)]
+    calls = []
+    hensel = apoly._hensel_bivariate
+
+    def recorded(phi, g0, h0, m0, p):
+        calls.append((phi.degree("M"), m0))
+        return hensel(phi, g0, h0, m0, p)
+
+    monkeypatch.setattr(apoly, "_hensel_bivariate", recorded)
+    phi = (factors[0] * factors[1]).in_variables(("M", "u"))
+    found = _riley_factors(phi, 2)
+    assert sorted(map(str, found)) == sorted(
+        str(f.in_variables(("M", "u")).sign_normalized()) for f in factors)
+    assert list(dict.fromkeys(calls)) == lifts
