@@ -299,8 +299,9 @@ def newton_interp(xs, ys, p):
 
 # Points a fit must leave over: it counts only when its Euclid quotient has
 # degree SPARE_POINTS + 2 or more, i.e. with deg num + deg den + 2 +
-# SPARE_POINTS points.
-SPARE_POINTS = 8
+# SPARE_POINTS points.  They are the only check on a fit, so there are
+# fourteen: a type-(a, b) function must pass through a + b + 16 points.
+SPARE_POINTS = 14
 
 
 def cauchy_interpolate(xs, ys, p):

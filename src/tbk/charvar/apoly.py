@@ -87,10 +87,10 @@ is), both lie on it, and A_i(1/M, 1/L) L^dL M^dM = +-A_i(M, L), the
 symmetry CCGLS prove for every A-polynomial.  The slice at M = 1/m mod p
 is then the slice at m reversed and made monic, so a fit on n nodes
 computes the slices at M = 1..n/2 + 1 and mirrors the others
-(_ahat_mod_p).  These real points, and six held out after them, lie below
-every prime, and so do their squares (_ELIMINATION_PRIMES_FROM): every
-slice is defined and no mirrored node is a real point.  Every fit takes
-the first large quotient of its Euclid run; a
+(_ahat_mod_p).  These real points lie below every prime, and so do their
+squares (_ELIMINATION_PRIMES_FROM): every slice is defined and no
+mirrored node is a real point.  Every fit takes the first large quotient
+of its Euclid run, whose spare points are the fit's only check; a
 factor's first prime fits on a doubling number of points, and each later
 prime starts at the point count the degrees found need.
 Rational reconstruction starts at a factor's first kept image; a
@@ -340,7 +340,7 @@ class _PointCache:
         """k = du_phi // e, e the largest squarefree degree mod p of the
         slices with k = 1, whole characteristic polynomials, at M = 2..5.
         e <= deg_L(A) = du_phi / k, so k is never read too small; too
-        large, it fails _apoly_modular's checks.
+        large, it fails _ahat_mod_p's mirror check or _apoly_modular's.
         Returns the probe's slices for the k read: the characteristic
         polynomials themselves if k = 1, else read from their first
         du_phi / k power sums as _slice_squarefree reads them."""
@@ -427,8 +427,7 @@ def _slice_squarefree(cache, m, p):
 
 
 _MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
-_FIRST_POINTS = 26  # a factor's first fit count, moved to 2n - 10 on failure
-_HELD_OUT = 6
+_FIRST_POINTS = 32  # a factor's first fit count, moved to 2n - 16 on failure
 _VERIFY_POINTS = 6  # the exact check's M = 1..6 (_verify_vanishing)
 
 
@@ -437,9 +436,9 @@ def _ahat_mod_p(cache, p, count):
 
     Returns (d, dden, coeffs, count) with coeffs mapping (L-power,
     M-power) to residues, normalized so the (d, dden) coefficient is 1,
-    and count = max_j(a_j + b_j) + 10 over the (numerator, denominator)
-    degrees of the reconstructed coefficient functions, the next prime's
-    ``count``; None when the prime misbehaves.
+    and count = max_j(a_j + b_j) + 2 + _modp.SPARE_POINTS over the
+    (numerator, denominator) degrees of the reconstructed coefficient
+    functions, the next prime's ``count``; None when the prime misbehaves.
 
     lc_L(A) is +-M^b (module docstring), so the slice at a good point is
     A(m, L)/(+-m^b), of degree d = du_phi / k: coefficient j is
@@ -448,48 +447,44 @@ def _ahat_mod_p(cache, p, count):
     gives +-A mod p.
 
     Every coefficient is fitted on n nodes by _modp.cauchy_interpolate,
-    which needs deg num + deg den + 10 <= n, and the six held-out points
-    after the last real node check every fit.  The nodes are the real
-    points M = 1, 2, ..., whose slices _slice_squarefree computes, and,
-    when cache.palindromic, the inverses mod p of 2, 3, ... in turn: A is
+    which needs deg num + deg den + 2 + SPARE_POINTS <= n; the spare
+    points are its only check.  The nodes are the real points M = 1..n,
+    whose slices _slice_squarefree computes, or, when cache.palindromic,
+    M = 1..n/2 + 1 and the inverses mod p of 2, 3, ... up to n nodes: A is
     reciprocal, so the slice at 1/m is the slice at m reversed and divided
-    by its constant term (module docstring).  That takes the real points
-    1..n/2 + 1, about half the slices; a slice with constant term 0 mod p
-    has no mirror, and the fit takes one more real point instead.  The
-    held-out points stay real, so they also check the symmetry.  n starts
-    at ``count``, or 26 on a factor's first prime (count None), and moves
-    to 2n - 10 when a fit or its check fails.  Degrees past
-    _MAX_RECON_DEGREE raise EliminationError: they do not depend on the
-    prime, since an unlucky prime only lowers them.  So n - 10 <= 2 *
-    _MAX_RECON_DEGREE, and every real point and its square lie below p
-    (_ELIMINATION_PRIMES_FROM)."""
+    by its constant term (module docstring), +-m^e for an integer e.
+    A zero constant term, or a failed first fit on a factor's first prime
+    with a computed slice at 1/2 that differs from its mirror, shows
+    slices that are no minimal polynomials, from a map degree k read too
+    large, and raises EliminationError naming k.  n starts at
+    ``count``, or 32 on a factor's first prime (count None), and moves to
+    2n - 16 when a fit fails.  Degrees past _MAX_RECON_DEGREE raise
+    EliminationError: they do not depend on the prime, since an unlucky
+    prime only lowers them.  So n - 16 <= 2 * _MAX_RECON_DEGREE, and every
+    real point and its square lie below p (_ELIMINATION_PRIMES_FROM)."""
     slices = {} if cache.k else cache.probe(p)  # the probe's points are slices too
     d = cache.du_phi // cache.k
     npts = count or _FIRST_POINTS
 
-    def real(m):
-        if m not in slices:
-            slices[m] = _slice_squarefree(cache, m, p)
-        return slices[m]
+    def wrong_k(why):
+        return EliminationError(f"the map degree {cache.k} is wrong: mod {p}, {why}")
 
     def fit(npts):
-        """Every coefficient function on npts nodes, checked on the
-        held-out points after the last real one."""
-        xs = []
-        m = 0
-        while len(xs) < npts:
-            m += 1
-            xs.append(m)
-            g = real(m)
-            if cache.palindromic and m > 1 and len(xs) < npts and g[0]:
-                inv = _modp.pinv(m, p, "_ahat_mod_p")
-                if inv not in slices:  # reversed, made monic: the slice at 1/m
-                    c = _modp.pinv(g[0], p, "_ahat_mod_p")
-                    slices[inv] = [x * c % p for x in reversed(g)]
-                xs.append(inv)
-        held = range(m + 1, m + _HELD_OUT + 1)
-        for m in held:
-            real(m)
+        """Every coefficient function on npts nodes."""
+        top = npts // 2 + 1 if cache.palindromic else npts
+        xs = list(range(1, top + 1))
+        for m in xs:
+            if m not in slices:
+                slices[m] = _slice_squarefree(cache, m, p)
+        for m in range(2, npts - top + 2):
+            inv = _modp.pinv(m, p, "_ahat_mod_p")
+            if inv not in slices:  # reversed, made monic: the slice at 1/m
+                g = slices[m]
+                if not g[0]:
+                    raise wrong_k(f"the slice at {m} has constant term 0")
+                c = _modp.pinv(g[0], p, "_ahat_mod_p")
+                slices[inv] = [x * c % p for x in reversed(g)]
+            xs.append(inv)
         xs = _modp.InterpolationNodes(xs, p)  # shared by the d fits
         recon = []
         for j in range(d):
@@ -497,17 +492,16 @@ def _ahat_mod_p(cache, p, count):
             if rf is None:
                 return None
             recon.append(rf)
-        for m in held:
-            for j, (num, den) in enumerate(recon):
-                dv = _modp.peval(den, m, p)
-                if dv == 0 or (_modp.peval(num, m, p) - slices[m][j] * dv) % p:
-                    return None
         return recon
 
     spare = 2 + _modp.SPARE_POINTS
     recon = None
     while recon is None and npts - spare <= 2 * _MAX_RECON_DEGREE:
         recon = fit(npts)
+        if recon is None and cache.palindromic and count is None and npts == _FIRST_POINTS:
+            half = _modp.pinv(2, p, "_ahat_mod_p")  # slices[half] holds the mirror
+            if _slice_squarefree(cache, half, p) != slices[half]:
+                raise wrong_k("the slice at 1/2 is not the mirror of the slice at 2")
         if recon is None:
             npts = 2 * npts - spare
     if recon is None:
@@ -806,8 +800,8 @@ _FACTOR_PRIMES_FROM = 1 << 15
 # The modular elimination's primes start here, so that every residue of a
 # slice, an image and a fit is a one-digit CPython int (below 2^30) and a
 # product of two has two digits.  They exceed the square of every real
-# sample point: the largest that _ahat_mod_p reaches is 2 *
-# _MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS + _HELD_OUT = 1040, below
+# sample point: the largest that _ahat_mod_p reaches, on unmirrored
+# nodes, is 2 * _MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS = 1040, below
 # 2^12, so lc_u(phi_i(m)) = +-m^a and c = m^len are units mod p for every
 # real point m and no slice is degenerate; and 1040^2 < 2^29, so a
 # mirrored node 1/m mod p is never a real point m' (m * m' = 1 mod p has

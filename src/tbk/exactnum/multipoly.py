@@ -114,9 +114,7 @@ class MultiPoly:
                     raise ValueError(
                         f"exponent tuple {exps} does not match variables {variables}"
                     )
-                clean[exps] = clean.get(exps, 0) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 

@@ -2,8 +2,8 @@
 
 K(p, q) and K(p', q') are the same knot exactly when q = q' and
 p' = p^(+-1) mod q; the mirror image corresponds to q - p.  Canonical
-ids minimize p over the allowed moves (with the mirror moves included by
-default, matching how the double twist fractions are normally quoted).
+ids minimize p over these moves and the mirror moves, matching how the
+double twist fractions are normally quoted.
 
 The double twist knot J(k, l) is two-bridge with fraction l / (1 - l*k)
 taken mod Z; k*l must be even or the diagram closes to a two-component
@@ -38,13 +38,11 @@ class KnotId:
             raise ValueError(f"p = {p} must be a unit in (0, {q})")
 
     @classmethod
-    def canonical(cls, p: int, q: int, mirror: bool = True) -> "KnotId":
+    def canonical(cls, p: int, q: int) -> "KnotId":
+        """The least p' over p^(+-1) and their mirrors q - p^(+-1), mod q."""
         p %= q
         inv = pow(p, -1, q)
-        candidates = {p, inv}
-        if mirror:
-            candidates |= {q - p, q - inv}
-        return cls(min(candidates), q)
+        return cls(min(p, inv, q - p, q - inv), q)
 
     def __str__(self):
         return f"{self.p}/{self.q}"
@@ -57,8 +55,9 @@ def knot_equivalent(a: KnotId, b: KnotId) -> bool:
     return b.p % a.q in (a.p % a.q, pow(a.p, -1, a.q))
 
 
-def double_twist_to_two_bridge(k: int, l: int, mirror: bool = True) -> KnotId:
-    """Canonical two-bridge id of the double twist knot J(k, l)."""
+def double_twist_to_two_bridge(k: int, l: int) -> KnotId:
+    """Canonical two-bridge id of the double twist knot J(k, l), up to
+    mirror image."""
     if (k * l) % 2:
         raise TwoComponentLinkError(
             f"J({k},{l}) has odd twist product; it is a two-component link")
@@ -71,7 +70,7 @@ def double_twist_to_two_bridge(k: int, l: int, mirror: bool = True) -> KnotId:
     f -= math.floor(f)
     if f.denominator < 3:
         raise NotHyperbolicError(f"J({k},{l}) is the unknot")
-    return KnotId.canonical(f.numerator, f.denominator, mirror=mirror)
+    return KnotId.canonical(f.numerator, f.denominator)
 
 
 def double_twist_fraction(n: int) -> Fraction:

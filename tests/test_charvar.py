@@ -511,12 +511,21 @@ def test_duplicated_a_factor_records_the_least_map_degree():
 @pytest.mark.parametrize("wrong", ("double", "one"))
 def test_modular_engine_refuses_a_wrong_map_degree(monkeypatch, wrong):
     # 6/35's large factor has k = 2: read as 4, its slices are no minimal
-    # polynomials and the lift fails an exact check; read as 1, the engine
-    # lifts A^2, which vanishes on the curve, and _power_root refuses it
+    # polynomials and not reciprocal, so the first fit fails and the slice
+    # at 1/2 computed differs from its mirror, which names k after the
+    # probe's four slices, the first fit's real points and that one; read
+    # as 1, the engine lifts A^2, which vanishes on the curve, and
+    # _power_root refuses it
     from tbk.charvar import apoly
 
     probe = apoly._PointCache.probe
+    slice_squarefree = apoly._slice_squarefree
     read = []
+    sliced = []
+
+    def counted_slice(cache, m, p):
+        sliced.append(m)
+        return slice_squarefree(cache, m, p)
 
     def patched(cache, p):
         out = probe(cache, p)
@@ -527,11 +536,16 @@ def test_modular_engine_refuses_a_wrong_map_degree(monkeypatch, wrong):
         return out
 
     monkeypatch.setattr(apoly._PointCache, "probe", patched)
+    monkeypatch.setattr(apoly, "_slice_squarefree", counted_slice)
     with pytest.raises(apoly.EliminationError) as err:
         a_polynomial(Fraction(6, 35))
     assert read == [2]
     if wrong == "one":
         assert "map degree 1 was read too small" in str(err.value)
+    else:
+        assert "the map degree 4 is wrong" in str(err.value)
+        assert "the slice at 1/2 is not the mirror" in str(err.value)
+        assert len(sliced) <= 4 + apoly._FIRST_POINTS // 2 + 1 + 1
 
 
 def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
@@ -561,9 +575,9 @@ def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
 
 def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     # every prime after a factor's first starts its fits at the point count
-    # the prime before it returned, max_j(a_j + b_j) + 10 over the degrees
-    # it reconstructed, so only first primes fail a fit, and a later prime
-    # samples no more slices than that count and 6 held out; small
+    # the prime before it returned, max_j(a_j + b_j) + 2 + SPARE_POINTS
+    # over the degrees it reconstructed, so only first primes fail a fit,
+    # and a later prime samples no more slices than that count; small
     # coefficients are lifted from the first image, so a factor takes two
     # primes
     from tbk.charvar import _modp, apoly
@@ -605,13 +619,13 @@ def test_modular_cauchy_fails_only_on_first_prime(monkeypatch):
     later = [(count, n) for count, n in primes if count is not None]
     assert all(primes[i - 1][0] is None for i in failures)
     for count, n in later:
-        assert n <= count + 6, (count, n)
+        assert n <= count, (count, n)
 
 
 @pytest.mark.parametrize("pq, work", (
-    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 69, "cauchy_interpolate": 10,
+    ("4/15", {"_ahat_mod_p": 4, "_slice_squarefree": 57, "cauchy_interpolate": 10,
               "failed fits": 0}),
-    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 75, "cauchy_interpolate": 22,
+    ("6/35", {"_ahat_mod_p": 4, "_slice_squarefree": 63, "cauchy_interpolate": 22,
               "failed fits": 0}),
 ))
 def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
@@ -624,7 +638,10 @@ def test_modular_engine_work_is_pinned(monkeypatch, pq, work):
     # palindromic, so a fit on n nodes computes the slices at M^2 =
     # 1..n/2 + 1 and mirrors the rest (107 and 119 slices when every node
     # was computed); the fits keep their node counts, so their number and
-    # the failed ones are those of the unmirrored engine
+    # the failed ones are those of the unmirrored engine.  The six points
+    # once held out after each fit's nodes are fit nodes now, mirrored
+    # like the rest, so each of the four primes computes three slices
+    # fewer (69 and 75 before)
     from tbk.charvar import _modp, apoly
 
     counts = dict.fromkeys(work, 0)
@@ -856,16 +873,15 @@ def test_modular_reconstruction_cap_fails_fast(monkeypatch):
 
 def test_modular_sample_points_lie_below_every_prime(monkeypatch):
     # _ahat_mod_p computes slices at the real points M = 1, 2, ..., fits on
-    # them and on the inverses mod p of 2, 3, ... (the mirrored nodes), and
-    # checks on six real points after them, with n - 10 <= 2 *
-    # _MAX_RECON_DEGREE nodes (larger n raises the cap).  So no p it runs
-    # on divides a real point m: lc_u(phi_i(m)) and c stay units and no
-    # slice is degenerate.  Nor is a mirrored node 1/m a real point m',
+    # them and on the inverses mod p of 2, 3, ... (the mirrored nodes),
+    # with n - 2 - SPARE_POINTS <= 2 * _MAX_RECON_DEGREE nodes (larger n
+    # raises the cap).  So no p it runs on divides a real point m:
+    # lc_u(phi_i(m)) and c stay units and no slice is degenerate.  Nor is a mirrored node 1/m a real point m',
     # as 1 < m * m' < p, so all nodes are distinct.  The prime-size test
     # starts the primes at 2^12
     from tbk.charvar import _modp, apoly
 
-    largest = 2 * apoly._MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS + apoly._HELD_OUT
+    largest = 2 * apoly._MAX_RECON_DEGREE + 2 + _modp.SPARE_POINTS
     assert largest < 1 << 12
     assert largest ** 2 < apoly._ELIMINATION_PRIMES_FROM
     points = {}

@@ -422,7 +422,7 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
     rng = random.Random(p * 2 + gaps)
     for a, b in SPLITS:
         need = a + b + 2 + _modp.SPARE_POINTS
-        xs = nodes(rng, 2 * max(a, b) + 40, gaps, p)
+        xs = nodes(rng, 2 * max(a, b) + 32 + _modp.SPARE_POINTS, gaps, p)
         num, den = random_rational_function(rng, a, b, xs, p)
         ys = [_modp.peval(num, x, p) * pow(_modp.peval(den, x, p), -1, p) % p
               for x in xs]
@@ -430,9 +430,10 @@ def test_cauchy_max_quotient_recovers_rational_functions(p, gaps):
             assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) == (num, den)
         for n in range(max(1, a + b - 4), need):
             assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) is None, n
-        # the symmetric bound B on 2B + 10 points, wherever it covers (a, b)
+        # the symmetric bound B on 2B + 2 + SPARE_POINTS points, wherever it
+        # covers (a, b)
         for bound in range(max(a, b), max(a, b) + 15, 2):
-            n = 2 * bound + 10
+            n = 2 * bound + 2 + _modp.SPARE_POINTS
             assert n <= len(xs)
             assert _modp.cauchy_interpolate(xs[:n], ys[:n], p) == (num, den)
         # one value off: a fit, wherever one is accepted, matches every node
@@ -477,23 +478,66 @@ def test_cauchy_accepted_fits_are_coprime(p):
     assert accepted > 100
 
 
+@pytest.mark.parametrize("p", (P29, P61))
+def test_cauchy_spare_points_cover_six_held_out_checks(monkeypatch, p):
+    # a fit on n nodes with six spare points fewer, then checked at six
+    # held-out points one by one, accepts exactly the fits that one fit on
+    # all n + 6 accepts, and returns the same pair: on seeded rational
+    # functions around the point count their degrees need, with and
+    # without one value off
+    rng = random.Random(p + 24)
+    held = 6
+
+    def held_out_rule(xs, ys):
+        with monkeypatch.context() as m:
+            m.setattr(_modp, "SPARE_POINTS", _modp.SPARE_POINTS - held)
+            fit = _modp.cauchy_interpolate(xs[:-held], ys[:-held], p)
+        if fit is None:
+            return None
+        num, den = fit
+        for x, y in zip(xs[-held:], ys[-held:]):
+            dv = _modp.peval(den, x, p)
+            if dv == 0 or (_modp.peval(num, x, p) - y * dv) % p:
+                return None
+        return fit
+
+    accepted = 0
+    for trial in range(80):
+        a, b = rng.randint(0, 12), rng.randint(0, 12)
+        n = a + b + 2 + _modp.SPARE_POINTS + rng.randint(-3, 6)
+        xs = nodes(rng, n, trial % 2, p)
+        num, den = random_rational_function(rng, a, b, xs, p)
+        ys = [_modp.peval(num, x, p) * pow(_modp.peval(den, x, p), -1, p) % p
+              for x in xs]
+        bad = list(ys)
+        bad[rng.randrange(n)] += rng.randrange(1, p)
+        for values in (ys, bad):
+            fit = _modp.cauchy_interpolate(xs, values, p)
+            assert held_out_rule(xs, values) == fit, (a, b, n)
+            assert fit is None or fit == (num, den)
+            accepted += fit is not None
+    assert 40 < accepted < 80  # clean values on enough nodes only
+
+
 def test_cauchy_degree_bounds_too_few_points():
-    # x^2 on 11 points: a quotient of degree 9, one short of the 10 needed
-    xs = list(range(1, 12))
+    # x^2 on SPARE_POINTS + 3 points: a quotient of degree SPARE_POINTS + 1,
+    # one short of the SPARE_POINTS + 2 needed; one point more fits
+    n = _modp.SPARE_POINTS + 3
+    xs = list(range(1, n + 2))
     ys = [x * x % 101 for x in xs]
     assert _modp.cauchy_interpolate(xs[:3], ys[:3], 101) is None
-    assert _modp.cauchy_interpolate(xs, ys, 101) is None
-    assert _modp.cauchy_interpolate(xs + [12], ys + [144 % 101], 101) == ([0, 0, 1], [1])
+    assert _modp.cauchy_interpolate(xs[:n], ys[:n], 101) is None
+    assert _modp.cauchy_interpolate(xs, ys, 101) == ([0, 0, 1], [1])
 
 
 def test_cauchy_stops_at_the_first_large_quotient(monkeypatch):
-    # a degree-22 polynomial on 34 points is its own interpolant, and the
-    # first quotient, prod(x - x_i) div it, has degree 12: the fit takes
-    # that pair with no Euclid step and no division, since an accepted
-    # pair is coprime
+    # a degree-22 polynomial on 22 + SPARE_POINTS + 4 points is its own
+    # interpolant, and the first quotient, prod(x - x_i) div it, has degree
+    # SPARE_POINTS + 4: the fit takes that pair with no Euclid step and no
+    # division, since an accepted pair is coprime
     p = 10007
     rng = random.Random(22)
-    xs = list(range(1, 35))
+    xs = list(range(1, 22 + _modp.SPARE_POINTS + 5))
     num, den = random_rational_function(rng, 22, 0, xs, p)
     ys = [_modp.peval(num, x, p) for x in xs]
     calls = []
