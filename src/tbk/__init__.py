@@ -22,7 +22,6 @@ from .idealpoints import (
     ideal_point_count,
 )
 from .knots import KnotId, double_twist_to_two_bridge, knot_equivalent
-from .regression import PaperReport, run_paper_suite
 from .slopes import Slope
 from .surfaces import (
     BranchedSurface,
@@ -62,3 +61,13 @@ __all__ = [
     "PaperReport",
     "run_paper_suite",
 ]
+
+
+def __getattr__(name):
+    """PaperReport and run_paper_suite, from tbk.regression, which loads on
+    first use rather than with the package (PEP 562)."""
+    if name in ("PaperReport", "run_paper_suite"):
+        from . import regression
+
+        return getattr(regression, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,7 @@ is not unique (an internal fault).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,13 +23,6 @@ from .confrac import (
 )
 from .knots import KnotId, double_twist_to_two_bridge
 from .surfaces import all_slopes, slope_report, symmetric_slopes
-from .valuation import (
-    fixes_vertex,
-    nontriviality_certificate,
-    ord_at_zero,
-    parse_matrix_line,
-    translation_length,
-)
 
 
 def _parse_fraction(text: str, num=0, den=0) -> Fraction:
@@ -147,6 +141,14 @@ def _cmd_polygon(args) -> int:
 
 
 def _cmd_valuation(args) -> int:
+    from .valuation import (
+        fixes_vertex,
+        nontriviality_certificate,
+        ord_at_zero,
+        parse_matrix_line,
+        translation_length,
+    )
+
     matrices = []
     with open(args.file) as f:
         for lineno, line in enumerate(f, start=1):
@@ -201,7 +203,11 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tbk`` parser, built on the first call and shared by every later
+    one in the process: parsing leaves it unchanged, so ``main`` may run any
+    number of times.  ``build_parser.__wrapped__()`` builds a new one."""
     parser = argparse.ArgumentParser(
         prog="tbk",
         description="Exact boundary-slope and character-variety calculator "
@@ -211,34 +217,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="admissible expansions of p/q")
     p.add_argument("fraction", help="fraction p/q, or a continued fraction like [4,-4]")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("slopes", help="slope table for p/q")
     p.add_argument("fraction")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_slopes)
 
     p = sub.add_parser("jkl", help="normalize a double twist knot J(k,l)")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.set_defaults(func=_cmd_jkl)
 
     p = sub.add_parser("apoly", help="A-polynomial of p/q in sparse text form")
     p.add_argument("fraction")
     p.add_argument("--keep-abelian", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_apoly)
 
     p = sub.add_parser("polygon", help="Newton polygon of a sparse polynomial file")
     p.add_argument("file")
     p.add_argument("--convention", choices=("lm", "ml"), default="lm")
     p.add_argument("--negate", action="store_true")
     p.add_argument("--half", action="store_true")
-    p.set_defaults(func=_cmd_polygon)
 
     p = sub.add_parser("valuation", help="fixed-vertex diagnostics for matrices")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_valuation)
 
     p = sub.add_parser("verify", help="regression suite over double twist knots")
     p.add_argument("--paper", action="store_true",
@@ -246,16 +246,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call, so a patched or traced _cmd_* is the one that runs
+    command = {
+        "expand": _cmd_expand,
+        "slopes": _cmd_slopes,
+        "jkl": _cmd_jkl,
+        "apoly": _cmd_apoly,
+        "polygon": _cmd_polygon,
+        "valuation": _cmd_valuation,
+        "verify": _cmd_verify,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -342,3 +342,91 @@ def test_cli_apoly_riley_degree_cap(capsys):
     assert (99 - 1) // 2 <= cli.MAX_RILEY_DEGREE  # 10/99 = J(10,10) is admitted
     assert main(["apoly", "2/5"]) == 0
     assert capsys.readouterr().out.startswith("# apoly v1\n")
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_cli_parser_is_built_once():
+    from tbk import cli
+
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_options_do_not_leak_between_calls(tmp_path, capsys):
+    out = tmp_path / "fig8.apoly"
+    assert main(["apoly", "2/5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["apoly", "2/5"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert main(["slopes", "4/15", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["knot"] == {"p": 4, "q": 15}
+    assert main(["slopes", "4/15"]) == 0
+    assert capsys.readouterr().out.startswith("knot 4/15\n")
+
+
+def test_cli_runs_after_a_usage_error(capsys):
+    for argv in (["apoly"], ["jkl", "4", "x"], ["nonsense"], ["slopes", "4/15", "--out", "f"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage: tbk" in capsys.readouterr().err
+        assert main(["jkl", "4", "4"]) == 0
+        assert "K(4,15)" in capsys.readouterr().out
+
+
+def test_cli_runs_the_current_command_function(monkeypatch, capsys):
+    # dispatch looks the command function up when main runs, so a patched
+    # or traced one is called even though the parser was built before
+    from tbk import cli
+
+    assert main(["jkl", "4", "4"]) == 0
+    calls = []
+
+    def fake_jkl(args):
+        calls.append((args.k, args.l))
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_jkl", fake_jkl)
+    assert main(["jkl", "6", "6"]) == 7
+    assert calls == [(6, 6)]
+    monkeypatch.undo()
+    assert main(["jkl", "6", "6"]) == 0
+    assert "K(6,35)" in capsys.readouterr().out
+
+
+def test_cli_shared_parser_output_matches_a_fresh_parser(monkeypatch, capsys):
+    # the 28 fractions with q odd and at most 11, as the apoly-sweep
+    # benchmark runs them: byte-identical text with the shared parser and
+    # with a new parser on every call
+    from tbk import cli
+
+    fractions = [f"{p}/{q}" for q in range(3, 12, 2) for p in range(1, q) if gcd(p, q) == 1]
+    assert len(fractions) == 28
+
+    def texts():
+        found = []
+        for fraction in fractions:
+            assert main(["apoly", fraction]) == 0
+            found.append(capsys.readouterr().out)
+        return found
+
+    shared = texts()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert texts() == shared
+    assert all(text.startswith("# apoly v1\n") for text in shared)
+
+
+def test_benchmark_imports_leave_regression_and_valuation_unloaded():
+    # the modules a benchmark run loads before its first timed call; the
+    # two below load on first use, and the package still exports their names
+    proc = run_python(["-c", (
+        "import sys\n"
+        "import tbk, tbk.charvar, tbk.cli\n"
+        "print(sorted(m for m in ('tbk.regression', 'tbk.valuation') if m in sys.modules))\n"
+        "from tbk import *\n"
+        "print(PaperReport.__module__, run_paper_suite.__module__)\n")],
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "tbk.regression tbk.regression"]
