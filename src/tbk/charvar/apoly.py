@@ -17,7 +17,8 @@ Hensel lift, recombination by exact division), then
 an (M - m0)-adic lift of those factors, each candidate proved by exact
 division.  Resultants are multiplicative, Res_u(phi_1 phi_2, g) =
 Res_u(phi_1, g) Res_u(phi_2, g), so u is eliminated from each irreducible
-factor phi_i separately.  Each result is a power of an irreducible:
+factor phi_i, one RileyComponent each (riley_components), separately,
+by a_factor.  Each result is a power of an irreducible:
 Res_u(phi_i, L M^len - P) is, up to a power of lc_u(phi_i), the norm from
 the field Q(M)[u]/phi_i to Q(M) of L - P/M^len, which is A_i^k, A_i the
 minimal polynomial of P/M^len over Q(M), irreducible, and primitive once
@@ -32,30 +33,30 @@ Eliminate in s = M^2.  An A-polynomial has only even powers of M
 have the inputs: conjugating by diag(1, -1) sends rho_M(g_i) to
 -rho_(-M)(g_i) with the same u, the longitude has exponent sum 0 and
 len is even, so P(-M, u) = P(M, u); the relation is kept and M does not
-divide phi, so phi(-M, u) = phi(M, u).  _eliminate takes g = gcd(len,
+divide phi, so phi(-M, u) = phi(M, u).  A component holds g = gcd(len,
 every M-exponent of P and phi_i), 2 on all 410 Riley factors with
-q <= 41, and runs an engine on phi_i(s, u), P(s, u) and len/g with
-s = M^g, still written M.  This is exact: phi_i is irreducible over
-Q(M), so K = F (x) Q(M), F = Q(s)[u]/phi_i, is a field, and beta =
-P/M^len lies in F.  Its characteristic polynomial on K over Q(M) is the
-one on F over Q(s), so it, its minimal polynomial, k and the direct
-engine's resultant are the same over Z[s], read with s = M^g.  lc_u
-stays +-s^a, c = s^(len/g) and every fit denominator stays a power of s,
-so neither engine changes and g = 1 runs the same code; the sign
-normalization, primitive part and monomial strip commute with
-multiplying the factor's M-exponents back by g.  The sample points, the
-degrees, _MAX_RECON_DEGREE and the EliminationError texts all count in
-the engine's variable, s; _eliminate appends "s = M^g" to such a text.
+q <= 41, and phi_i(s, u), P(s, u) and len/g with s = M^g, still written
+M, on which a_factor runs an engine.  This is exact: phi_i is
+irreducible over Q(M), so K = F (x) Q(M), F = Q(s)[u]/phi_i, is a
+field, and beta = P/M^len lies in F.  Its characteristic polynomial on
+K over Q(M) is the one on F over Q(s), so it, its minimal polynomial, k
+and the direct engine's resultant are the same over Z[s], read with
+s = M^g.  lc_u stays +-s^a, c = s^(len/g) and every fit denominator
+stays a power of s, so neither engine changes and g = 1 runs the same
+code; the sign normalization, primitive part and monomial strip commute
+with multiplying the factor's M-exponents back by g.  The sample points,
+the degrees, _MAX_RECON_DEGREE and the EliminationError texts all count
+in the engine's variable, s; a_factor appends "s = M^g" to such a text.
 Factoring lifts in s first (_riley_factors): a factor of phi(s, u) from
 one local factor stays irreducible over Z[M, u], while one from several
 can split there (u^2 - s) and is lifted again in M.
 
 Both engines start from R/M^len' = P/M^len, R = P mod phi_i over
 Z[M, 1/M] (exact: lc_u(phi_i) = +-M^a is a unit there) times a power of
-M, reduced once per factor (_reduced_longitude).  Factors of u-degree
-at most _DIRECT_MAX_DEGREE run through the exact subresultant engine
-directly, on phi_i and L*M^len' - R, which moves the resultant by +-M^j
-only; its PRS runs over Z on Kronecker-packed coefficients
+M, reduced once per component (_reduced_longitude).  Components of
+u-degree at most _DIRECT_MAX_DEGREE run through the exact subresultant
+engine directly, on phi_i and L*M^len' - R, which moves the resultant by
++-M^j only; its PRS runs over Z on Kronecker-packed coefficients
 (exactnum.resultants).  The rule comes from both engines timed (best of
 3, 2-core x86-64 host) on 172 Riley factors: every one with q <= 21,
 those of u-degree <= 7 with 23 <= q <= 45, and 6/35's and 8/63's:
@@ -107,8 +108,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
+from typing import NamedTuple
 
 from ..exactnum import (
     ExactDivisionError,
@@ -156,54 +158,103 @@ def longitude_data(pres: TwoBridgePresentation):
     return p11, len(word)
 
 
+def _u_M_terms(poly):
+    """[(u-exponent, M-exponent, coefficient)] of a polynomial in M and u."""
+    return [(e_u, e_m, c) for (e_m, e_u), c in poly.in_variables(("M", "u")).terms.items()]
+
+
+# a NamedTuple, immutable like a frozen dataclass, but about a tenth of
+# the cost to define, which every fresh process pays on import
+class RileyComponent(NamedTuple):
+    """An irreducible factor phi_i of the Riley polynomial over Z[M, u]
+    and what the engines read of it, in s = M^g (module docstring).
+
+    g is the gcd of len and every M-exponent of phi_i and P.  ``phi`` and
+    ``phi_terms`` are phi_i(s, u), ``p_terms`` is P(s, u) and ``length``
+    is len/g, written in M, the terms as [(u-exponent, M-exponent,
+    coefficient)]; ``r_terms`` and ``r_length`` are R and len'
+    (_reduced_longitude) and ``du`` is deg_u(phi_i).  ``palindromic``
+    says whether M^D phi(1/M, u) = phi(M, u), D the sum of phi's least and
+    largest M-exponents, by one comparison of terms: up to sign is no
+    wider, as lc_u(phi) is one term and must map to itself.  Only then
+    does _ahat_mod_p mirror its sample points."""
+
+    phi: MultiPoly
+    g: int
+    phi_terms: tuple
+    p_terms: tuple
+    length: int
+    r_terms: tuple
+    r_length: int
+    du: int
+    palindromic: bool
+
+    @classmethod
+    def of(cls, phi_i, p11, length, in_s=True):
+        """phi_i's component, P = p11 given as a MultiPoly in M and u or as
+        its _u_M_terms (riley_components converts P once for all its
+        factors); in_s=False keeps M, with g = 1."""
+        terms = _u_M_terms(phi_i), (p11 if isinstance(p11, list) else _u_M_terms(p11))
+        g = gcd(length, *(e_m for part in terms for _, e_m, _ in part)) if in_s else 1
+        phi_terms, p_terms = (tuple((e_u, e_m // g, c) for e_u, e_m, c in part)
+                              for part in terms)
+        top = min(e for _, e, _ in phi_terms) + max(e for _, e, _ in phi_terms)
+        du, length = phi_i.degree("u"), length // g
+        return cls(MultiPoly(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in phi_terms}), g,
+                   phi_terms, p_terms, length,
+                   *_reduced_longitude(phi_terms, du, p_terms, length), du,
+                   {(e_u, top - e_m, c) for e_u, e_m, c in phi_terms} == set(phi_terms))
+
+
 # -- exact small-case engine -------------------------------------------------
 
 
-def _apoly_direct(phi, p11, length):
-    """(g, k) with g^k = Res_u(phi, L*M^length - P) rid of pure-M factors.
+def _apoly_direct(component):
+    """(g, k) with g^k = Res_u(phi, L*M^length - P) rid of pure-M factors,
+    for the component's phi, P and length.
 
     lc_u(phi) divides the Riley polynomial's, +-M^a (riley_polynomial
     checks it), so lc_L of the resultant is a monomial: its only pure-M
     factors are integers and powers of M.  Stripped of those, R is g^k, g
     the minimal polynomial of P/M^length (module docstring)."""
-    r = _direct_resultant(phi, p11, length)
+    r = _direct_resultant(component)
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
     return _power_root(
         r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized())
 
 
-def _direct_resultant(phi, p11, length):
-    """Res_u(phi, L*M^length - P) up to a factor +-M^j.
+def _direct_resultant(component):
+    """Res_u(phi, L*M^length - P) up to a factor +-M^j, for the
+    component's phi, P and length.
 
     It is taken as Res_u(phi, L*M^length' - R), R = M^b (P mod phi) from
     _reduced_longitude: Res(phi, g) = lc^(deg g - deg r) Res(phi, r) for
     r = g mod phi, and Res(phi, M^b r) = M^(b du) Res(phi, r).  This
     replaces the subresultant PRS's first pseudo-remainder, whose du_P -
     du + 1 steps each rescale every coefficient of L*M^length - P by lc."""
-    terms, length = _reduced_longitude(phi, p11, length)
-    g = {(0, e_m, e_u): -c for e_u, e_m, c in terms}
-    g[(1, length, 0)] = 1
-    return poly_resultant(phi, MultiPoly(("L", "M", "u"), g), "u")
+    g = {(0, e_m, e_u): -c for e_u, e_m, c in component.r_terms}
+    g[(1, component.r_length, 0)] = 1
+    return poly_resultant(component.phi, MultiPoly(("L", "M", "u"), g), "u")
 
 
-def _reduced_longitude(phi, p11, length):
-    """(R, length') with R/M^length' = P/M^length in Z[M, 1/M][u]/phi, R
-    as [(u-exponent, M-exponent, coefficient)] of u-degree below phi's.
+def _reduced_longitude(phi_terms, du, p_terms, length):
+    """(R, length') with R/M^length' = P/M^length in Z[M, 1/M][u]/phi,
+    phi of u-degree du, and phi, P and R as [(u-exponent, M-exponent,
+    coefficient)], R of u-degree below du.
 
     lc_u(phi) = +-M^a is a unit of Z[M, 1/M], so there P mod phi is exact,
     each step an exponent shift; R = M^b (P mod phi), length' = length +
     b, b the least value making every exponent nonnegative.  On 6/35's
     u-degree-12 factor, in s = M^2, R has 69 terms, 13-bit coefficients
     and s-degree 6 with length' = 0; P has 351, 40 bits, 43 and 36."""
-    du = phi.degree("u")
     cols = [{} for _ in range(du + 1)]
-    for e_u, e_m, c in _u_M_terms(phi):
+    for e_u, e_m, c in phi_terms:
         cols[e_u][e_m] = c
     [(a, sign)] = cols[du].items()  # lc_u(phi) = sign * M^a, sign = 1/sign
     low = [list(col.items()) for col in cols[:du]]
     rem = {}
-    for e_u, e_m, c in _u_M_terms(p11):
+    for e_u, e_m, c in p_terms:
         rem.setdefault(e_u, {})[e_m] = c
     for k in range(max(rem, default=0), du - 1, -1):
         quotient = [(e - a, c * sign) for e, c in rem.pop(k, {}).items() if c]
@@ -216,7 +267,7 @@ def _reduced_longitude(phi, p11, length):
                     out[e] = get(e, 0) - c1 * c2
     terms = [(e_u, e_m, c) for e_u, col in rem.items() for e_m, c in col.items() if c]
     b = -min([length, *(e_m for _, e_m, _ in terms)])
-    return [(e_u, e_m + b, c) for e_u, e_m, c in terms], length + b
+    return tuple((e_u, e_m + b, c) for e_u, e_m, c in terms), length + b
 
 
 def _power_root(r):
@@ -284,74 +335,61 @@ def _in_M(c: MultiPoly) -> QPoly:
     return QPoly(col)
 
 
-def _u_M_terms(poly):
-    """[(u-exponent, M-exponent, coefficient)] of a polynomial in M and u."""
-    return [(e_u, e_m, c) for (e_m, e_u), c in poly.in_variables(("M", "u")).terms.items()]
-
-
 class _PointCache:
-    """Exact integer slices phi(m, u), R(m, u), m^length', shared by primes.
+    """A component's exact integer slices phi(m, u), R(m, u), m^length',
+    shared by primes.
 
     R and length' are _reduced_longitude's, so R(m) has u-degree below
-    du_phi, and phi(m, u) has u-degree du_phi at every m >= 1, since
-    lc_u(phi) is +-M^a (riley_polynomial checks it for the Riley
-    polynomial, and a factor's divides it).  A slice sums the terms of phi
-    and R over one table of powers of m: R of 6/35's u-degree-12 factor
-    has 69 terms of s-degree up to 6, where P has 351 up to 43.
+    du, and phi(m, u) has u-degree du at every m >= 1, since lc_u(phi) is
+    +-M^a (riley_polynomial checks it for the Riley polynomial, and a
+    factor's divides it).  A slice sums the terms of phi and R over one
+    table of powers of m: R of 6/35's u-degree-12 factor has 69 terms of
+    s-degree up to 6, where P has 351 up to 43.  ``k``, the map degree, is
+    read by ``probe`` on the first prime.  The cache holds the real points
+    alone: _ahat_mod_p mirrors the others."""
 
-    ``k``, the map degree, is read by ``probe`` on the first prime.
-    ``palindromic`` says whether M^D phi(1/M, u) = phi(M, u), D the sum of
-    phi's least and largest M-exponents, by one comparison of terms: up to
-    sign is no wider, as lc_u(phi) is one term and must map to itself.
-    Only then does _ahat_mod_p mirror its sample points; the cache holds
-    the real points alone."""
-
-    def __init__(self, phi, p11, length):
-        self.phi_terms = _u_M_terms(phi)
-        self.r_terms, self.length = _reduced_longitude(phi, p11, length)
-        self.du_phi = phi.degree("u")
-        self._dm = max(e_m for _, e_m, _ in self.phi_terms + self.r_terms)
-        exps = [e_m for _, e_m, _ in self.phi_terms]
-        top = min(exps) + max(exps)
-        self.palindromic = ({(e_u, top - e_m, c) for e_u, e_m, c in self.phi_terms}
-                            == set(self.phi_terms))
+    def __init__(self, component):
+        self.component = component
+        self._dm = max(e_m for _, e_m, _ in component.phi_terms + component.r_terms)
         self.k = None
         self._data = {}
         self._inverses = {}
 
     def get(self, m):
         if m not in self._data:
+            c = self.component
             powers = list(itertools.accumulate(itertools.repeat(m, self._dm), mul, initial=1))
-            phim, pm = [0] * (self.du_phi + 1), [0] * self.du_phi
-            for out, terms in ((phim, self.phi_terms), (pm, self.r_terms)):
-                for e_u, e_m, c in terms:
-                    out[e_u] += c * powers[e_m]
-            self._data[m] = (phim, _modp.ptrim(pm), m ** self.length)
+            phim, pm = [0] * (c.du + 1), [0] * c.du
+            for out, terms in ((phim, c.phi_terms), (pm, c.r_terms)):
+                for e_u, e_m, coeff in terms:
+                    out[e_u] += coeff * powers[e_m]
+            self._data[m] = (phim, _modp.ptrim(pm), m ** c.r_length)
         return self._data[m]
 
     def inverses(self, p):
-        """[_, 1/1, ..., 1/du_phi] mod p, for Newton's identities."""
+        """[_, 1/1, ..., 1/du] mod p, for Newton's identities."""
         if p not in self._inverses:
             self._inverses[p] = [0] + [_modp.pinv(k, p, "_PointCache.inverses")
-                                       for k in range(1, self.du_phi + 1)]
+                                       for k in range(1, self.component.du + 1)]
         return self._inverses[p]
 
     def probe(self, p):
-        """k = du_phi // e, e the largest squarefree degree mod p of the
+        """k = du // e, e the largest squarefree degree mod p of the
         slices with k = 1, whole characteristic polynomials, at M = 2..5.
-        e <= deg_L(A) = du_phi / k, so k is never read too small; too
-        large, it fails _ahat_mod_p's mirror check or _apoly_modular's.
-        Returns the probe's slices for the k read: the characteristic
-        polynomials themselves if k = 1, else read from their first
-        du_phi / k power sums as _slice_squarefree reads them."""
+        e <= deg_L(A) = du / k, so k is never read too small; too large,
+        it fails _ahat_mod_p's mirror check or _apoly_modular's.  Returns
+        the probe's slices for the k read: the characteristic polynomials
+        themselves if k = 1, else read from their first du / k power sums
+        as _slice_squarefree reads them."""
         self.k = 1
         chars = {m: _slice_squarefree(self, m, p) for m in range(2, 6)}
         e = max(len(c) - len(_modp.pgcd_monic(c, _modp.pderiv(c, p), p))
                 for c in chars.values())
-        k = self.k = self.du_phi // e
+        du = self.component.du
+        k = self.k = du // e
         if k == 1:
             return chars
-        return {m: _minimal_slice(_power_sums(c[:-1], self.du_phi // k, p)[1:],
+        return {m: _minimal_slice(_power_sums(c[:-1], du // k, p)[1:],
                                   k, self.inverses(p), p)
                 for m, c in chars.items()}
 
@@ -405,7 +443,7 @@ def _slice_squarefree(cache, m, p):
     primes lie just above 2^29, so every residue here is a one-digit int.
     """
     phim, pm, c = cache.get(m)
-    d, k = cache.du_phi, cache.k
+    d, k = cache.component.du, cache.k
     fm = [x % p for x in phim]
     inv = _modp.pinv(fm[-1], p, "_slice_squarefree")
     f = [x * inv % p for x in fm[:-1]]  # phi(m) monic, leading 1 dropped
@@ -441,7 +479,7 @@ def _ahat_mod_p(cache, p, count):
     functions, the next prime's ``count``; None when the prime misbehaves.
 
     lc_L(A) is +-M^b (module docstring), so the slice at a good point is
-    A(m, L)/(+-m^b), of degree d = du_phi / k: coefficient j is
+    A(m, L)/(+-m^b), of degree d = du / k: coefficient j is
     +-A_j(M)/M^b, and a fit whose denominator is not a power of M rejects
     the prime.  Shifting every numerator to M^dden, dden the largest b,
     gives +-A mod p.
@@ -449,10 +487,11 @@ def _ahat_mod_p(cache, p, count):
     Every coefficient is fitted on n nodes by _modp.cauchy_interpolate,
     which needs deg num + deg den + 2 + SPARE_POINTS <= n; the spare
     points are its only check.  The nodes are the real points M = 1..n,
-    whose slices _slice_squarefree computes, or, when cache.palindromic,
-    M = 1..n/2 + 1 and the inverses mod p of 2, 3, ... up to n nodes: A is
-    reciprocal, so the slice at 1/m is the slice at m reversed and divided
-    by its constant term (module docstring), +-m^e for an integer e.
+    whose slices _slice_squarefree computes, or, when the component is
+    palindromic, M = 1..n/2 + 1 and the inverses mod p of 2, 3, ... up to
+    n nodes: A is reciprocal, so the slice at 1/m is the slice at m
+    reversed and divided by its constant term (module docstring), +-m^e
+    for an integer e.
     A zero constant term, or a failed first fit on a factor's first prime
     with a computed slice at 1/2 that differs from its mirror, shows
     slices that are no minimal polynomials, from a map degree k read too
@@ -463,7 +502,8 @@ def _ahat_mod_p(cache, p, count):
     prime only lowers them.  So n - 16 <= 2 * _MAX_RECON_DEGREE, and every
     real point and its square lie below p (_ELIMINATION_PRIMES_FROM)."""
     slices = {} if cache.k else cache.probe(p)  # the probe's points are slices too
-    d = cache.du_phi // cache.k
+    d = cache.component.du // cache.k
+    palindromic = cache.component.palindromic
     npts = count or _FIRST_POINTS
 
     def wrong_k(why):
@@ -471,7 +511,7 @@ def _ahat_mod_p(cache, p, count):
 
     def fit(npts):
         """Every coefficient function on npts nodes."""
-        top = npts // 2 + 1 if cache.palindromic else npts
+        top = npts // 2 + 1 if palindromic else npts
         xs = list(range(1, top + 1))
         for m in xs:
             if m not in slices:
@@ -498,7 +538,7 @@ def _ahat_mod_p(cache, p, count):
     recon = None
     while recon is None and npts - spare <= 2 * _MAX_RECON_DEGREE:
         recon = fit(npts)
-        if recon is None and cache.palindromic and count is None and npts == _FIRST_POINTS:
+        if recon is None and palindromic and count is None and npts == _FIRST_POINTS:
             half = _modp.pinv(2, p, "_ahat_mod_p")  # slices[half] holds the mirror
             if _slice_squarefree(cache, half, p) != slices[half]:
                 raise wrong_k("the slice at 1/2 is not the mirror of the slice at 2")
@@ -563,8 +603,8 @@ def _lift(residues, modulus, primes):
     return fracs, set()
 
 
-def _apoly_modular(phi, p11, length):
-    """(A, k): phi's A-polynomial factor by modular images and CRT.
+def _apoly_modular(component):
+    """(A, k): the component's A-polynomial factor by modular images and CRT.
 
     After each kept image the images so far are lifted by rational
     reconstruction; a candidate is accepted when two consecutive lifts
@@ -574,14 +614,9 @@ def _apoly_modular(phi, p11, length):
     fraction the other images fit (see _lift) is dropped, so one wrong
     image costs primes, not the lift.  Past the cap the first prime
     raises: k is cached from it, so a later prime would repeat its fits."""
-    cache = _PointCache(phi, p11, length)
+    cache = _PointCache(component)
     primes = _modp.prime_stream(_ELIMINATION_PRIMES_FROM)
-    images = []  # (prime, coefficients) of the kept images
-    residues = {}
-    modulus = 1
-    signature = None
-    count = None
-    candidate = None
+    signature = count = None  # the kept images' (d, dden); the next prime's count
 
     for _ in range(_MAX_PRIMES):
         p = next(primes)
@@ -589,15 +624,11 @@ def _apoly_modular(phi, p11, length):
         if image is None:
             continue
         d, dden, coeffs, image_count = image
-        if signature is None:
-            signature = (d, dden)
-        elif (d, dden) != signature:
-            # disagreement: keep the larger signature, restart accumulation
-            if (d, dden) > signature:
-                signature, images, residues, modulus = (d, dden), [], {}, 1
-                candidate = None
-            else:
-                continue  # an unlucky prime: its count is not carried
+        if signature is not None and (d, dden) < signature:
+            continue  # an unlucky prime: its count is not carried
+        if (d, dden) != signature:  # the first image, or a larger signature: restart
+            # images: (prime, coefficients) of the kept images
+            signature, images, residues, modulus, candidate = (d, dden), [], {}, 1, None
         count = image_count
         images.append((p, coeffs))
         residues, modulus = _crt_fold(residues, modulus, coeffs, p)
@@ -647,7 +678,7 @@ def _verify_vanishing(apoly, cache):
     cols = [_in_M(c) for c in apoly.coefficients_in("L")]
     for m in range(1, _VERIFY_POINTS + 1):
         phim, pm, c = cache.get(m)
-        n, lc = cache.du_phi, phim[-1]
+        n, lc = cache.component.du, phim[-1]
         f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])
         e = max(len(pm) - 1, 0)
         x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)])
@@ -667,31 +698,10 @@ def _verify_vanishing(apoly, cache):
                 f"reconstructed A-polynomial fails the exact curve check at M={m}")
 
 
-def _eliminate(engine, phi, p11, length):
-    """engine's A-polynomial factor of phi, eliminated in s = M^g.
-
-    g is the gcd of length and of every M-exponent of phi and P; the
-    engine runs on phi(s, u), P(s, u) and length / g, written in M, and
-    its factor's M-exponents are multiplied back by g (module docstring),
-    beside its k.  An EliminationError's text counts in s, so with g > 1
-    it is raised again naming s."""
-    terms = [_u_M_terms(phi), _u_M_terms(p11)]
-    g = gcd(length, *(e_m for poly in terms for _, e_m, _ in poly))
-    phi, p11 = (MultiPoly(("M", "u"), {(e_m // g, e_u): c for e_u, e_m, c in poly})
-                for poly in terms)
-    try:
-        factor, k = engine(phi, p11, length // g)
-    except EliminationError as err:
-        if g == 1:
-            raise
-        raise EliminationError(f"{err} (in the engine's variable s = M^{g})") from err
-    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()}), k
-
-
 # -- public entry points -------------------------------------------------------
 
 
-# a Riley factor is eliminated directly when its u-degree is at most
+# a Riley component is eliminated directly when its u-degree is at most
 # this, else by modular images (the table in the module docstring):
 # direct wins 119 of the 121 timed factors of u-degree <= 6, 4 of the 7
 # of u-degree 7 (8/63's takes 28.4 ms direct, 9.0 modular) and 10 of the
@@ -699,31 +709,50 @@ def _eliminate(engine, phi, p11, length):
 _DIRECT_MAX_DEGREE = 6
 
 
+def riley_components(p_over_q):
+    """The Riley components of the two-bridge knot p/q, one per irreducible
+    factor of its Riley polynomial, in _riley_factors' order."""
+    pres = presentation(p_over_q)
+    p11, length = longitude_data(pres)
+    p_terms = _u_M_terms(p11)  # converted once, shared by the components
+    return [RileyComponent.of(phi_i, p_terms, length)
+            for phi_i in _riley_factors(riley_polynomial(pres), 1)]
+
+
+def a_factor(component):
+    """(A_i, k): the component's A-factor and map degree.
+
+    The engine is the direct one up to u-degree _DIRECT_MAX_DEGREE, else
+    the modular one, run in s = M^g; the factor's M-exponents are
+    multiplied back by g.  An EliminationError's text counts in s, so
+    with g > 1 it is raised again naming s."""
+    engine = _apoly_direct if component.du <= _DIRECT_MAX_DEGREE else _apoly_modular
+    g = component.g
+    try:
+        factor, k = engine(component)
+    except EliminationError as err:
+        if g == 1:
+            raise
+        raise EliminationError(f"{err} (in the engine's variable s = M^{g})") from err
+    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()}), k
+
+
 def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
     """Nonabelian A-polynomial of the two-bridge knot p/q.
 
     keep_abelian multiplies the abelian factor (L - 1) back in.  The
-    result records the irreducible factors, one per distinct Riley-factor
-    image, each eliminated by the engine its u-degree selects, and their
-    map degrees.
+    result records the irreducible factors, the distinct a_factor images
+    of the Riley components, and their map degrees.
     """
-    pres = presentation(p_over_q)
-    phi = riley_polynomial(pres)
-    p11, length = longitude_data(pres)
-
-    found = {}  # A-factor -> the least k of the Riley factors giving it
-    for phi_i in _riley_factors(phi, 1):
-        small = phi_i.degree("u") <= _DIRECT_MAX_DEGREE
-        factor, k = _eliminate(_apoly_direct if small else _apoly_modular, phi_i, p11, length)
+    found = {}  # A-factor -> the least k of the components giving it
+    for component in riley_components(p_over_q):
+        factor, k = a_factor(component)
         found[factor] = min(k, found.get(factor, k))
     if keep_abelian:
         found[MultiPoly(("L", "M"), {(1, 0): 1, (0, 0): -1})] = 1
 
     factors = tuple(found)
-    poly = factors[0]
-    for factor in factors[1:]:
-        poly = poly * factor
-    return APoly(poly, "full", factors, tuple(found.values()))
+    return APoly(prod(factors[1:], start=factors[0]), "full", factors, tuple(found.values()))
 
 
 # -- factoring the Riley polynomial ---------------------------------------------
@@ -1027,17 +1056,11 @@ def split_components(ap: APoly, canonical_slopes=None):
     if canonical_slopes is not None and len(irreducible) == 2:
         from .newton import edge_slopes, newton_polygon
 
-        want = set(canonical_slopes)
-        slope_sets = []
-        for f in irreducible:
-            ss = set()
-            for s in edge_slopes(newton_polygon(f)):
-                ss.add(s.num if (not s.is_infinite and s.den == 1) else s)
-            slope_sets.append(ss)
-        matches = [i for i, ss in enumerate(slope_sets) if ss == want]
+        matches = [i for i, f in enumerate(irreducible)
+                   if {s.num if not s.is_infinite and s.den == 1 else s
+                       for s in edge_slopes(newton_polygon(f))} == set(canonical_slopes)]
         if len(matches) == 1:
-            tags = ["other", "other"]
-            tags[matches[0]] = "canonical"
+            tags = ["canonical" if i in matches else "other" for i in range(2)]
     ks = dict(zip(ap.factors, ap.map_degrees))
     return [APoly(f, t, map_degrees=(ks[f],) if ks else ())
             for f, t in zip(irreducible, tags)]

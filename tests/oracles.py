@@ -223,16 +223,19 @@ def mat_mul(x, y):
 
 
 def word_matrix_oracle(letters):
-    """M^n * rho(word) for a word of n letters, as a plain product of
-    MultiPoly matrices, one full polynomial product per letter."""
+    """M^n * rho(word) for a word of n letters, as plain MultiPoly matrix
+    products: the letter images multiplied pairwise, then the pairs
+    pairwise, and so on up a balanced tree, so most products are of short
+    factors and the few long ones are balanced."""
     from tbk.exactnum import MultiPoly
 
     images = letter_images()
     one, zero = MultiPoly.constant(1, ("M", "u")), MultiPoly.constant(0, ("M", "u"))
-    out = (one, zero, zero, one)
-    for letter in letters:
-        out = mat_mul(out, images[letter])
-    return out
+    mats = [images[letter] for letter in letters] or [(one, zero, zero, one)]
+    while len(mats) > 1:
+        products = [mat_mul(x, y) for x, y in zip(mats[::2], mats[1::2])]
+        mats = products + mats[2 * len(products):]  # an odd last one as is
+    return mats[0]
 
 
 def pdivmod_stepwise(a, b, p):
@@ -388,7 +391,7 @@ def vanishing_failure_oracle(apoly, cache, p11, length, points=6):
     while checked < points:
         m += 1
         phim = cache.get(m)[0]
-        if len(phim) - 1 != cache.du_phi or not phim:
+        if len(phim) - 1 != cache.component.du or not phim:
             continue
         modulus = QPoly(phim)
         pred = QPoly(u_coefficients_at(p11, m)).divmod(modulus)[1]

@@ -243,7 +243,8 @@ def test_direct_squarefree_proof_matches_gcd_oracle():
     for pq, phi_i, p11, length in small_riley_factors(17, 66):
         lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
         r = prs_resultant(phi_i, lm - p11, "u")
-        assert apoly._apoly_direct(phi_i, p11, length)[0] == direct_cleanup_oracle(r), pq
+        component = apoly.RileyComponent.of(phi_i, p11, length, in_s=False)
+        assert apoly._apoly_direct(component)[0] == direct_cleanup_oracle(r), pq
         r = r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized()
         if apoly._power_at(r, 2) > 1:
             powers.add((pq, phi_i.degree("u")))
@@ -265,39 +266,40 @@ def test_reduced_direct_resultant_matches_the_unreduced_one(monkeypatch):
     inputs = []
     direct = apoly._apoly_direct
 
-    def recorded(phi, p11, length):
-        inputs.append((phi, p11, length))
-        return direct(phi, p11, length)
+    def recorded(component):
+        inputs.append(component)
+        return direct(component)
 
     monkeypatch.setattr(apoly, "_apoly_direct", recorded)
     for p, q in reduced_fractions(15):
         a_polynomial(Fraction(p, q))
     reduced = 0
-    for phi, p11, length in inputs:
-        lm = MultiPoly.monomial(1, ("L", "M"), (1, length))
-        old = prs_resultant(phi, lm - p11, "u").strip_monomial()
-        new = apoly._direct_resultant(phi, p11, length).strip_monomial()
-        assert old in (new, -new), (phi, length)
-        reduced += p11.degree("u") >= phi.degree("u")
+    for component in inputs:
+        p11 = longitude_in_s(component)
+        lm = MultiPoly.monomial(1, ("L", "M"), (1, component.length))
+        old = prs_resultant(component.phi, lm - p11, "u").strip_monomial()
+        new = apoly._direct_resultant(component).strip_monomial()
+        assert old in (new, -new), (component.phi, component.length)
+        reduced += p11.degree("u") >= component.du
     assert len(inputs) == 52
     assert reduced == 52
 
 
 def test_reduced_longitude_is_p_mod_phi_on_every_riley_factor():
-    # on every Riley factor of the 64 p/q with q <= 17: R has u-degree
-    # below phi's and no negative exponent, b is the least such power (an
-    # exponent or length' is 0), and M^length * R = M^length' * P modulo
-    # phi(m) in Q[u] at m = 1..6
+    # on every Riley component of the 64 p/q with q <= 17, in s = M^2: R
+    # has u-degree below phi's and no negative exponent, b is the least
+    # such power (an exponent or length' is 0), and M^length * R =
+    # M^length' * P modulo phi(m) in Q[u] at m = 1..6
     from tbk.charvar import apoly
     from tbk.exactnum import QPoly
 
     factors = 0
     for p, q in reduced_fractions(17):
-        pres = presentation(Fraction(p, q))
-        p11, length = longitude_data(pres)
-        for phi in apoly._riley_factors(riley_polynomial(pres), 1):
+        for component in apoly.riley_components(Fraction(p, q)):
             factors += 1
-            r_terms, length_r = apoly._reduced_longitude(phi, p11, length)
+            phi, p11, length = component.phi, longitude_in_s(component), component.length
+            r_terms, length_r = component.r_terms, component.r_length
+            assert component.g == 2, (p, q, phi)
             assert all(e_u < phi.degree("u") for e_u, _, _ in r_terms), (p, q, phi)
             assert min([length_r, *(e_m for _, e_m, _ in r_terms)]) == 0, (p, q, phi)
             r = MultiPoly(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in r_terms})
@@ -307,6 +309,38 @@ def test_reduced_longitude_is_p_mod_phi_on_every_riley_factor():
                 diff = QPoly([m ** length * a - m ** length_r * b for a, b in zip(rm, pm)])
                 assert diff.divmod(QPoly(u_coefficients_at(phi, m)))[1].is_zero(), (p, q, m)
     assert factors == 72
+
+
+def test_a_polynomial_reduces_and_converts_the_longitude_once(monkeypatch):
+    # per a_polynomial call, each Riley factor's P mod phi_i is reduced
+    # once (_reduced_longitude) and P is converted to terms once, shared by
+    # the factors, each of which is converted once too: 6/35 (u-degrees 5
+    # and 12) and 1/9 (u-degrees 1 and 3, both giving L*M^18 + 1)
+    from tbk.charvar import apoly
+
+    reduced, converted = [], []
+    reduced_longitude, convert = apoly._reduced_longitude, apoly._u_M_terms
+
+    def counted_reduce(phi_terms, du, p_terms, length):
+        reduced.append(du)
+        return reduced_longitude(phi_terms, du, p_terms, length)
+
+    def counted_convert(poly):
+        converted.append(poly)
+        return convert(poly)
+
+    monkeypatch.setattr(apoly, "_reduced_longitude", counted_reduce)
+    monkeypatch.setattr(apoly, "_u_M_terms", counted_convert)
+    for pq, degrees in (("6/35", [5, 12]), ("1/9", [1, 3])):
+        pres = presentation(Fraction(pq))
+        p11 = longitude_data(pres)[0]
+        riley = apoly._riley_factors(riley_polynomial(pres), 1)
+        reduced.clear()
+        converted.clear()
+        a_polynomial(Fraction(pq))
+        assert sorted(reduced) == sorted(f.degree("u") for f in riley) == degrees, pq
+        assert [poly for poly in converted if poly == p11] == [p11], pq
+        assert len(converted) == 1 + len(riley), pq
 
 
 def test_direct_squarefree_proof_falls_back(monkeypatch):
@@ -331,7 +365,7 @@ def test_direct_squarefree_proof_falls_back(monkeypatch):
         return points[-1][1]
 
     monkeypatch.setattr(apoly, "_power_at", recorded)
-    out = apoly._apoly_direct(u ** 2 - (M - 2) ** 2, u, 0)
+    out = apoly._apoly_direct(apoly.RileyComponent.of(u ** 2 - (M - 2) ** 2, u, 0))
     assert out == (((L - M + 2) * (L + M - 2)).sign_normalized(), 1)
     assert points == [(2, 2), (3, 1)]
 
@@ -343,10 +377,11 @@ def test_direct_engine_refuses_without_a_root(monkeypatch):
     from tbk.charvar import apoly
 
     u = MultiPoly.variable("u")
-    assert apoly._apoly_direct(u ** 2 - M, u ** 2, 0) == (L - M, 2)
+    component = apoly.RileyComponent.of(u ** 2 - M, u ** 2, 0)
+    assert apoly._apoly_direct(component) == (L - M, 2)
     monkeypatch.setattr(apoly, "_kth_root", lambda r, k: None)
     with pytest.raises(apoly.EliminationError, match=r"at M = 2\.\.8$"):
-        apoly._apoly_direct(u ** 2 - M, u ** 2, 0)
+        apoly._apoly_direct(component)
 
 
 def test_kth_root_exact():
@@ -380,9 +415,9 @@ def test_auto_engine_choice(monkeypatch):
 
     runs = []
     for name in ("_apoly_direct", "_apoly_modular"):
-        def counted(phi, p11, length, name=name, engine=getattr(apoly, name)):
-            runs.append((name, phi.degree("u")))
-            return engine(phi, p11, length)
+        def counted(component, name=name, engine=getattr(apoly, name)):
+            runs.append((name, component.du))
+            return engine(component)
 
         monkeypatch.setattr(apoly, name, counted)
     for p, q in reduced_fractions(11):
@@ -401,7 +436,7 @@ def test_auto_engine_choice(monkeypatch):
 
 
 def test_riley_and_longitude_are_even_in_M():
-    # the parity _eliminate relies on: for every knot fraction with
+    # the parity RileyComponent relies on: for every knot fraction with
     # q <= 25, length and every M-exponent of P, of phi and of each Riley
     # factor are even, so a_polynomial eliminates in M^2
     from tbk.charvar import apoly
@@ -433,8 +468,9 @@ def test_engines_in_M_match_the_factors_eliminated_in_M_squared():
         recorded = a_polynomial(pq).factors
         found = []
         for phi_i in apoly._riley_factors(riley_polynomial(pres), 1):
-            direct, k = apoly._apoly_direct(phi_i, p11, length)
-            assert apoly._apoly_modular(phi_i, p11, length) == (direct, k), pq
+            component = apoly.RileyComponent.of(phi_i, p11, length, in_s=False)
+            direct, k = apoly._apoly_direct(component)
+            assert apoly._apoly_modular(component) == (direct, k), pq
             assert direct in recorded, pq
             found.append(direct)
             count += 1
@@ -451,20 +487,29 @@ def test_map_degree_is_u_degree_over_L_degree(monkeypatch, rule):
     from tbk.charvar import apoly
 
     runs = []
-    eliminate = apoly._eliminate
+    engines = []
+    a_factor = apoly.a_factor
 
-    def recorded(engine, phi, p11, length):
-        factor, k = eliminate(engine, phi, p11, length)
-        runs.append((engine.__name__, phi.degree("u"), factor, k))
+    def recorded(component):
+        factor, k = a_factor(component)
+        runs.append((engines[-1], component.du, factor, k))
         return factor, k
 
-    monkeypatch.setattr(apoly, "_eliminate", recorded)
+    for name in ("_apoly_direct", "_apoly_modular"):
+        def named(component, name=name, engine=getattr(apoly, name)):
+            engines.append(name)
+            return engine(component)
+
+        monkeypatch.setattr(apoly, name, named)
+    monkeypatch.setattr(apoly, "a_factor", recorded)
     monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", rule)
     engine = "_apoly_direct" if rule == ALL_DIRECT else "_apoly_modular"
     count = 0
     for p, q in reduced_fractions(17):
         runs.clear()
+        engines.clear()
         ap = a_polynomial(Fraction(p, q))
+        assert len(engines) == len(runs), (p, q)
         least = {}
         for name, du, factor, k in runs:
             assert name == engine
@@ -494,12 +539,10 @@ def test_duplicated_a_factor_records_the_least_map_degree():
     # records k = 1 for L - 1
     from tbk.charvar import apoly
 
-    pres = presentation(Fraction(1, 9))
-    p11, length = longitude_data(pres)
-    riley = sorted(apoly._riley_factors(riley_polynomial(pres), 1),
-                   key=lambda f: f.degree("u"))
-    assert [f.degree("u") for f in riley] == [1, 3]
-    eliminated = [apoly._eliminate(apoly._apoly_direct, f, p11, length) for f in riley]
+    riley = sorted(apoly.riley_components(Fraction(1, 9)), key=lambda c: c.du)
+    assert [c.du for c in riley] == [1, 3]
+    assert 3 <= apoly._DIRECT_MAX_DEGREE  # both run direct
+    eliminated = [apoly.a_factor(c) for c in riley]
     assert eliminated == [(L * M ** 18 + 1, 1), (L * M ** 18 + 1, 3)]
     ap = a_polynomial(Fraction(1, 9))
     assert ap.factors == (L * M ** 18 + 1,) and ap.map_degrees == (1,)
@@ -529,7 +572,7 @@ def test_modular_engine_refuses_a_wrong_map_degree(monkeypatch, wrong):
 
     def patched(cache, p):
         out = probe(cache, p)
-        if cache.du_phi == 12:
+        if cache.component.du == 12:
             read.append(cache.k)
             cache.k = 2 * cache.k if wrong == "double" else 1
             out = {}
@@ -548,28 +591,34 @@ def test_modular_engine_refuses_a_wrong_map_degree(monkeypatch, wrong):
         assert len(sliced) <= 4 + apoly._FIRST_POINTS // 2 + 1 + 1
 
 
-def test_eliminate_substitutes_the_gcd_of_the_M_exponents():
+def test_eliminate_substitutes_the_gcd_of_the_M_exponents(monkeypatch):
     # phi = u^2 - M^2, P = u^2 and length 0 reach the engine as u^2 - M,
     # u^2 and 0, and its L - M, with k = 2 as the resultant is (L - M)^2,
-    # returns as L - M^2; an odd M-exponent (g = 1) passes everything
-    # through unchanged
+    # returns from a_factor as L - M^2; an odd M-exponent (g = 1) passes
+    # everything through unchanged
     from tbk.charvar import apoly
 
     u = MultiPoly.variable("u")
     calls = []
+    direct = apoly._apoly_direct
 
-    def engine(phi, p11, length):
-        calls.append((phi, p11, length))
-        return apoly._apoly_direct(phi, p11, length)
+    def engine(component):
+        calls.append((component.phi, longitude_in_s(component), component.length))
+        return direct(component)
 
-    assert apoly._eliminate(engine, u ** 2 - M ** 2, u ** 2, 0) == (L - M ** 2, 2)
+    monkeypatch.setattr(apoly, "_apoly_direct", engine)
+    component = apoly.RileyComponent.of(u ** 2 - M ** 2, u ** 2, 0)
+    assert component.g == 2
+    assert apoly.a_factor(component) == (L - M ** 2, 2)
     assert calls == [(u ** 2 - M, u ** 2, 0)]
     calls.clear()
-    assert apoly._eliminate(engine, u ** 2 - M, u ** 2, 0) == (L - M, 2)
+    assert apoly.a_factor(apoly.RileyComponent.of(u ** 2 - M, u ** 2, 0)) == (L - M, 2)
     assert calls == [(u ** 2 - M, u ** 2, 0)]
     calls.clear()
     odd, p11 = u ** 2 - M ** 3 * u - M ** 2, u * M ** 2
-    assert apoly._eliminate(engine, odd, p11, 4) == apoly._apoly_direct(odd, p11, 4)
+    component = apoly.RileyComponent.of(odd, p11, 4)
+    assert component.g == 1
+    assert apoly.a_factor(component) == direct(component)
     assert calls == [(odd, p11, 4)]
 
 
@@ -712,9 +761,9 @@ def test_modular_degrees_carry_only_from_kept_images(monkeypatch):
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", unlucky_second)
-    phi, p11, length = riley_factor_data(Fraction(4, 15))
-    first = ahat_mod_p(apoly._PointCache(phi, p11, length), engine_prime(), None)
-    apoly._apoly_modular(phi, p11, length)
+    component = riley_factor_data(Fraction(4, 15))
+    first = ahat_mod_p(apoly._PointCache(component), engine_prime(), None)
+    apoly._apoly_modular(component)
     assert len(calls) >= 3
     assert calls[0] is None
     assert calls[1] == calls[2] == first[3]
@@ -728,7 +777,7 @@ def test_modular_image_refuses_a_denominator_that_is_no_power_of_M(monkeypatch):
 
     data = riley_factor_data(Fraction(4, 15))
     p = engine_prime()
-    assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is not None
+    assert apoly._ahat_mod_p(apoly._PointCache(data), p, None) is not None
     cauchy_interpolate = _modp.cauchy_interpolate
     changed = []
 
@@ -742,7 +791,7 @@ def test_modular_image_refuses_a_denominator_that_is_no_power_of_M(monkeypatch):
         return fit
 
     monkeypatch.setattr(_modp, "cauchy_interpolate", once)
-    assert apoly._ahat_mod_p(apoly._PointCache(*data), p, None) is None
+    assert apoly._ahat_mod_p(apoly._PointCache(data), p, None) is None
     assert changed
 
 
@@ -754,13 +803,20 @@ def engine_prime():
 
 
 def riley_factor_data(pq):
-    """(phi_i, P, length) for the Riley factor of p/q of largest u-degree."""
+    """The component, kept in M, of the Riley factor of p/q of largest
+    u-degree."""
     from tbk.charvar import apoly
 
     pres = presentation(pq)
     p11, length = longitude_data(pres)
     factors = apoly._riley_factors(riley_polynomial(pres), 1)
-    return max(factors, key=lambda f: f.degree("u")), p11, length
+    phi = max(factors, key=lambda f: f.degree("u"))
+    return apoly.RileyComponent.of(phi, p11, length, in_s=False)
+
+
+def longitude_in_s(component):
+    """The component's P(s, u), written in M, as a MultiPoly in M and u."""
+    return MultiPoly(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in component.p_terms})
 
 
 @pytest.mark.parametrize("pq", (Fraction(4, 15), Fraction(6, 35)))
@@ -772,7 +828,7 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
     from tbk.charvar import apoly
 
     data = riley_factor_data(pq)
-    expected, k = apoly._apoly_modular(*data)
+    expected, k = apoly._apoly_modular(data)
     calls = []
     ahat_mod_p = apoly._ahat_mod_p
 
@@ -788,7 +844,7 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
         return image
 
     monkeypatch.setattr(apoly, "_ahat_mod_p", corrupted)
-    assert apoly._apoly_modular(*data) == (expected, k)
+    assert apoly._apoly_modular(data) == (expected, k)
     assert len(calls) >= 3
     assert expected in a_polynomial(pq).factors
 
@@ -813,19 +869,13 @@ def test_exact_check_matches_fraction_oracle(monkeypatch):
     from tbk.charvar import _modp, apoly
 
     checked = []
-    inputs = []  # (P, length) of each modular call, for the oracle
     verify = apoly._verify_vanishing
-    modular = apoly._apoly_modular
-
-    def recorded_inputs(phi, p11, length):
-        inputs.append((p11, length))
-        return modular(phi, p11, length)
 
     def recorded(apoly_poly, cache):
-        checked.append((apoly_poly, cache, *inputs[-1]))
+        component = cache.component  # P and length for the oracle
+        checked.append((apoly_poly, cache, longitude_in_s(component), component.length))
         verify(apoly_poly, cache)
 
-    monkeypatch.setattr(apoly, "_apoly_modular", recorded_inputs)
     monkeypatch.setattr(apoly, "_verify_vanishing", recorded)
     monkeypatch.setattr(apoly, "_DIRECT_MAX_DEGREE", ALL_MODULAR)
     fractions = [Fraction(p, q) for p, q in reduced_fractions(15)]
@@ -923,10 +973,9 @@ def test_modular_engine_mirrors_only_palindromic_factors(monkeypatch):
     init = apoly._PointCache.__init__
     caches = []
 
-    def not_palindromic(cache, *args):
-        init(cache, *args)
-        caches.append(cache.palindromic)
-        cache.palindromic = False
+    def not_palindromic(cache, component):
+        init(cache, component._replace(palindromic=False))
+        caches.append(component.palindromic)
 
     slices = []
     slice_squarefree = apoly._slice_squarefree

@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from tbk.charvar import presentation, riley_polynomial
-from tbk.charvar.apoly import _in_M, _int_poly_factors, _riley_factors
+from tbk.charvar.apoly import _in_M, _int_poly_factors, _riley_factors, riley_components
 from tbk.exactnum import MultiPoly
 
 X = sympy.Symbol("x")
@@ -118,14 +118,17 @@ def test_riley_factors_are_palindromic_in_M():
     # M^D phi_i(1/M, u) = +-phi_i(M, u), D the sum of the least and largest
     # M-exponents, for every Riley factor of every p/q with q <= 33: the
     # Riley points (M, u) and (1/M, u) lie on one factor, which the
-    # modular engine's mirrored nodes rely on
+    # modular engine's mirrored nodes rely on; each component, built in
+    # s = M^g, records it as palindromic
     count = 0
     for q in range(3, 34, 2):
         for p in range(1, q):
             if gcd(p, q) != 1:
                 continue
-            for f in _riley_factors(riley_polynomial(presentation(Fraction(p, q))), 1):
-                terms = f.terms
+            for component in riley_components(Fraction(p, q)):
+                f = component.phi  # phi_i(s, u): back to M below
+                terms = {(e_m * component.g, e_u): c for (e_m, e_u), c in f.terms.items()}
+                assert component.palindromic, (p, q, f)
                 exps = [e_m for e_m, _ in terms]
                 top = min(exps) + max(exps)
                 flipped = {(top - e_m, e_u): c for (e_m, e_u), c in terms.items()}

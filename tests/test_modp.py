@@ -11,6 +11,7 @@ from tbk.charvar import _modp, longitude_data, presentation, riley_polynomial
 from tbk.charvar.apoly import (
     _ELIMINATION_PRIMES_FROM,
     _FACTOR_PRIMES_FROM,
+    RileyComponent,
     _PointCache,
     _riley_factors,
     _slice_squarefree,
@@ -129,7 +130,7 @@ def test_crt_pair_composite_second_modulus():
 
 def unreduced_slice(cache, p11, length, m, p):
     """Res_u(phi(m), L*c - P(m)) made monic, c = m^length, from scalar
-    resultants with -P(m) + c*l used as is at the first du_phi + 1 L-nodes
+    resultants with -P(m) + c*l used as is at the first du + 1 L-nodes
     l = 0, 1, ... below p where it is no zero polynomial; None when p has
     too few.  P(m) and c come from the longitude entry p11 itself, not
     from the engine's reduced data; phi(m) from ``cache``."""
@@ -139,7 +140,7 @@ def unreduced_slice(cache, p11, length, m, p):
     assert fm[-1] and c % p, (m, p)  # p does not divide m
     ls, vals = [], []
     for ell in range(p):
-        if len(ls) > cache.du_phi:
+        if len(ls) > cache.component.du:
             break
         g = [(-x) % p for x in pm] or [0]
         g[0] = (g[0] + c * ell) % p
@@ -147,29 +148,29 @@ def unreduced_slice(cache, p11, length, m, p):
         if g:
             ls.append(ell)
             vals.append(_modp.resultant_scalar(fm, g, p))
-    if len(ls) <= cache.du_phi:
+    if len(ls) <= cache.component.du:
         return None
     r = _modp.newton_interp(ls, vals, p)
-    assert len(r) - 1 == cache.du_phi, (m, p)
+    assert len(r) - 1 == cache.component.du, (m, p)
     return _modp.pscale(r, pow(r[-1], -1, p), p)
 
 
-def check_minimal_slices(component, p11, length, primes, points):
-    """On an irreducible Riley factor, with k read by the engine's probe
-    mod P29: at every (m, p) the slice to the k is the monic unreduced
-    resultant, and where p divides m _slice_squarefree raises.  Returns
-    (k, slices, degenerate, short, few): degenerate counting the points p
-    divides, short the slices whose resultant's squarefree part is
-    shorter (at roots of the discriminant, where the slice still has
-    degree du_phi / k), and few the (m, p) skipped for too few L-nodes
-    below p."""
-    cache = _PointCache(component, p11, length)
+def check_minimal_slices(phi, p11, length, primes, points):
+    """On an irreducible Riley factor phi, its component kept in M, with k
+    read by the engine's probe mod P29: at every (m, p) the slice to the k
+    is the monic unreduced resultant, and where p divides m
+    _slice_squarefree raises.  Returns (k, slices, degenerate, short,
+    few): degenerate counting the points p divides, short the slices whose
+    resultant's squarefree part is shorter (at roots of the discriminant,
+    where the slice still has degree du / k), and few the (m, p) skipped
+    for too few L-nodes below p."""
+    cache = _PointCache(RileyComponent.of(phi, p11, length, in_s=False))
     cache.probe(P29)
     k = cache.k
     slices = degenerate = short = few = 0
     for p in primes:
-        if p <= cache.du_phi:
-            continue  # Newton's identities divide by 1..du_phi
+        if p <= cache.component.du:
+            continue  # Newton's identities divide by 1..du
         for m in points:
             slices += 1
             if m % p == 0:
@@ -185,7 +186,7 @@ def check_minimal_slices(component, p11, length, primes, points):
             power = [1]
             for _ in range(k):
                 power = _modp.pmul(power, got, p)
-            assert power == expected, (component, m, p)
+            assert power == expected, (phi, m, p)
             square_part = _modp.pgcd_monic(expected, _modp.pderiv(expected, p), p)
             short += len(expected) - len(square_part) < len(got) - 1
     return k, slices, degenerate, short, few
@@ -199,11 +200,11 @@ def test_slice_squarefree_matches_unreduced_resultants():
     p11, length = longitude_data(pres)
     found = {}
     degenerate = short = 0
-    for component in _riley_factors(riley_polynomial(pres), 1):
-        assert p11.degree("u") > component.degree("u")
-        k, _, d, s, few = check_minimal_slices(component, p11, length,
+    for phi in _riley_factors(riley_polynomial(pres), 1):
+        assert p11.degree("u") > phi.degree("u")
+        k, _, d, s, few = check_minimal_slices(phi, p11, length,
                                                (P29, P61, 10007, 101, 13, 11), range(1, 25))
-        found[component.degree("u")] = k
+        found[phi.degree("u")] = k
         degenerate += d
         short += s
         assert few == 0
@@ -217,8 +218,8 @@ def test_characteristic_slice_matches_resultants_on_riley_factors(fraction):
     pres = presentation(Fraction(fraction))
     p11, length = longitude_data(pres)
     slices = degenerate = skipped = 0
-    for component in _riley_factors(riley_polynomial(pres), 1):
-        _, n, d, _, few = check_minimal_slices(component, p11, length,
+    for phi in _riley_factors(riley_polynomial(pres), 1):
+        _, n, d, _, few = check_minimal_slices(phi, p11, length,
                                                (P29, P61, 10007, 101, 13, 11), range(1, 25))
         slices += n
         degenerate += d
@@ -235,13 +236,14 @@ def test_probe_slices_are_the_slices_of_the_map_degree_read(fraction):
     pres = presentation(Fraction(fraction))
     p11, length = longitude_data(pres)
     ks = []
-    for component in _riley_factors(riley_polynomial(pres), 1):
+    for phi in _riley_factors(riley_polynomial(pres), 1):
         for p in (P29, 10007, 101):
-            cache = _PointCache(component, p11, length)
+            cache = _PointCache(RileyComponent.of(phi, p11, length, in_s=False))
             probed = cache.probe(p)
             assert sorted(probed) == [2, 3, 4, 5]
             assert probed == {m: _slice_squarefree(cache, m, p) for m in probed}
-            assert all(len(s) - 1 == cache.du_phi // cache.k for s in probed.values() if s)
+            assert all(len(s) - 1 == cache.component.du // cache.k
+                       for s in probed.values() if s)
         ks.append(cache.k)
     assert max(ks) > 1
 
