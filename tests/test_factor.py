@@ -7,8 +7,14 @@ from math import gcd
 import pytest
 import sympy
 
-from tbk.charvar import presentation, riley_polynomial
-from tbk.charvar.apoly import _in_M, _int_poly_factors, _riley_factors, riley_components
+from tbk.charvar import _modp, apoly, presentation, riley_polynomial
+from tbk.charvar.apoly import (
+    _in_M,
+    _int_poly_factors,
+    _irreducible_by_degrees,
+    _riley_factors,
+    riley_components,
+)
 from tbk.exactnum import MultiPoly
 
 X = sympy.Symbol("x")
@@ -71,7 +77,8 @@ def test_int_poly_factors_split_mod_every_prime():
     assert factors_of([-1, 0, 0, 0, -1]) == [(1, 0, 0, 0, 1)]
 
 
-def test_int_poly_factors_random_products():
+def random_products():
+    """40 primitive products of random factors, some repeated."""
     rng = random.Random(2024)
     for _ in range(40):
         product = [1]
@@ -85,8 +92,79 @@ def test_int_poly_factors_random_products():
                            for k in range(len(product) + len(g) - 1)]
         while product[0] == 0:  # keep x-power factors out of the shape test
             product = product[1:]
-        f = list(normalized(product))
+        yield list(normalized(product))
+
+
+def test_int_poly_factors_random_products():
+    for f in random_products():
         assert factors_of(f) == sympy_factors(f), f
+
+
+def test_degree_screen_proves_only_irreducible_polynomials():
+    # Musser's test says "irreducible" only where sympy agrees: on every
+    # Riley slice phi(m, u), m = 1, 2, of the p/q with q <= 45, p <= q/2,
+    # and on the random products, up to the u-degree the screen runs at
+    cap = apoly._SCREEN_MAX_DEGREE
+    inputs = list(random_products())
+    for q in range(3, 46, 2):
+        if (q - 1) // 2 > cap:
+            continue
+        for p in range(1, q // 2 + 1):
+            if gcd(p, q) == 1:
+                phi = riley_polynomial(presentation(Fraction(p, q)))
+                inputs += [riley_at(phi, m) for m in (1, 2)]
+    inputs = [f for f in inputs if len(f) - 1 <= cap]
+    proved = [f for f in inputs if _irreducible_by_degrees(f)]
+    for f in proved:
+        assert sympy_factors(f) == [normalized(f)], f
+    assert (len(inputs), len(proved)) == (54, 45)
+
+
+def counted_zassenhaus(monkeypatch):
+    """Calls of the equal-degree split and of the p-adic Hensel lift."""
+    calls = {"equal_degree": 0, "hensel": 0}
+    equal_degree, hensel = _modp.equal_degree, apoly._hensel_padic
+
+    def counted_equal_degree(*args):
+        calls["equal_degree"] += 1
+        return equal_degree(*args)
+
+    def counted_hensel(*args):
+        calls["hensel"] += 1
+        return hensel(*args)
+
+    monkeypatch.setattr(_modp, "equal_degree", counted_equal_degree)
+    monkeypatch.setattr(apoly, "_hensel_padic", counted_hensel)
+    return calls
+
+
+def test_degree_screen_leaves_what_splits_mod_every_prime_to_zassenhaus(monkeypatch):
+    # no prime rules out a quadratic factor of x^4 + 1 or x^4 - 10x^2 + 1,
+    # so the screen is undecided and Zassenhaus lifts and recombines
+    calls = counted_zassenhaus(monkeypatch)
+    for f in ([1, 0, 0, 0, 1], [1, 0, -10, 0, 1]):
+        assert not _irreducible_by_degrees(f)
+        calls["hensel"] = 0
+        assert _int_poly_factors(f) == [f]
+        assert calls["hensel"] > 0, f
+
+
+def test_small_irreducible_riley_slices_skip_zassenhaus(monkeypatch):
+    # the apoly-sweep knots of u-degree 2..5: every phi(1, u) but 1/9's
+    # and 8/9's is proved irreducible by the screen alone, with no
+    # equal-degree split and no Hensel lift; those two are reducible and
+    # run both
+    calls = counted_zassenhaus(monkeypatch)
+    ran = {}
+    for q in range(5, 12, 2):
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                calls.update(equal_degree=0, hensel=0)
+                _riley_factors(riley_polynomial(presentation(Fraction(p, q))), 1)
+                ran[p, q] = calls["equal_degree"] > 0, calls["hensel"] > 0
+    assert len(ran) == 26
+    assert {k for k, v in ran.items() if v != (False, False)} == {(1, 9), (8, 9)}
+    assert ran[1, 9] == ran[8, 9] == (True, True)
 
 
 def test_riley_factors_match_sympy():
