@@ -52,27 +52,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_found_primes = {}  # start -> the first primes of its stream, found so far
-
-
 def prime_stream(start=(1 << 61) + 1):
-    """The primes from start | 1 up, in increasing order.
-
-    A stream yields the primes an earlier stream from the same start
-    found before it tests a new candidate, and keeps those it finds.
-    What is kept is always a prefix of the one sequence of primes, so
-    streams may interleave."""
-    i = 0
+    n = start | 1
     while True:
-        found = _found_primes.get(start, ())
-        while len(found) <= i:
-            n = found[-1] + 2 if found else start | 1
-            while not is_prime(n):
-                n += 2
-            found += (n,)
-            _found_primes[start] = found
-        yield found[i]
-        i += 1
+        if is_prime(n):
+            yield n
+        n += 2
 
 
 def ptrim(a):

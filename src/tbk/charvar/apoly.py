@@ -878,11 +878,11 @@ def _irreducible_by_degrees(f):
     such p allows are kept as a bit set; none left proves f irreducible
     (Musser, J. ACM 22, 1975; von zur Gathen and Gerhard, Modern Computer
     Algebra, chapter 15).  The test stops undecided when a usable prime
-    past the second removes no degree, or after the first 12 odd primes."""
+    past the second removes no degree, or after the odd primes below 42."""
     n = len(f) - 1
     allowed = (1 << n) - 2  # bit d: a factor of degree d not yet ruled out
     usable = 0
-    for p in itertools.islice(_modp.prime_stream(3), 12):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if not f[-1] % p:
             continue
         fp = _monic_product([f], p)

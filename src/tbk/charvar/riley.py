@@ -25,7 +25,7 @@ _VARS = ("M", "u")
 
 
 def _p(terms):
-    return MultiPoly._of(_VARS, terms)
+    return MultiPoly(_VARS, terms)
 
 
 # The scaled letters M * rho(letter) act on a row (x, y) as

@@ -118,16 +118,6 @@ class MultiPoly:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
 
-    @classmethod
-    def _of(cls, variables, terms):
-        """A MultiPoly on terms built by tbk's own code: ``variables`` is
-        a tuple and every key an exponent tuple of its length, so only zero
-        coefficients, which sums can leave, are dropped."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-        return self
-
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
 
@@ -211,7 +201,7 @@ class MultiPoly:
                 if j is not None:
                     exps[j] = e
             newterms[tuple(exps)] = newterms.get(tuple(exps), 0) + c
-        return MultiPoly._of(variables, newterms)
+        return MultiPoly(variables, newterms)
 
     def _aligned(self, other):
         if isinstance(other, int):
@@ -236,7 +226,7 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return MultiPoly._of(self.variables, {k: -c for k, c in self.terms.items()})
+        return MultiPoly(self.variables, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         a, b = self._aligned(other)
@@ -330,7 +320,7 @@ class MultiPoly:
         for k, c in self.terms.items():
             kk = k[:i] + k[i + 1:]
             buckets[k[i]][kk] = buckets[k[i]].get(kk, 0) + c
-        return [MultiPoly._of(rest, b) for b in buckets]
+        return [MultiPoly(rest, b) for b in buckets]
 
     @classmethod
     def from_coefficients(cls, var, coeffs):
@@ -410,7 +400,7 @@ class MultiPoly:
             return self
         terms = {tuple(e - m for e, m in zip(k, mins)): c
                  for k, c in self.terms.items()}
-        return MultiPoly._of(self.variables, terms)
+        return MultiPoly(self.variables, terms)
 
     def _lex_leading(self):
         """(exponents, coefficient) of the lex-largest term."""

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -17,35 +19,41 @@ def runs(parent, change):
     for seed, pair in enumerate(zip(parent, change)):
         for side, value in zip(bench_pairs.SIDES, pair):
             out.append({"workload": "w", "seed": seed, "side": side, "last_line": {
+                "correct": True, "failed": 0,
                 "metrics": {"pass_s": {"value": value, "unit": "s"},
                             "found": {"value": value, "unit": "count"}}}})
     return out
 
 
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+FASTER = [0.80 + i / 1000 for i in range(10)]
+
+
 def test_claim_needs_nine_tenths_of_the_pairs_and_more_than_the_parent_spread():
-    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
-    faster = [0.80 + i / 1000 for i in range(10)]
-    summary = bench_pairs.summarize(runs(parent, faster), END_TO_END)
+    both = runs(PARENT, FASTER)
+    summary = bench_pairs.summarize(both, END_TO_END)
     row = summary["w"]["pass_s"]
     assert row["change_better_pairs"] == "10/10"
     assert row["parent_range"] == [0.97, 1.03]
     assert summary["w"]["found"]["change_better_pairs"] == "0/10"  # higher is better
-    assert bench_pairs.judge_claim("w:pass_s", summary, END_TO_END)["met"]
-    assert not bench_pairs.judge_claim("w:found", summary, END_TO_END)["met"]
+    assert bench_pairs.judge_claim("w:pass_s", both, END_TO_END)["met"]
+    assert not bench_pairs.judge_claim("w:found", both, END_TO_END)["met"]
 
     # two pairs lost: 8/10 is below nine tenths
-    mixed = faster[:8] + [1.10, 1.10]
-    summary = bench_pairs.summarize(runs(parent, mixed), END_TO_END)
-    assert summary["w"]["pass_s"]["change_better_pairs"] == "8/10"
-    assert not bench_pairs.judge_claim("w:pass_s", summary, END_TO_END)["met"]
+    mixed = runs(PARENT, FASTER[:8] + [1.10, 1.10])
+    assert bench_pairs.summarize(mixed, END_TO_END)["w"]["pass_s"]["change_better_pairs"] == "8/10"
+    assert not bench_pairs.judge_claim("w:pass_s", mixed, END_TO_END)["met"]
 
     # every pair won, by less than the parent's quartile spread
-    close = [p - 0.001 for p in parent]
-    summary = bench_pairs.summarize(runs(parent, close), END_TO_END)
-    claim = bench_pairs.judge_claim("w:pass_s", summary, END_TO_END)
-    assert summary["w"]["pass_s"]["change_better_pairs"] == "10/10"
+    close = runs(PARENT, [p - 0.001 for p in PARENT])
+    claim = bench_pairs.judge_claim("w:pass_s", close, END_TO_END)
+    assert claim["change_better_pairs"] == "10/10"
     assert claim["median_gain"] < claim["parent_quartile_spread"]
     assert not claim["met"]
+
+    # every pair won by far, but fewer pairs than a claim needs
+    few = runs(PARENT[:5], FASTER[:5])
+    assert not bench_pairs.judge_claim("w:pass_s", few, END_TO_END)["met"]
 
 
 def test_a_run_without_output_is_left_out_of_its_pair():
@@ -53,3 +61,31 @@ def test_a_run_without_output_is_left_out_of_its_pair():
     both[-1] = {"workload": "w", "seed": 1, "side": "change", "error": "exit 1"}
     summary = bench_pairs.summarize(both, END_TO_END)
     assert summary["w"]["pass_s"]["change_better_pairs"] == "1/1"
+
+
+def test_an_incorrect_run_leaves_its_pair_out_and_fails_the_claim():
+    both = runs(PARENT, FASTER)
+    both[3]["last_line"]["correct"] = False  # seed 1, the change's run
+    assert bench_pairs.summarize(both, END_TO_END)["w"]["pass_s"]["change_better_pairs"] == "9/9"
+    claim = bench_pairs.judge_claim("w:pass_s", both, END_TO_END)
+    assert claim["pairs_left_out"] == 1
+    assert not claim["met"]
+
+
+def test_a_claim_fails_where_the_change_fails_more_operations():
+    both = runs(PARENT, FASTER)
+    both[5]["last_line"]["failed"] = 2  # seed 2, the change's run
+    claim = bench_pairs.judge_claim("w:pass_s", both, END_TO_END)
+    assert claim["change_better_pairs"] == "10/10"
+    assert claim["pairs_change_failed_more"] == 1
+    assert not claim["met"]
+    both[4]["last_line"]["failed"] = 2  # the parent fails as many
+    assert bench_pairs.judge_claim("w:pass_s", both, END_TO_END)["met"]
+
+
+def test_an_existing_bench_file_is_not_overwritten(tmp_path, monkeypatch):
+    (tmp_path / "BENCH_7.json").write_text("{}\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match="exists"):
+        bench_pairs.main(["--pr", "7"])
+    assert (tmp_path / "BENCH_7.json").read_text() == "{}\n"

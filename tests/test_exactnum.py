@@ -319,16 +319,3 @@ def test_gcd_chain_referenced_only_by_its_module():
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert len(list(root.rglob("*.py"))) > 10
     assert not offenders, offenders
-
-
-def test_public_constructor_validates_and_the_private_one_drops_zeros():
-    # MultiPoly checks every exponent tuple against its variables;
-    # MultiPoly._of trusts the tuples tbk builds, but still drops the zero
-    # coefficients that sums of terms can leave
-    with pytest.raises(ValueError, match="does not match"):
-        MultiPoly(("L", "M"), {(1,): 3})
-    with pytest.raises(ValueError, match="does not match"):
-        MultiPoly(["L", "M"], {(1, 2, 0): 3})
-    built = MultiPoly._of(("L", "M"), {(1, 0): 0, (0, 1): 2})
-    assert built.terms == {(0, 1): 2}
-    assert built == 2 * M

@@ -128,25 +128,6 @@ def test_crt_pair_composite_second_modulus():
     assert x % 2 ** 10 == 5 and x % (p1 * p2) == 11
 
 
-def test_prime_stream_tests_each_candidate_once(monkeypatch):
-    # streams from one start share the primes found: interleaved, they
-    # yield the same primes in order, and no odd candidate is tested twice
-    tested = []
-    is_prime = _modp.is_prime
-    monkeypatch.setattr(_modp, "is_prime", lambda n: tested.append(n) or is_prime(n))
-    monkeypatch.setattr(_modp, "_found_primes", {})
-    start = 10 ** 6
-    a, b = _modp.prime_stream(start), _modp.prime_stream(start)
-    from_a = [next(a) for _ in range(3)]
-    from_b = [next(b) for _ in range(8)]
-    from_a += [next(a) for _ in range(6)]
-    candidates = list(range(start + 1, from_a[-1] + 1, 2))
-    assert tested == candidates
-    assert from_a[:8] == from_b == [n for n in candidates if is_prime(n)][:8]
-    assert [n for _, n in zip(range(9), _modp.prime_stream(start))] == from_a
-    assert tested == candidates
-
-
 def unreduced_slice(cache, p11, length, m, p):
     """Res_u(phi(m), L*c - P(m)) made monic, c = m^length, from scalar
     resultants with -P(m) + c*l used as is at the first du + 1 L-nodes

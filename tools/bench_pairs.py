@@ -1,25 +1,30 @@
 """Benchmark a change against its parent commit in alternating pairs.
 
     python3 tools/bench_pairs.py --pr 29 --claim apoly-sweep:pass_s
-    python3 tools/bench_pairs.py --pr 29 --pairs 3 --seconds 10 --workloads apoly-sweep
+    python3 tools/bench_pairs.py --pr 29 --parent HEAD~1   # change committed
 
 Runs the unchanged perfbench/run.py on the parent's committed files and on
-the working tree, each in a fresh process: per workload, ``--pairs`` pairs
-with one fresh seed each, the side that runs first alternating by pair, then
-one traced pass (``--trace 1``) per side of every workload.  Writes
-BENCH_<pr>.json at the root of the working tree after every run, with each
-run's last output line, a per-workload summary of every end-to-end metric
-(medians, quartiles, ranges, pairs the change wins) and the traced passes'
-per-layer values side by side.  With ``--claim workload:metric`` it also
-applies the rule a claimed gain must meet: the change wins at least nine
-tenths of the pairs, and the medians differ by more than the distance
-between the parent's quartiles.
+the working tree, each in a fresh process, for BENCHMARK.json's run_seconds:
+per workload it lists, 10 pairs with one seed each (derived from ``--pr``),
+the side that runs first alternating by pair, then one traced pass
+(``--trace 1``) per side of every workload.  Writes BENCH_<pr>.json at the
+root of the working tree once every run is done (BENCH_<pr>.json.partial
+while they run), with each run's last output line, a per-workload summary
+of every end-to-end metric (medians, quartiles, ranges, pairs the change
+wins) and the traced passes' per-layer values side by side.  A pair counts
+only when both of its runs read ``correct: true``.  With ``--claim
+workload:metric`` it also applies the rule a claimed gain must meet: no
+pair left out, no pair where the change fails more operations than the
+parent, the change winning at least nine of ten pairs, and the medians
+differing by more than the distance between the parent's quartiles.
 
 The parent (``--parent``, default HEAD) is exported with ``git archive``
-into a temporary directory, so it runs on its committed files alone, and
-the run stops when its perfbench/ or BENCHMARK.json differ from the
-working tree's.  Bytecode writing is off on both sides, so every fresh
-process compiles the sources it imports.  Standard library only.
+into a temporary directory, so it runs on its committed files alone.  The
+tool stops before any run when BENCH_<pr>.json exists, when the working
+tree does not differ from the parent, or when the parent's perfbench/ or
+BENCHMARK.json differ from the working tree's.  Bytecode writing is off on
+both sides, so every fresh process compiles the sources it imports.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN = "perfbench/run.py"
 SIDES = ("parent", "change")
+PAIRS = 10  # per workload; a claim needs nine of ten won
 
 
 def git(*args):
@@ -79,19 +85,28 @@ def quartiles(values):
     return [q[0], q[2]]
 
 
-def metric_values(run):
-    return {name: m["value"] for name, m in run.get("last_line", {}).get("metrics", {}).items()}
+def metric_values(last_line):
+    return {name: m["value"] for name, m in last_line["metrics"].items()}
+
+
+def pairs_of(runs, workload):
+    """(kept, left out): the workload's pairs as {side: last line}, kept
+    when both runs printed a last line reading correct: true."""
+    pairs = {}
+    for r in runs:
+        if r["workload"] == workload:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r.get("last_line")
+    kept = [p for p in pairs.values()
+            if all(p.get(side) and p[side]["correct"] for side in SIDES)]
+    return kept, len(pairs) - len(kept)
 
 
 def summarize(runs, end_to_end):
     """{workload: {metric: medians, quartiles, ranges, pairs won}}."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
-        pairs = {}
-        for r in runs:
-            if r["workload"] == workload and "last_line" in r:
-                pairs.setdefault(r["seed"], {})[r["side"]] = metric_values(r)
-        pairs = [p for p in pairs.values() if len(p) == 2]
+        pairs = [{side: metric_values(p[side]) for side in SIDES}
+                 for p in pairs_of(runs, workload)[0]]
         if not pairs:
             continue
         rows = {}
@@ -126,15 +141,18 @@ def traced_layers(traced):
     return out
 
 
-def judge_claim(claim, summary, end_to_end):
-    """The claimed gain's test: nine tenths of the pairs won, and the
-    median moved by more than the parent's quartile spread."""
+def judge_claim(claim, runs, end_to_end):
+    """The claimed gain's test: every pair kept, none where the change
+    fails more operations, nine tenths of at least PAIRS pairs won, and
+    the median moved by more than the parent's quartile spread."""
     if claim is None:
         return None
     workload, metric = claim.split(":")
-    row = summary.get(workload, {}).get(metric)
+    row = summarize(runs, end_to_end).get(workload, {}).get(metric)
     if row is None:
         return {"workload": workload, "metric": metric, "met": False}
+    kept, left_out = pairs_of(runs, workload)
+    failed_more = sum(p["change"]["failed"] > p["parent"]["failed"] for p in kept)
     won, pairs = map(int, row["change_better_pairs"].split("/"))
     gain = row["parent_median"] - row["change_median"]
     if end_to_end[metric]["better"] != "lower":
@@ -142,60 +160,63 @@ def judge_claim(claim, summary, end_to_end):
     spread = row["parent_quartiles"][1] - row["parent_quartiles"][0]
     return {"workload": workload, "metric": metric,
             "change_better_pairs": row["change_better_pairs"],
+            "pairs_left_out": left_out, "pairs_change_failed_more": failed_more,
             "median_gain": gain, "parent_quartile_spread": spread,
-            "met": won >= 0.9 * pairs and gain > spread}
+            "met": (not left_out and not failed_more and pairs >= PAIRS
+                    and won >= 0.9 * pairs and gain > spread)}
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True,
-                        help="number in the output name BENCH_<pr>.json")
+                        help="number in the output name BENCH_<pr>.json; seeds start at 100 * pr")
     parser.add_argument("--parent", default="HEAD", help="commit to compare against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int)
-    parser.add_argument("--workloads", help="comma-separated; default every workload")
-    parser.add_argument("--seed-base", type=int,
-                        help="seeds start here; default 100 * pr")
     parser.add_argument("--claim", help="workload:metric of a claimed gain")
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
 
+    out_path = ROOT / f"BENCH_{args.pr}.json"
+    if out_path.exists():
+        sys.exit(f"{out_path.name} exists; remove it to run again")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     end_to_end = {m["name"]: m for m in bench["end_to_end"]}
     parent_rev = git("rev-parse", args.parent).strip()
+    if not git("diff", "--name-only", parent_rev).strip():
+        sys.exit(f"the working tree does not differ from {args.parent}; "
+                 f"pass the change's parent with --parent")
     changed = git("diff", "--name-only", parent_rev, "--", *bench["paths"], "BENCHMARK.json")
     if changed.strip():
         sys.exit(f"the benchmark differs from {args.parent}'s:\n{changed}")
 
-    base = 100 * args.pr if args.seed_base is None else args.seed_base
-    stride = max(20, args.pairs)
-    seeds = {w: [base + i * stride + k + 1 for k in range(args.pairs)]
+    base = 100 * args.pr
+    seeds = {w: [base + i * 20 + k + 1 for k in range(PAIRS)]
              for i, w in enumerate(workloads)}
-    seeds["traced"] = [base + len(workloads) * stride + i + 1 for i in range(len(workloads))]
-    out_path = ROOT / f"BENCH_{args.pr}.json"
+    seeds["traced"] = [base + len(workloads) * 20 + i + 1 for i in range(len(workloads))]
+    partial = out_path.with_name(out_path.name + ".partial")
     command = f"python3 {RUN} --workload <workload> --seed <seed> --seconds {seconds} --trace"
     result = {
         "what": (f"{RUN} end-to-end metrics, parent commit and this change, in "
                  f"alternating pairs (the side that runs first alternates by pair): "
-                 f"{args.pairs} pairs per workload, and one traced pass per side "
+                 f"{PAIRS} pairs per workload, and one traced pass per side "
                  f"of each workload"),
         "command": f"{command} 0",
         "traced_command": f"{command} 1",
+        "command_line": " ".join(["python3", "tools/bench_pairs.py", *argv]),
         "host": (f"{os.cpu_count()}-core {platform.machine()}, "
                  f"Python {platform.python_version()}"),
         "parent": parent_rev,
         "seeds": seeds,
-        "seeds_note": "seeds chosen fresh for these runs",
+        "seeds_note": f"seeds derived from the change's number, {args.pr}",
         "summary": {}, "runs": [], "traced": [], "traced_layers": {}, "claim": None,
     }
 
     def save():
         result["summary"] = summarize(result["runs"], end_to_end)
         result["traced_layers"] = traced_layers(result["traced"])
-        result["claim"] = judge_claim(args.claim, result["summary"], end_to_end)
-        out_path.write_text(json.dumps(result, indent=1) + "\n")
+        result["claim"] = judge_claim(args.claim, result["runs"], end_to_end)
+        partial.write_text(json.dumps(result, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": export_parent(parent_rev, tmp), "change": ROOT}
@@ -212,8 +233,8 @@ def main(argv=None):
                 save()
                 key = "trace.pass_s" if trace else "pass_s"
                 print(workload, seed, side, key,
-                      run.get("error") or metric_values(run).get(key), flush=True)
-    save()
+                      run.get("error") or metric_values(run["last_line"]).get(key), flush=True)
+    os.replace(partial, out_path)
     print(f"wrote {out_path}")
 
 
