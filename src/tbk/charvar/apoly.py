@@ -204,8 +204,8 @@ class RileyComponent(NamedTuple):
         phi_terms, p_terms = (tuple((e_u, e_m // g, c) for e_u, e_m, c in part)
                               for part in terms)
         top = min(e for _, e, _ in phi_terms) + max(e for _, e, _ in phi_terms)
-        du, length = phi_i.degree("u"), length // g
-        return cls(MultiPoly(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in phi_terms}), g,
+        du, length = max(e for e, _, _ in phi_terms), length // g
+        return cls(MultiPoly._of(("M", "u"), {(e_m, e_u): c for e_u, e_m, c in phi_terms}), g,
                    phi_terms, p_terms, length,
                    *_reduced_longitude(phi_terms, du, p_terms, length), du,
                    {(e_u, top - e_m, c) for e_u, e_m, c in phi_terms} == set(phi_terms))
@@ -220,13 +220,13 @@ def _apoly_direct(component):
 
     lc_u(phi) divides the Riley polynomial's, +-M^a (riley_polynomial
     checks it), so lc_L of the resultant is a monomial: its only pure-M
-    factors are integers and powers of M.  Stripped of those, R is g^k, g
-    the minimal polynomial of P/M^length (module docstring)."""
+    factors are integers and powers of M.  Stripped of those in one pass
+    (MultiPoly.normalized), R is g^k, g the minimal polynomial of
+    P/M^length (module docstring)."""
     r = _direct_resultant(component)
     if r.is_zero():
         raise EliminationError("u-elimination produced the zero polynomial")
-    return _power_root(
-        r.strip_monomial().in_variables(("L", "M")).primitive_part().sign_normalized())
+    return _power_root(r.normalized())
 
 
 def _direct_resultant(component):
@@ -239,8 +239,8 @@ def _direct_resultant(component):
     replaces the subresultant PRS's first pseudo-remainder, whose du_P -
     du + 1 steps each rescale every coefficient of L*M^length - P by lc."""
     g = {(0, e_m, e_u): -c for e_u, e_m, c in component.r_terms}
-    g[(1, component.r_length, 0)] = 1
-    return poly_resultant(component.phi, MultiPoly(("L", "M", "u"), g), "u")
+    g[(1, component.r_length, 0)] = 1  # r_terms are nonzero, and have no L
+    return poly_resultant(component.phi, MultiPoly._of(("L", "M", "u"), g), "u")
 
 
 def _reduced_longitude(phi_terms, du, p_terms, length):
@@ -739,7 +739,7 @@ def a_factor(component):
         if g == 1:
             raise
         raise EliminationError(f"{err} (in the engine's variable s = M^{g})") from err
-    return MultiPoly(("L", "M"), {(e_l, e_m * g): c for (e_l, e_m), c in factor.terms.items()}), k
+    return MultiPoly._of(("L", "M"), {(i, j * g): c for (i, j), c in factor.terms.items()}), k
 
 
 def a_polynomial(p_over_q, keep_abelian=False) -> APoly:
@@ -1029,26 +1029,27 @@ def _riley_factors(phi: MultiPoly, m0):
     u-degrees >= 1 would split G(m^g, u) = A(m, u) * B(m, u) over Z, as
     lc_u = +-M^a does not vanish at m.  A factor from two seeds or more
     can split (u^2 - s), so it is lifted again in M from its own seeds.
+    The slices phi(m, u) are summed from phi's terms.
     """
-    cols = [_in_M(c) for c in phi.coefficients_in("u")]
-    tries = 2 * len(cols) * (phi.degree("M") + 1)
-    for m in range(m0, m0 + tries):
-        seeds = _int_poly_factors([int(c(m)) for c in cols])
+    terms, du = phi.in_variables(("M", "u")).terms, phi.degree("u")
+    for m in range(m0, m0 + 2 * (du + 1) * (phi.degree("M") + 1)):
+        col = [0] * (du + 1)
+        for (e_m, e_u), c in terms.items():
+            col[e_u] += c * m ** e_m
+        seeds = _int_poly_factors(col)
         if len(set(map(tuple, seeds))) == len(seeds):
             break
     else:
         raise EliminationError(
             f"the Riley polynomial is not squarefree at M = {m0}..{m}")
-    # one seed proves phi irreducible, and g = gcd() = 0 skips building psi
-    terms = phi.in_variables(("M", "u")).terms if len(seeds) > 1 else {}
-    g = gcd(*(e_m for e_m, _ in terms))
+    # one seed proves phi irreducible, and g = 0 skips building psi
+    g = gcd(*(e_m for e_m, _ in terms)) if len(seeds) > 1 else 0
     if g < 2:
         return [factor for factor, _ in _lift_groups(phi, m, seeds)]
-    psi = MultiPoly(("M", "u"), {(e_m // g, e_u): c for (e_m, e_u), c in terms.items()})
+    psi = MultiPoly._of(("M", "u"), {(e_m // g, e_u): c for (e_m, e_u), c in terms.items()})
     factors = []
     for factor, group in _lift_groups(psi, m ** g, seeds):
-        factor = MultiPoly(("M", "u"), {(e_m * g, e_u): c
-                                        for (e_m, e_u), c in factor.terms.items()})
+        factor = MultiPoly._of(("M", "u"), {(e * g, j): c for (e, j), c in factor.terms.items()})
         factors += ([factor] if len(group) == 1
                     else [f for f, _ in _lift_groups(factor, m, group)])
     return factors

@@ -23,11 +23,6 @@ from .presentation import TwoBridgePresentation
 
 _VARS = ("M", "u")
 
-
-def _p(terms):
-    return MultiPoly(_VARS, terms)
-
-
 # The scaled letters M * rho(letter) act on a row (x, y) as
 #     g1: (M^2 x, M x + y)          g1^-1: (x, M^2 y - M x)
 #     g2: (M^2 x - M u y, y)        g2^-1: (x + M u y, M^2 y)
@@ -48,8 +43,9 @@ def _word_rows(letters, count=2):
     An entry is a dict of terms keyed by the packed exponent i + j*stride
     of its term M^i u^j, less a pending M-offset, so a letter's M^2 is an
     offset bump and its add runs in place over the source's terms; the
-    MultiPolys are built once at the end.  A key may be negative, but the
-    true i lies in [0, 2n], below stride, so key + offset decodes."""
+    MultiPolys are built once at the end, from the nonzero terms, unchecked
+    (MultiPoly._of).  A key may be negative, but the true i lies in [0,
+    2n], below stride, so key + offset decodes."""
     stride = 2 * len(letters) + 1
     rows = [([{0: 1}, {}], [0, 0]), ([{}, {0: 1}], [0, 0])][:count]
     for letter in letters:
@@ -68,8 +64,8 @@ def _word_rows(letters, count=2):
                 for k, c in entries[src].items():
                     k += shift
                     target[k] = get(k, 0) - c
-    return [tuple(_p({((k + off) % stride, (k + off) // stride): c
-                      for k, c in terms.items()})
+    return [tuple(MultiPoly._of(_VARS, {((k + off) % stride, (k + off) // stride): c
+                                        for k, c in terms.items() if c})
                   for terms, off in zip(entries, offsets))
             for entries, offsets in rows]
 
@@ -92,7 +88,8 @@ def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
     on this: the direct one for a resultant whose only pure-M factors are
     integers and powers of M, the modular one for images that are
     +-A mod p (see tbk.charvar.apoly).  d22 and d12 are read off the
-    terms of w11, w12 and w21 (module docstring)."""
+    terms of w11, w12 and w21 (module docstring), and d12 is normalized
+    in one pass (MultiPoly.normalized)."""
     (w11, w12, w21, _), _ = scaled_word_matrix(pres.relator_word())
     w11, w12, w21 = w11.terms, w12.terms, w21.terms
     if w21 != {(i, j + 1): -c for (i, j), c in w12.items()}:  # d22 / M = w21 + u w12
@@ -102,16 +99,16 @@ def riley_polynomial(pres: TwoBridgePresentation) -> MultiPoly:
     for (i, j), c in w12.items():
         d12[i, j] = d12.get((i, j), 0) + c
         d12[i + 2, j] = d12.get((i + 2, j), 0) - c
-    phi = _p(d12).strip_monomial().primitive_part().sign_normalized()
+    phi = MultiPoly._of(_VARS, {k: c for k, c in d12.items() if c}).normalized()
 
     q = pres.fraction.denominator
     if phi.is_constant() or phi.degree("u") != (q - 1) // 2:
         raise PresentationError(
             f"entry condition for {pres.fraction} gives {phi} "
             f"(expected u-degree {(q - 1) // 2})")
-    lead = phi.coefficients_in("u")[-1]
-    if len(lead.terms) != 1 or abs(*lead.terms.values()) != 1:
+    lead = [c for (_, j), c in phi.terms.items() if j == (q - 1) // 2]
+    if len(lead) != 1 or abs(lead[0]) != 1:
         raise PresentationError(
-            f"leading u-coefficient {lead} of the Riley polynomial of "
-            f"{pres.fraction} is not +-M^a")
+            f"leading u-coefficient {phi.coefficients_in('u')[-1]} of the Riley "
+            f"polynomial of {pres.fraction} is not +-M^a")
     return phi

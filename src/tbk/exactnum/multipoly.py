@@ -8,10 +8,12 @@ threads.
 
 Arithmetic in one variable over the others is not restated here:
 ``coefficients_in`` gives the dense coefficient list that ``QPoly``
-takes, and ``poly_prem`` runs on that.  ``Kronecker`` packs a polynomial
-into one integer: the resultant packs its coefficients before its PRS
-over Z, and a product whose term pairs outnumber the slots of the packed
-result is one integer product.  The gcd and squarefree routines at the
+takes, and ``poly_prem`` runs on that.  ``MultiPoly._of`` builds a value
+with no check, from terms that are already clean (the class docstring
+says which).  ``Kronecker`` packs a polynomial into one integer: the
+resultant packs its coefficients before its PRS over Z, and a product
+whose term pairs outnumber the slots of the packed result is one integer
+product.  The gcd and squarefree routines at the
 end serve the tests as oracles; no production path calls them.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 from math import gcd as int_gcd, prod
+from operator import itemgetter, mul, sub
 
 from .upoly import QPoly
 
@@ -64,12 +67,17 @@ class Kronecker:
             s *= span
         self.strides = strides[::-1]
 
-    def pack(self, terms, lo):
+    def pack(self, terms, lo=(), strides=None):
+        """The packed value of ``terms``, their exponents shifted by lo (none
+        by default).  ``strides``, one per exponent and 0 for a variable left
+        out, replaces the box's for terms in other variables than it, as
+        poly_resultant's inputs are."""
         if not terms:
             return 0
         w = self.width
-        slots = {sum((e - l) * s for e, l, s in zip(exps, lo, self.strides)) * w: c
-                 for exps, c in terms.items()}
+        strides = self.strides if strides is None else strides
+        base = sum(map(mul, lo, strides))
+        slots = {(sum(map(mul, exps, strides)) - base) * w: c for exps, c in terms.items()}
         if min(slots) < 0:
             raise ValueError("exponent below the packing box")
         size = max(slots) + w
@@ -99,6 +107,19 @@ class Kronecker:
 
 
 class MultiPoly:
+    """A polynomial over Z: ``variables``, a tuple of names, and ``terms``,
+    {exponent tuple: nonzero int}.
+
+    The constructor takes any exponent sequences, checks their length and
+    drops zero coefficients.  ``_of`` trusts its terms instead: every key a
+    tuple as long as ``variables`` and every coefficient a nonzero int.
+    Only code whose terms are clean by construction calls it: negation,
+    sums, both product paths, ``coefficients_in``, ``primitive_part``,
+    ``strip_monomial`` and ``normalized`` here, the resultant's unpacked
+    result, and the A-polynomial pipeline from the Riley word walk to the
+    A-factor (tbk.charvar), each after dropping any zeros its own
+    cancellations leave.  Nothing outside the package should call it."""
+
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables=(), terms=None):
@@ -120,6 +141,15 @@ class MultiPoly:
 
     def __setattr__(self, *args):
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _of(cls, variables, terms):
+        """A MultiPoly on ``variables`` (a tuple) and ``terms`` as they are,
+        unchecked and uncopied (class docstring)."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -160,8 +190,7 @@ class MultiPoly:
             return -1
         if var not in self.variables:
             return 0
-        i = self.variables.index(var)
-        return max(k[i] for k in self.terms)
+        return max(map(itemgetter(self.variables.index(var)), self.terms))
 
     def __len__(self):
         return len(self.terms)
@@ -226,7 +255,7 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self):
-        return MultiPoly(self.variables, {k: -c for k, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
         a, b = self._aligned(other)
@@ -237,7 +266,7 @@ class MultiPoly:
                 terms[k] = s
             elif k in terms:
                 del terms[k]
-        return MultiPoly(a.variables, terms)
+        return MultiPoly._of(a.variables, terms)
 
     __radd__ = __add__
 
@@ -252,9 +281,9 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return MultiPoly(self.variables, {})
-            return MultiPoly(self.variables,
-                             {k: c * other for k, c in self.terms.items()})
+                return MultiPoly._of(self.variables, {})
+            return MultiPoly._of(self.variables,
+                                 {k: c * other for k, c in self.terms.items()})
         a, b = self._aligned(other)
         if len(a.terms) < len(b.terms):
             a, b = b, a
@@ -266,7 +295,7 @@ class MultiPoly:
                 bound = min(sum(map(abs, va)) * max(map(abs, vb)),
                             max(map(abs, va)) * sum(map(abs, vb)))
                 kr = Kronecker(spans, bound)
-                return MultiPoly(a.variables, kr.unpack(
+                return MultiPoly._of(a.variables, kr.unpack(
                     kr.pack(a.terms, lo_a) * kr.pack(b.terms, lo_b),
                     [x + y for x, y in zip(lo_a, lo_b)]))
         terms = {}
@@ -279,7 +308,7 @@ class MultiPoly:
                     terms[k] = s
                 elif k in terms:
                     del terms[k]
-        return MultiPoly(a.variables, terms)
+        return MultiPoly._of(a.variables, terms)
 
     __rmul__ = __mul__
 
@@ -316,11 +345,10 @@ class MultiPoly:
         i = self.variables.index(var)
         rest = self.variables[:i] + self.variables[i + 1:]
         deg = max(k[i] for k in self.terms)
-        buckets = [dict() for _ in range(deg + 1)]
-        for k, c in self.terms.items():
-            kk = k[:i] + k[i + 1:]
-            buckets[k[i]][kk] = buckets[k[i]].get(kk, 0) + c
-        return [MultiPoly(rest, b) for b in buckets]
+        buckets = [{} for _ in range(deg + 1)]
+        for k, c in self.terms.items():  # terms differing only at i: no clash
+            buckets[k[i]][k[:i] + k[i + 1:]] = c
+        return [MultiPoly._of(rest, b) for b in buckets]
 
     @classmethod
     def from_coefficients(cls, var, coeffs):
@@ -371,36 +399,26 @@ class MultiPoly:
 
     def content(self):
         """Nonnegative gcd of the integer coefficients (0 for the zero poly)."""
-        g = 0
-        for c in self.terms.values():
-            g = int_gcd(g, abs(c))
-            if g == 1:
-                break
-        return g
+        return int_gcd(*self.terms.values())
 
     def primitive_part(self):
         g = self.content()
         if g <= 1:
             return self
-        return MultiPoly(self.variables, {k: c // g for k, c in self.terms.items()})
-
-    def monomial_content(self):
-        """Componentwise minimum exponent vector over all terms."""
-        if not self.terms:
-            return (0,) * len(self.variables)
-        mins = None
-        for k in self.terms:
-            mins = k if mins is None else tuple(map(min, mins, k))
-        return mins
+        return MultiPoly._of(self.variables, {k: c // g for k, c in self.terms.items()})
 
     def strip_monomial(self):
         """Divide out the largest common monomial factor."""
-        mins = self.monomial_content()
-        if not any(mins):
+        return self._divided(1)
+
+    def _divided(self, g):
+        """self over g and its largest common monomial factor, g dividing
+        every coefficient, with the terms built once."""
+        mins = tuple(map(min, zip(*self.terms)))  # the exponents' least values
+        if g == 1 and not any(mins):
             return self
-        terms = {tuple(e - m for e, m in zip(k, mins)): c
-                 for k, c in self.terms.items()}
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, {tuple(map(sub, k, mins)): c // g
+                                              for k, c in self.terms.items()})
 
     def _lex_leading(self):
         """(exponents, coefficient) of the lex-largest term."""
@@ -413,6 +431,15 @@ class MultiPoly:
             return self
         _, c = self._lex_leading()
         return -self if c < 0 else self
+
+    def normalized(self):
+        """strip_monomial().primitive_part().sign_normalized() in one pass:
+        the common monomial, the content and the sign of the lex-leading
+        coefficient, which stripping the monomial keeps leading, come from
+        the terms as they are, and the result's terms are built once."""
+        if not self.terms:
+            return self
+        return self._divided(self.content() * (1 if self._lex_leading()[1] > 0 else -1))
 
     def exact_div(self, divisor):
         """Exact division; raises ExactDivisionError on a nonzero remainder."""

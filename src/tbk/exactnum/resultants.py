@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .multipoly import Kronecker, MultiPoly
+from .multipoly import Kronecker, MultiPoly, merge_variables
 from .upoly import QPoly
 
 
@@ -73,6 +73,18 @@ def _subresultant(f, g):
     return res if g.degree() == 0 else res * 0
 
 
+def _columns(poly, degree, var):
+    """(columns, norm): poly's coefficient of var^j, j = 0..degree >= 1, as
+    its terms in poly's own variables, and sum_j |coefficient_j|_1^2, from
+    one pass over poly's terms."""
+    i = poly.variables.index(var)
+    cols, norms = [{} for _ in range(degree + 1)], [0] * (degree + 1)
+    for exps, c in poly.terms.items():
+        cols[exps[i]][exps] = c
+        norms[exps[i]] += abs(c)
+    return cols, sum(x * x for x in norms)
+
+
 def poly_resultant(f, g, var):
     """Resultant of f and g with respect to ``var``.
 
@@ -80,28 +92,32 @@ def poly_resultant(f, g, var):
     exactly when f and g share a common factor involving ``var``.  Raises
     ValueError when ``var`` occurs in neither input.  Exponents are
     nonnegative, as everywhere in the package.
-    """
+
+    Each input is read where it stands: one pass over its terms
+    (_columns) files each term under its power of ``var`` and adds its
+    absolute value to that coefficient's norm, and its degree in each
+    other variable is one scan of its exponents (MultiPoly.degree).  No
+    input is re-embedded in the common variables and no coefficient
+    becomes a MultiPoly: a coefficient's terms are packed with strides
+    over the input's own variables, 0 for ``var``, at the
+    Goldstein-Graham width of the module docstring."""
     df, dg = f.degree(var), g.degree(var)
     if df <= 0 and dg <= 0:
         raise ValueError(f"variable {var!r} absent from both resultant inputs")
-    fa, ga = f._aligned(g)
-    rest = tuple(v for v in fa.variables if v != var)
-    if f.is_zero() or g.is_zero():
-        return MultiPoly.constant(0, rest)
-    fc, gc = fa.coefficients_in(var), ga.coefficients_in(var)
-    swap = df < dg
-    if swap:
-        fc, gc, df, dg = gc, fc, dg, df
-    norms = [sum(sum(map(abs, c.terms.values())) ** 2 for c in cs) for cs in (fc, gc)]
-    spans = [dg * max(c.degree(x) for c in fc) + df * max(c.degree(x) for c in gc) + 1
-             for x in rest]
-    kr = Kronecker(spans, isqrt(norms[0] ** dg * norms[1] ** df))
-    lo = (0,) * len(rest)
-    if dg == 0:  # f has no row in the Sylvester matrix
-        res = kr.pack(gc[0].terms, lo) ** df
-    else:
-        res = _subresultant(*(QPoly([kr.pack(c.terms, lo) for c in cs]) for cs in (fc, gc)))
+    rest = tuple(v for v in merge_variables(f.variables, g.variables) if v != var)
+    if not (f.terms and g.terms):
+        return MultiPoly._of(rest, {})
     # Res(f, g) = (-1)^(df dg) Res(g, f)
-    if swap and df % 2 and dg % 2:
-        res = -res
-    return MultiPoly(rest, kr.unpack(res, lo))
+    sign = -1 if df < dg and df % 2 and dg % 2 else 1
+    if df < dg:
+        f, g, df, dg = g, f, dg, df
+    fc, nf = _columns(f, df, var) if dg else ([], 1)  # f has no row when dg = 0
+    gc, ng = _columns(g, dg, var) if dg else ([g.terms], sum(map(abs, g.terms.values())) ** 2)
+    spans = [dg * f.degree(x) + df * g.degree(x) + 1 for x in rest]
+    kr = Kronecker(spans, isqrt(nf ** dg * ng ** df))
+    packed = []
+    for p, cols in ((f, fc), (g, gc)):
+        strides = [0 if v == var else kr.strides[rest.index(v)] for v in p.variables]
+        packed.append(QPoly([kr.pack(c, strides=strides) for c in cols]))
+    res = _subresultant(*packed) if dg else packed[1].coeffs[0] ** df
+    return MultiPoly._of(rest, kr.unpack(sign * res, (0,) * len(rest)))

@@ -89,3 +89,33 @@ def test_an_existing_bench_file_is_not_overwritten(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="exists"):
         bench_pairs.main(["--pr", "7"])
     assert (tmp_path / "BENCH_7.json").read_text() == "{}\n"
+
+
+def test_a_median_worse_than_its_bound_is_flagged():
+    # a slopes-mix setup_s 26% above the parent's against a bound of 0.25
+    # (a refused change read exactly this, with every other metric flat),
+    # and a peak_rss_mb 8.3% above it against 0.2, which is within bounds
+    end_to_end = {
+        "setup_s": {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        "peak_rss_mb": {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.2},
+        "found": {"name": "found", "unit": "count", "better": "higher", "bound": 0.1},
+    }
+    out = []
+    for seed in range(10):
+        for side, (setup, rss, found) in zip(bench_pairs.SIDES, ((0.100, 24.0, 10),
+                                                                 (0.126, 26.0, 8))):
+            out.append({"workload": "slopes-mix", "seed": seed, "side": side, "last_line": {
+                "correct": True, "failed": 0, "metrics": {
+                    "setup_s": {"value": setup, "unit": "s"},
+                    "peak_rss_mb": {"value": rss, "unit": "MB"},
+                    "found": {"value": found, "unit": "count"}}}})
+    summary = bench_pairs.summarize(out, end_to_end)
+    assert summary["slopes-mix"]["peak_rss_mb"]["change_vs_parent"] == pytest.approx(1 / 12)
+    flags = bench_pairs.regressions(summary, end_to_end)
+    assert [(f["workload"], f["metric"]) for f in flags] == [
+        ("slopes-mix", "setup_s"), ("slopes-mix", "found")]
+    assert flags[0]["change_vs_parent"] == pytest.approx(0.26)
+    assert flags[0]["bound"] == 0.25
+    # the end-to-end specs without a bound flag nothing
+    assert bench_pairs.regressions(bench_pairs.summarize(runs(PARENT, FASTER), END_TO_END),
+                                   END_TO_END) == []

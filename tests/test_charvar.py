@@ -173,6 +173,44 @@ def test_longitude_upper_triangular_on_curve():
         assert poly_prem(lower, phi, "u").is_zero(), pq
 
 
+def test_longitude_entry_from_the_relator_matrix():
+    """P, the (1, 1) entry of M^len * rho(longitude), from the relator's
+    scaled matrix W = M^n rho(w) = [[w11, w12], [w21, w22]] alone.
+
+    With J = [[0, 1], [1, 0]], tau(X) = J X^T J = [[d, b], [c, a]] for
+    X = [[a, b], [c, d]] sends rho at 1/M of each generator to its rho at
+    M (g1: [[1/M, 1], [0, M]] -> [[M, 1], [0, 1/M]], and likewise g2), and
+    tau(XY) = tau(Y) tau(X).  So rho_M(reversed w) = tau(rho_(1/M)(w)) =
+    M^n tau(W(1/M)), whose top row, scaled by M^n, is (r11, r12) =
+    (M^(2n) w22(1/M, u), M^(2n) w12(1/M, u)): polynomials, as W has
+    M-degree at most 2n.  The longitude is reversed(w) w g1^(-2e), e the
+    exponent sum, and the scaled letter M rho(g1^-1) fixes the first entry
+    of a row while M rho(g1) multiplies it by M^2, so
+        P = M^(4|e| if e < 0 else 0) (r11 w11 + r12 w21)
+    with len = 2n + 2|e|.  The product here is MultiPoly arithmetic, not
+    the word walk that longitude_data runs."""
+    from tbk.charvar.riley import scaled_word_matrix
+
+    letters = [(g, e) for g in (0, 1) for e in (1, -1)]
+    for letter in letters:  # tau(M^2 X(1/M)) = X(M) for each scaled letter X
+        (a, b, c, d), n = scaled_word_matrix((letter,))
+        flipped = [MultiPoly(x.variables, {(2 * n - i, j): y for (i, j), y in x.terms.items()})
+                   for x in (d, b, c, a)]
+        assert flipped == [a, b, c, d], letter
+
+    count = 0
+    for p, q in reduced_fractions(33):
+        pres = presentation(Fraction(p, q))
+        (w11, w12, w21, w22), n = scaled_word_matrix(pres.relator_word())
+        r11, r12 = (MultiPoly(x.variables, {(2 * n - i, j): y for (i, j), y in x.terms.items()})
+                    for x in (w22, w12))
+        e = pres.exponent_sum()
+        expected = M ** (4 * abs(e) if e < 0 else 0) * (r11 * w11 + r12 * w21)
+        assert longitude_data(pres) == (expected, 2 * n + 2 * abs(e)), (p, q)
+        count += 1
+    assert count == 232
+
+
 def test_a_polynomial_trefoils():
     assert a_polynomial(Fraction(1, 3)).poly == L * M ** 6 + 1
     assert a_polynomial(Fraction(2, 3)).poly == L + M ** 6

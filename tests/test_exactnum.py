@@ -319,3 +319,66 @@ def test_gcd_chain_referenced_only_by_its_module():
                 offenders.append(f"{path.relative_to(root)}:{node.lineno}")
     assert len(list(root.rglob("*.py"))) > 10
     assert not offenders, offenders
+
+
+def test_unchecked_constructor_only_ever_gets_clean_terms(monkeypatch):
+    # MultiPoly._of skips the public constructor's checks, so every caller
+    # must hand it tuple keys as long as the variables and nonzero int
+    # coefficients.  Patched with a checking version, it sees the whole
+    # pipeline: the Riley walk and factoring, both engines (6/35 and the
+    # q <= 17 factors of u-degree above 6 run the modular one) and the split
+    from fractions import Fraction
+    from math import gcd
+
+    from tbk.charvar import a_polynomial, apoly, split_components
+
+    unchecked = MultiPoly._of.__func__
+    built = []
+
+    def checked(cls, variables, terms):
+        assert type(variables) is tuple, variables
+        for exps, c in terms.items():
+            assert type(exps) is tuple and len(exps) == len(variables), (variables, exps)
+            assert type(c) is int and c != 0, (variables, exps, c)
+        built.append(len(terms))
+        return unchecked(cls, variables, terms)
+
+    engines = set()
+
+    def recording(name):
+        engine = getattr(apoly, name)
+
+        def run(component):
+            engines.add(name)
+            return engine(component)
+        return run
+
+    for name in ("_apoly_direct", "_apoly_modular"):
+        monkeypatch.setattr(apoly, name, recording(name))
+    monkeypatch.setattr(MultiPoly, "_of", classmethod(checked))
+    fractions = [Fraction(p, q) for q in range(3, 18, 2) for p in range(1, q) if gcd(p, q) == 1]
+    for pq in fractions + [Fraction(6, 35)]:
+        ap = a_polynomial(pq)
+        parts = split_components(ap)
+        assert parts is None or len(parts) == len(ap.factors) > 1, pq
+    assert engines == {"_apoly_direct", "_apoly_modular"}
+    assert len(built) > 1000
+
+    # the public constructor still checks what it is given, and a sum
+    # still drops the terms that cancel
+    with pytest.raises(ValueError, match="does not match"):
+        MultiPoly(("L", "M"), {(1,): 2})
+    assert MultiPoly(("L", "M"), {(1, 0): 0, (0, 2): 3}).terms == {(0, 2): 3}
+    assert MultiPoly(("L", "M"), {(1, 0): 2, (0, 0): -2}) - 2 * L == -2
+
+
+def test_normalized_is_the_strip_primitive_sign_chain():
+    rng = random.Random(26)
+    cases = [MultiPoly.constant(0, ("L", "M")), -6 * L * M ** 2 + 4 * M, 3 * L + 5]
+    cases += [random_multipoly(rng, ("L", "M", "u"), 4, rng.randint(1, 12), 1 << 20)
+              * rng.choice((1, -1, 6, -10)) * rng.choice((1, L, M ** 3, L * u))
+              for _ in range(60)]
+    for f in cases:
+        expected = f.strip_monomial().primitive_part().sign_normalized()
+        assert f.normalized() == expected, f
+        assert f.normalized().variables == f.variables

@@ -11,8 +11,10 @@ the side that runs first alternating by pair, then one traced pass
 root of the working tree once every run is done (BENCH_<pr>.json.partial
 while they run), with each run's last output line, a per-workload summary
 of every end-to-end metric (medians, quartiles, ranges, pairs the change
-wins) and the traced passes' per-layer values side by side.  A pair counts
-only when both of its runs read ``correct: true``.  With ``--claim
+wins), every (workload, metric) pair whose change median is worse than the
+parent's by more than the metric's BENCHMARK.json ``bound`` (also printed
+at the end), and the traced passes' per-layer values side by side.  A pair
+counts only when both of its runs read ``correct: true``.  With ``--claim
 workload:metric`` it also applies the rule a claimed gain must meet: no
 pair left out, no pair where the change fails more operations than the
 parent, the change winning at least nine of ten pairs, and the medians
@@ -131,6 +133,23 @@ def summarize(runs, end_to_end):
     return out
 
 
+def regressions(summary, end_to_end):
+    """[{workload, metric, change_vs_parent, bound}] for every end-to-end
+    median of the change that is worse than the parent's by more than the
+    metric's bound, the relative change counted in the worse direction."""
+    out = []
+    for workload, rows in summary.items():
+        for name, row in rows.items():
+            bound, rel = end_to_end[name].get("bound"), row["change_vs_parent"]
+            if bound is None or rel is None:
+                continue
+            worse = rel if end_to_end[name]["better"] == "lower" else -rel
+            if worse > bound:
+                out.append({"workload": workload, "metric": name,
+                            "change_vs_parent": rel, "bound": bound})
+    return out
+
+
 def traced_layers(traced):
     """{workload: {metric: {unit, parent, change}}} of the traced passes."""
     out = {}
@@ -209,11 +228,13 @@ def main(argv=None):
         "parent": parent_rev,
         "seeds": seeds,
         "seeds_note": f"seeds derived from the change's number, {args.pr}",
-        "summary": {}, "runs": [], "traced": [], "traced_layers": {}, "claim": None,
+        "summary": {}, "regressions": [], "runs": [], "traced": [], "traced_layers": {},
+        "claim": None,
     }
 
     def save():
         result["summary"] = summarize(result["runs"], end_to_end)
+        result["regressions"] = regressions(result["summary"], end_to_end)
         result["traced_layers"] = traced_layers(result["traced"])
         result["claim"] = judge_claim(args.claim, result["runs"], end_to_end)
         partial.write_text(json.dumps(result, indent=1) + "\n")
@@ -235,6 +256,11 @@ def main(argv=None):
                 print(workload, seed, side, key,
                       run.get("error") or metric_values(run["last_line"]).get(key), flush=True)
     os.replace(partial, out_path)
+    for flag in result["regressions"]:
+        print(f"REGRESSION {flag['workload']} {flag['metric']}: "
+              f"{flag['change_vs_parent']:+.1%} against a bound of {flag['bound']:.0%}")
+    if not result["regressions"]:
+        print("no end-to-end median worse than its bound")
     print(f"wrote {out_path}")
 
 
