@@ -99,13 +99,28 @@ mirrored node is a real point.  Every fit takes the first large quotient
 of its Euclid run, whose spare points are the fit's only check; a
 factor's first prime fits on a doubling number of points, and each later
 prime starts at the point count the degrees found need.
-Rational reconstruction starts at a factor's first kept image; a
-candidate is accepted when two consecutive reconstructions agree, it
-vanishes on the representation curve at integer sample points (checked
-in Z[v] after the substitution u = v/lc that makes phi_i(m) monic) and
-it is no proper power.  A factor whose coefficients lie within one
-prime's balanced bound, about 2^14 for the engine's primes just above
-2^29, thus takes two primes, one to lift and one to confirm.
+Rational reconstruction starts at a factor's first kept image, and the
+first lift that passes three tests is returned: made monic in L at M = 2
+it is the slice mod the next prime, which no image used (a screen); its
+coefficients are integers; and, stripped of monomial, content and sign,
+it is proved to vanish on the component: c^dL A(M, R/c) = 0 in Z[M,
+1/M][u]/phi_i, c = M^len' (_verify_vanishing, exact, with no degree or
+height bound).  Such a lift A is A_i, and the k read is the map degree:
+the probe's e, a squarefree degree of slices of A_i^k, is at most
+deg_L A_i = du/k, so k_read >= k and deg_L A = du // k_read <= deg_L
+A_i; A vanishes at R/c, whose minimal polynomial over Q(M) is A_i, and
+A != 0 (lc_L(A) = +-M^b by construction), so A_i divides A in Q(M)[L],
+the degrees are equal, k_read = k, and A = r A_i with r in Z[M] by
+Gauss's lemma (A_i is primitive); r divides lc_L(A), so r = +-M^j,
+which the strip before the proof removed.  A lift past the screen that
+fails the integer test or the proof shows a k read too large and raises
+EliminationError naming the stage, the prime and k; a k too small,
+which only tests that patch k reach, lifts A_i^k, which _power_root
+refuses.  A factor whose coefficients lie within one prime's balanced
+bound, about 2^14 for the engine's primes just above 2^29, takes one
+prime and one slice to screen it.  Every A-factor a_factor returns is
+proved: the modular engine's so, the direct engine's by its exact
+resultant and k-th root.
 """
 
 from __future__ import annotations
@@ -359,6 +374,7 @@ class _PointCache:
         self.k = None
         self._data = {}
         self._inverses = {}
+        self.matrix = None  # _proof._multiplier's, built by the first proof
 
     def get(self, m):
         if m not in self._data:
@@ -471,7 +487,6 @@ def _slice_squarefree(cache, m, p):
 
 _MAX_RECON_DEGREE = 512  # in the engine's variable: M^2 under a_polynomial
 _FIRST_POINTS = 32  # a factor's first fit count, moved to 2n - 16 on failure
-_VERIFY_POINTS = 6  # the exact check's M = 1..6 (_verify_vanishing)
 
 
 def _ahat_mod_p(cache, p, count):
@@ -612,20 +627,25 @@ def _apoly_modular(component):
     """(A, k): the component's A-polynomial factor by modular images and CRT.
 
     After each kept image the images so far are lifted by rational
-    reconstruction; a candidate is accepted when two consecutive lifts
-    agree, and then only if it passes the exact check _verify_vanishing
-    (which a k read too large fails) and _power_root proves it squarefree
-    (a k too small lifts A^k).  A kept image that disagrees with a small
-    fraction the other images fit (see _lift) is dropped, so one wrong
-    image costs primes, not the lift.  Past the cap the first prime
-    raises: k is cached from it, so a later prime would repeat its fits."""
+    reconstruction; the first lift that passes the screen (_screened),
+    has integer coefficients and is proved (_verify_vanishing) is
+    returned, and one that passes the screen only raises (module
+    docstring).  A kept image that disagrees with a small fraction the
+    other images fit (see _lift) is dropped, so one wrong image costs
+    primes, not the lift.  Past the cap the first prime raises: k is
+    cached from it, so a later prime would repeat its fits."""
     cache = _PointCache(component)
     primes = _modp.prime_stream(_ELIMINATION_PRIMES_FROM)
     signature = count = None  # the kept images' (d, dden); the next prime's count
+    p = next(primes)
+
+    def failure(stage, prime, why):
+        return EliminationError(f"modular elimination failed at its {stage}, mod {prime}, "
+                                f"with map degree {cache.k}: {why}")
 
     for _ in range(_MAX_PRIMES):
-        p = next(primes)
-        image = _ahat_mod_p(cache, p, count)
+        stage, q, p = "reconstruction", p, next(primes)  # q images, p screens its lift
+        image = _ahat_mod_p(cache, q, count)
         if image is None:
             continue
         d, dden, coeffs, image_count = image
@@ -633,74 +653,58 @@ def _apoly_modular(component):
             continue  # an unlucky prime: its count is not carried
         if (d, dden) != signature:  # the first image, or a larger signature: restart
             # images: (prime, coefficients) of the kept images
-            signature, images, residues, modulus, candidate = (d, dden), [], {}, 1, None
+            signature, images, residues, modulus = (d, dden), [], {}, 1
         count = image_count
-        images.append((p, coeffs))
-        residues, modulus = _crt_fold(residues, modulus, coeffs, p)
-        fracs, bad = _lift(residues, modulus, [q for q, _ in images])
+        images.append((q, coeffs))
+        residues, modulus = _crt_fold(residues, modulus, coeffs, q)
+        fracs, bad = _lift(residues, modulus, [r for r, _ in images])
         if bad:
-            images = [(q, c) for q, c in images if q not in bad]
+            images = [(r, c) for r, c in images if r not in bad]
             residues, modulus = {}, 1
-            for q, c in images:
-                residues, modulus = _crt_fold(residues, modulus, c, q)
+            for r, c in images:
+                residues, modulus = _crt_fold(residues, modulus, c, r)
             fracs, _ = _lift(residues, modulus, ())
         if fracs is None:
             continue
-        if candidate == fracs:
-            break  # stable under one more prime
-        candidate = fracs
-    else:
-        raise EliminationError(
-            "modular reconstruction failed to stabilize "
-            f"within {_MAX_PRIMES} primes")
+        stage = "screen"
+        if not _screened(fracs, d, cache, p):
+            continue
+        if any(f.denominator != 1 for f in fracs.values()):
+            raise failure("screen", p, "the lift it passes has a non-integer coefficient")
+        out = MultiPoly(("L", "M"), {key: int(f) for key, f in fracs.items()}).normalized()
+        if not _verify_vanishing(out, cache):
+            raise failure("proof", q, f"the lift passes the screen mod {p} and does not "
+                          "vanish on the component")
+        if _power_root(out)[1] != 1:
+            raise failure("proof", q, f"the lift is a proper power, so the map degree "
+                          f"{cache.k} was read too small")
+        return out, cache.k
+    raise failure(stage, q, f"no lift proved within {_MAX_PRIMES} primes")
 
-    if any(f.denominator != 1 for f in candidate.values()):
-        raise EliminationError("the modular lift has a non-integer coefficient")
-    out = MultiPoly(("L", "M"), {k: int(f) for k, f in candidate.items()}).sign_normalized()
-    _verify_vanishing(out, cache)
-    if _power_root(out)[1] != 1:
-        raise EliminationError(
-            f"the modular lift is a proper power: the map degree {cache.k} "
-            "was read too small")
-    return out, cache.k
+
+def _screened(fracs, d, cache, p):
+    """Whether the lift, fractions by (L-power, M-power), of L-degree d and
+    made monic in L at M = 2, is the slice there mod p.  The slice is
+    g(2, L) mod p (_slice_squarefree), which the true A(2, L) made monic
+    reduces to at every prime; a denominator p divides fails."""
+    vals = [0] * (d + 1)
+    for (i, j), f in fracs.items():
+        if f.denominator % p == 0:
+            return False
+        vals[i] += f.numerator * pow(f.denominator, -1, p) << j
+    return all((x * vals[d] - v) % p == 0
+               for x, v in zip(_slice_squarefree(cache, 2, p), vals))
 
 
 def _verify_vanishing(apoly, cache):
-    """Exact check over Z: A(R/c, m) = 0 in Q[u]/phi(m) at integer points.
+    """Whether c^dL A(s, R/c) = 0 in Z[s, 1/s][u]/phi, c = s^len': the
+    proof that A vanishes on the component (module docstring), in
+    charvar/_proof.py, which loads on the first proof.  The name, from the
+    six-point check it replaced, stays because perfbench/tracing.py wraps
+    the function by it."""
+    from . import _proof
 
-    R/c is P/M^length there (_PointCache).  Checks M = 1.._VERIFY_POINTS;
-    phi(m) keeps its u-degree n at each.  With l = lc(phi(m)), u = v/l
-    makes f(v) = l^(n-1) * phi(m)(v/l) monic in Z[v], Q[u]/phi(m) =
-    Q[v]/f, and QPoly.divmod by f stays in Z.  R(m)/c becomes X/s, X =
-    l^e * R(m)(v/l) (reduced mod f, as e = deg R(m) < n) and s = l^e * c,
-    both divided by gcd(s, content X).  Horner's rule on A(X/s) keeps its
-    partial value as N/D, N in Z[v] and D in Z, and divides out gcd(D,
-    content N) at every step, which keeps N near the size of the value
-    rather than of s^deg_L(A); A vanishes at m when the final N is 0.  On
-    10/99's larger factor the check takes 0.08-0.11 s, 0.11-0.15 s from
-    the unreduced P(m) and 3.2 s in Fraction QPoly arithmetic over Q[u]
-    (2-core x86-64, Python 3.11)."""
-    cols = [_in_M(c) for c in apoly.coefficients_in("L")]
-    for m in range(1, _VERIFY_POINTS + 1):
-        phim, pm, c = cache.get(m)
-        n, lc = cache.component.du, phim[-1]
-        f = QPoly([a * lc ** (n - 1 - i) for i, a in enumerate(phim[:-1])] + [1])
-        e = max(len(pm) - 1, 0)
-        x = QPoly([b * lc ** (e - k) for k, b in enumerate(pm)])
-        s = lc ** e * c
-        g = gcd(s, *x.coeffs)
-        x, s = QPoly([a // g for a in x.coeffs]), s // g
-        num, den = QPoly.const(int(cols[-1](m))), 1
-        for col in reversed(cols[:-1]):
-            den *= s
-            num = (num * x).divmod(f)[1] + QPoly.const(int(col(m)) * den)
-            g = gcd(den, *num.coeffs)
-            if g > 1:
-                num = QPoly([a // g for a in num.coeffs])
-                den //= g
-        if not num.is_zero():
-            raise EliminationError(
-                f"reconstructed A-polynomial fails the exact curve check at M={m}")
+    return _proof.vanishes(apoly, cache)
 
 
 # -- public entry points -------------------------------------------------------
@@ -844,7 +848,7 @@ _FACTOR_PRIMES_FROM = 1 << 15
 # 285 us with primes above 2^61 (2-core x86-64, Python 3.11).
 # One prime reconstructs coefficients up to about 2^14, so a larger factor
 # takes more primes (10/99's u-degree-40 one, with 24-bit coefficients,
-# three instead of two), but each costs about 0.6 as much.  The Riley
+# two instead of one), but each costs about 0.6 as much.  The Riley
 # factorization's Hensel lift keeps prime_stream's 2^61 primes: on 10/99
 # it takes three bivariate lifts and 0.22 s, against five and 0.30 s from
 # 2^29.

@@ -410,6 +410,43 @@ def vanishing_failure_oracle(apoly, cache, p11, length, points=6):
     return None
 
 
+def vanishing_remainder_oracle(apoly, component):
+    """Whether rem_u(c^dL A(s, R/c), phi) = 0 over QQ(s), by sympy.
+
+    The component's phi, R and c = s^len' are in its engine variable s,
+    written M, as is apoly.  Horner's rule over L runs on sympy's sparse
+    polynomials over ZZ[u, s] and reduces each product by the
+    pseudo-remainder in u, which scales it by a power of lc_u(phi), +-s^a;
+    the scale is carried into the terms added after it, so the last
+    remainder is a unit of QQ(s) times the one over QQ(s)."""
+    from sympy import ZZ
+    from sympy.polys.rings import ring
+
+    zs, u, _ = ring("u, s", ZZ)
+
+    def poly(triples):
+        terms = {}
+        for e_u, e_s, x in triples:
+            terms[(e_u, e_s)] = terms.get((e_u, e_s), 0) + x
+        return zs.from_dict(terms) if terms else zs.zero
+
+    du, c = component.du, component.r_length
+    phi, r = poly(component.phi_terms), poly(component.r_terms)
+    lc = poly([(0, e_s, x) for e_u, e_s, x in component.phi_terms if e_u == du])
+    d = apoly.degree("L")
+    cols = [[] for _ in range(d + 1)]
+    for (i, j), x in apoly.terms.items():
+        cols[i].append((0, j + c * (d - i), x))  # a_i c^(d - i)
+    acc, scale = poly(cols[d]), zs.one
+    for col in reversed(cols[:-1]):
+        acc = acc * r
+        k = max(acc.degree(u) - du + 1, 0)
+        if k:
+            acc, scale = acc.prem(phi, u), scale * lc ** k
+        acc = acc + scale * poly(col)
+    return not acc
+
+
 def direct_cleanup_oracle(resultant):
     """The direct engine's A-factor from its resultant by sympy: the
     monomial stripped, then sympy's squarefree part, made primitive and
