@@ -299,8 +299,11 @@ def newton_interp(xs, ys, p):
 
 # Points a fit must leave over: it counts only when its Euclid quotient has
 # degree SPARE_POINTS + 2 or more, i.e. with deg num + deg den + 2 +
-# SPARE_POINTS points.  They are the only check on a fit, so there are
-# fourteen: a type-(a, b) function must pass through a + b + 16 points.
+# SPARE_POINTS points, so a type-(a, b) function must pass through a + b +
+# 16 points.  They are the only check inside a fit, not on a factor: a
+# wrong fit costs a failed screen or a refused proof in charvar.apoly,
+# never a wrong factor.  Fourteen pins how many points the engine
+# evaluates, so changing it is a question of cost.
 SPARE_POINTS = 14
 
 

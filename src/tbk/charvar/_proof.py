@@ -4,6 +4,11 @@ apoly._verify_vanishing calls vanishes here, which decides c^dL A(s, R/c)
 = 0 in Z[s, 1/s][u]/phi_i exactly (apoly's module docstring says why a
 lift that passes it is A_i).  The module loads on the first proof, so a
 process that eliminates only small factors directly never compiles it.
+Its products pack through tbk.exactnum.multipoly's balanced-digit codec
+(digit_width, pack_digits, unpack_digits), the one the resultant and
+MultiPoly's dense products use; what stays here is the policy: the
+width read off the operands with a byte to spare, and only the columns
+of B in use packed, as w is sized from H's nonzero entries alone.
 Proof times (best of 3, 2-core x86-64, Python 3.11), matrix then Horner:
 6/35's u-degree-12 factor 0.5 + 1.3 ms, 8/63's u-degree-24 one 3.6 + 26
 ms, 10/99's u-degree-40 one 25 + 580 ms.
@@ -14,6 +19,7 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
+from ..exactnum.multipoly import digit_width, pack_digits, unpack_digits
 from . import _modp
 
 
@@ -54,29 +60,6 @@ def _multiplier(component):
     return [[[0] * (b - low) + c[i] if c[i] else [] for c, low in cols] for i in range(du)], b
 
 
-def _pack(entries, w):
-    """[sum_t e[t] B^t for e in entries], B = 2^(8w), each |e[t]| < B/2:
-    the digits e[t] + B/2 go in as bytes and each entry's offset comes off."""
-    half = 1 << (8 * w - 1)
-    digit = half.to_bytes(w, "little")
-    data = b"".join([(x + half).to_bytes(w, "little") for x in itertools.chain(*entries)])
-    ends = itertools.accumulate(len(e) * w for e in entries)
-    return [int.from_bytes(data[k - len(e) * w:k], "little")
-            - int.from_bytes(digit * len(e), "little") for e, k in zip(entries, ends)]
-
-
-def _unpack(x, w):
-    """The trimmed coefficient list of x = _pack([e], w)[0]: its balanced
-    base-B digits, which are unique.  A top digit at B^k makes |x| > B^k /
-    2, so there are at most bitlen(x) / 8w + 1 of them."""
-    half = 1 << (8 * w - 1)
-    size = abs(x).bit_length() // (8 * w) + 1
-    data = (x + int.from_bytes(half.to_bytes(w, "little") * size, "little")).to_bytes(
-        size * w, "little")
-    return _modp.ptrim([int.from_bytes(data[k:k + w], "little") - half
-                        for k in range(0, size * w, w)])
-
-
 def vanishes(apoly, cache):
     """Whether c^dL A(s, R/c) = 0 in Z[s, 1/s][u]/phi, c = s^len', for the
     component of cache, an apoly._PointCache.
@@ -100,15 +83,15 @@ def vanishes(apoly, cache):
     h, low, w = [adds.pop()] + [[] for _ in rows[1:]], 0, 0  # H = a_dL e_0, over s^low
     for add in reversed(adds):
         tops = [max(map(abs, e), default=0) for e in h]
-        need = (min(lb, max(map(len, h))) * sum(map(mul, cols, tops))).bit_length() // 8 + 1
+        need = digit_width(min(lb, max(map(len, h))) * sum(map(mul, cols, tops)))
         if need > w:  # a byte to spare, so B is packed again rarely
             w, cover = need + 1, set()
-        hp = _pack(h, w)
+        hp = pack_digits(h, w)
         if not cover.issuperset(i for i, e in enumerate(h) if e):  # pack the columns in use
             cover = {i for i, e in enumerate(h) if e}
-            packed = [_pack([e if i in cover else [] for i, e in enumerate(row)], w)
+            packed = [pack_digits([e if i in cover else [] for i, e in enumerate(row)], w)
                       for row in rows]
-        h, low = [_unpack(sum(map(mul, row, hp)), w) for row in packed], low + shift
+        h, low = [unpack_digits(sum(map(mul, row, hp)), w) for row in packed], low + shift
         h[0] = _modp.ptrim([x + y for x, y in itertools.zip_longest(
             h[0], [0] * low + add, fillvalue=0)])
         if low:  # the least low that keeps H's entries polynomials

@@ -26,8 +26,10 @@ class ExpansionUniquenessError(RuntimeError):
     """p/q has no all-even expansion, or more than one (an internal fault)."""
 
 
-class ZeroDenominatorError(ZeroDivisionError):
-    """A partial denominator vanished while evaluating an expansion."""
+class ZeroDenominatorError(ZeroDivisionError, ValueError):
+    """A partial denominator vanished while evaluating an expansion.  It is
+    a ValueError too: continued-fraction text such as [1,-1] that names no
+    number is invalid input, which the CLI reports as such."""
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,17 @@ Arithmetic in one variable over the others is not restated here:
 ``coefficients_in`` gives the dense coefficient list that ``QPoly``
 takes, and ``poly_prem`` runs on that.  ``MultiPoly._of`` builds a value
 with no check, from terms that are already clean (the class docstring
-says which).  ``Kronecker`` packs a polynomial into one integer: the
-resultant packs its coefficients before its PRS over Z, and a product
-whose term pairs outnumber the slots of the packed result is one integer
-product.  The gcd and squarefree routines at the
-end serve the tests as oracles; no production path calls them.
+says which).  ``Kronecker`` packs polynomials into integers by the one
+balanced-digit codec, which tbk.charvar's exact proof of an A-factor
+shares: the resultant packs its coefficients before its PRS over Z, and
+a product whose term pairs outnumber the slots of the packed result is
+one integer product.  The gcd and squarefree routines at the end serve
+the tests as oracles; no production path calls them.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, chain, compress, product
 from math import gcd as int_gcd, prod
 from operator import itemgetter, mul, sub
 
@@ -44,66 +45,77 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+def digit_width(bound):
+    """Bytes w per digit that hold every |d| <= bound as a balanced digit,
+    |d| < B/2 with B = 2^(8w): 8w - 1 exceeds bound's bit length."""
+    return (bound.bit_length() + 8) // 8
+
+
+def pack_digits(lists, w):
+    """[sum_t e[t] B^t for e in lists], every |e[t]| < B/2: the digits e[t]
+    + B/2 as bytes, one join for all lists, less sum_t (B/2) B^t each."""
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+    data = b"".join([(x + half).to_bytes(w, "little") if x else zero for x in chain(*lists)])
+    return [int.from_bytes(data[(k - n) * w:k * w], "little") - int.from_bytes(zero * n, "little")
+            for n, k in zip(map(len, lists), accumulate(map(len, lists)))]
+
+
+def unpack_digits(x, w):
+    """The balanced digits of x, lowest first, the top one nonzero: those of
+    x + sum_j (B/2) B^j less B/2 (unique); a top digit at B^k makes B^k/2 <
+    |x| < B^(k+1)/2, so there are bitlen(x) // 8w + 1."""
+    half = 1 << (8 * w - 1)
+    zero = half.to_bytes(w, "little")
+    size = w * (abs(x).bit_length() // (8 * w) + 1) if x else 0
+    data = (x + int.from_bytes(zero * (size // w), "little")).to_bytes(size, "little")
+    return [int.from_bytes(d, "little") - half if (d := data[k:k + w]) != zero else 0
+            for k in range(0, size, w)]
+
+
 class Kronecker:
-    """Kronecker substitution x_i -> B^(s_i), B = 2^(8 * width), on
-    polynomials whose exponents e_i lie in lo_i .. lo_i + spans[i] - 1,
-    with s_k = 1 and s_i = s_(i+1) * spans[i+1] (von zur Gathen and
-    Gerhard, Modern Computer Algebra, 8.4).  ``pack`` is evaluation at
-    those powers, a ring homomorphism once the exponents are shifted by
-    lo.  ``unpack`` inverts it on every polynomial with exponents in the
-    box and coefficients of absolute value at most ``bound``: the digits
-    in base B are balanced, |d| < B/2, and 8 * width - 1 exceeds bound's
-    bit length, so the balanced base-B expansion, which is unique, is the
-    coefficient list.  Both go through bytes, one digit per ``width``."""
+    """Kronecker substitution x_i -> B^(s_i), B = 2^(8 * width), s_k = 1 and
+    s_i = s_(i+1) spans[i+1], on exponents e_i in lo_i .. lo_i + spans[i] - 1
+    (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).  ``pack``
+    is evaluation at those powers, a ring homomorphism once the exponents
+    are shifted by lo; ``unpack`` inverts it on every polynomial in the box
+    whose coefficients are at most ``bound``, as width = digit_width(bound)."""
 
     __slots__ = ("spans", "strides", "width")
 
     def __init__(self, spans, bound):
         self.spans = spans
-        self.width = (bound.bit_length() + 8) // 8
+        self.width = digit_width(bound)
         strides, s = [], 1
         for span in reversed(spans):
             strides.append(s)
             s *= span
         self.strides = strides[::-1]
 
-    def pack(self, terms, lo=(), strides=None):
-        """The packed value of ``terms``, their exponents shifted by lo (none
-        by default).  ``strides``, one per exponent and 0 for a variable left
-        out, replaces the box's for terms in other variables than it, as
-        poly_resultant's inputs are."""
-        if not terms:
-            return 0
-        w = self.width
+    def pack(self, polys, lo=(), strides=None):
+        """The packed values of the term dicts ``polys``, exponents shifted by
+        lo, from one pack_digits; ``strides`` (0 for a variable left out)
+        replaces the box's for terms in other variables, as in poly_resultant."""
         strides = self.strides if strides is None else strides
         base = sum(map(mul, lo, strides))
-        slots = {(sum(map(mul, exps, strides)) - base) * w: c for exps, c in terms.items()}
-        if min(slots) < 0:
-            raise ValueError("exponent below the packing box")
-        size = max(slots) + w
-        pos, neg = bytearray(size), bytearray(size)
-        for k, c in slots.items():
-            if c > 0:
-                pos[k:k + w] = c.to_bytes(w, "little")
-            else:
-                neg[k:k + w] = (-c).to_bytes(w, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        lists = []
+        for terms in polys:
+            slots = [sum(map(mul, exps, strides)) - base for exps in terms]
+            if slots and min(slots) < 0:
+                raise ValueError("exponent below the packing box")
+            digits = [0] * (max(slots, default=-1) + 1)
+            for k, c in zip(slots, terms.values()):
+                digits[k] = c
+            lists.append(digits)
+        return pack_digits(lists, self.width)
 
     def unpack(self, n, lo):
-        """{exponents: coefficient} of the packed value n; digit j of
-        n + sum_j (B/2) B^j is the coefficient at slot j plus B/2."""
-        w = self.width
-        half = 1 << (8 * w - 1)
-        zero = half.to_bytes(w, "little")
-        size = w * prod(self.spans)
-        data = (n + int.from_bytes(zero * (size // w), "little")).to_bytes(size, "little")
-        terms = {}
-        for exps, k in zip(product(*(range(l, l + s) for l, s in zip(lo, self.spans))),
-                           range(0, size, w)):
-            digit = data[k:k + w]
-            if digit != zero:
-                terms[exps] = int.from_bytes(digit, "little") - half
-        return terms
+        """{exponents: coefficient} of the packed value n."""
+        digits = unpack_digits(n, self.width)
+        if len(digits) > prod(self.spans):
+            raise OverflowError("packed value past the box")
+        box = product(*(range(l, l + s) for l, s in zip(lo, self.spans)))
+        return dict(zip(compress(box, digits), filter(None, digits)))
 
 
 class MultiPoly:
@@ -295,9 +307,9 @@ class MultiPoly:
                 bound = min(sum(map(abs, va)) * max(map(abs, vb)),
                             max(map(abs, va)) * sum(map(abs, vb)))
                 kr = Kronecker(spans, bound)
+                (pa,), (pb,) = kr.pack([a.terms], lo_a), kr.pack([b.terms], lo_b)
                 return MultiPoly._of(a.variables, kr.unpack(
-                    kr.pack(a.terms, lo_a) * kr.pack(b.terms, lo_b),
-                    [x + y for x, y in zip(lo_a, lo_b)]))
+                    pa * pb, [x + y for x, y in zip(lo_a, lo_b)]))
         terms = {}
         get = terms.get
         for kb, cb in b.terms.items():

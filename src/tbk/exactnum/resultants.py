@@ -118,6 +118,6 @@ def poly_resultant(f, g, var):
     packed = []
     for p, cols in ((f, fc), (g, gc)):
         strides = [0 if v == var else kr.strides[rest.index(v)] for v in p.variables]
-        packed.append(QPoly([kr.pack(c, strides=strides) for c in cols]))
+        packed.append(QPoly(kr.pack(cols, strides=strides)))
     res = _subresultant(*packed) if dg else packed[1].coeffs[0] ** df
     return MultiPoly._of(rest, kr.unpack(sign * res, (0,) * len(rest)))

@@ -92,7 +92,7 @@ def _check(name, expected, computed) -> CheckResult:
                        expected=repr(expected), computed=repr(computed))
 
 
-def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
+def _verify_knot(n: int) -> KnotRecord:
     fraction = double_twist_fraction(n)
     knot = KnotId(fraction.numerator, fraction.denominator)
     checks = []
@@ -144,7 +144,7 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
         sorted({0, -4 * n, -8 * n + 2}),
         sorted(detected)))
 
-    if with_apoly and n <= APOLY_MAX_N:
+    if n <= APOLY_MAX_N:
         from .charvar import (
             a_polynomial,
             finite_edge_slopes_as_ints,
@@ -173,10 +173,9 @@ def _verify_knot(n: int, with_apoly: bool) -> KnotRecord:
                       checks=tuple(checks), notes=tuple(notes))
 
 
-def run_paper_suite(n_min: int = 2, n_max: int = 10,
-                    with_apoly: bool = True) -> PaperReport:
+def run_paper_suite(n_min: int = 2, n_max: int = 10) -> PaperReport:
     """Re-derive the double twist knot claims for n_min <= n <= n_max."""
     if not (2 <= n_min <= n_max):
         raise ValueError("need 2 <= n_min <= n_max")
-    records = tuple(_verify_knot(n, with_apoly) for n in range(n_min, n_max + 1))
+    records = tuple(_verify_knot(n) for n in range(n_min, n_max + 1))
     return PaperReport(n_min=n_min, n_max=n_max, records=records)

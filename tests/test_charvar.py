@@ -155,6 +155,31 @@ def test_reversed_word_matrix_is_the_reversed_transpose():
     assert count == 316
 
 
+def test_canonical_riley_factor_of_double_twist_knots_in_closed_form():
+    # J(2n, 2n) = K(2n / (4n^2 - 1)): with z = u + 2, S_0 = 1, S_1 = z and
+    # S_(k+1) = z S_k - S_(k-1), C_n = S_(n-1)(z)^2 (M^4 - z M^2 + 1) + M^2
+    # divides the Riley polynomial exactly for n = 2..6 and is one of its
+    # irreducible factors for n = 2..4, while C_n + M^2 and C_n + 1 divide
+    # it for no n
+    from tbk.charvar.apoly import _riley_factors
+    from tbk.exactnum import ExactDivisionError
+
+    u = MultiPoly.variable("u")
+    z = u + 2
+    s_prev, s = MultiPoly.constant(1), z  # S_0, S_1
+    for n in range(2, 7):
+        c_n = s * s * (M ** 4 - z * M ** 2 + 1) + M ** 2
+        phi = riley_polynomial(presentation(Fraction(2 * n, 4 * n * n - 1)))
+        assert phi.exact_div(c_n) * c_n == phi, n
+        if n <= 4:
+            factors = _riley_factors(phi, 1)
+            assert c_n in factors or -c_n in factors, n
+        for wrong in (c_n + M ** 2, c_n + 1):
+            with pytest.raises(ExactDivisionError):
+                phi.exact_div(wrong)
+        s_prev, s = s, z * s - s_prev
+
+
 def test_riley_trefoil_exact():
     u = MultiPoly.variable("u")
     phi = riley_polynomial(presentation(Fraction(1, 3)))
@@ -904,30 +929,6 @@ def test_modular_stability_survives_a_wrong_image(monkeypatch, pq, corrupt):
     wrong.append(corrupt)
     assert apoly._apoly_modular(data) == expected
     assert len(calls) > clean
-
-
-def test_proof_packing_round_trips_at_the_digit_bounds():
-    # the proof's Kronecker packing at w bytes holds every coefficient of
-    # absolute value below 2^(8w - 1): random lists with digits at and next
-    # to that bound, zeros inside and at the ends, come back trimmed, and a
-    # product of packed values unpacks to the convolution while its
-    # coefficients stay below the bound
-    from tbk.charvar import _modp, _proof
-
-    rng = random.Random(8)
-    for w in (1, 2, 3, 7, 8, 9, 21):
-        top = (1 << (8 * w - 1)) - 1
-        for _ in range(20):
-            entries = [[rng.choice((top, -top, top - 1, 1 - top, 0, rng.randint(-top, top)))
-                        for _ in range(rng.randint(0, 9))] for _ in range(3)]
-            for e, x in zip(entries, _proof._pack(entries, w)):
-                assert _proof._unpack(x, w) == _modp.ptrim(list(e)), (w, e)
-        a, b = [rng.randint(-9, 9) for _ in range(5)], [rng.randint(-9, 9) for _ in range(4)]
-        product = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
-                   for k in range(len(a) + len(b) - 1)]
-        x, y = _proof._pack([a, b], w)
-        if max(map(abs, product)) <= top:
-            assert _proof._unpack(x * y, w) == _modp.ptrim(product), w
 
 
 def test_exact_check_matches_fraction_oracle(monkeypatch):

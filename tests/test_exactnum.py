@@ -10,7 +10,14 @@ from tbk.exactnum import (
     parse_apoly,
     poly_resultant,
 )
-from tbk.exactnum.multipoly import poly_gcd, poly_squarefree_part
+from tbk.exactnum.multipoly import (
+    Kronecker,
+    digit_width,
+    pack_digits,
+    poly_gcd,
+    poly_squarefree_part,
+    unpack_digits,
+)
 
 from oracles import (
     prs_resultant,
@@ -194,6 +201,57 @@ def test_packed_resultant_matches_the_polynomial_prs_on_direct_factors(monkeypat
     assert len(calls) == 52
     for f, g, var, r in calls:
         assert r == prs_resultant(f, g, var), (f, g)
+
+
+def test_digit_codec_round_trips_at_the_digit_bounds():
+    # the balanced base-2^(8w) digits that the resultant, the dense products
+    # and the exact proof all pack: at w bytes every coefficient of absolute
+    # value below 2^(8w - 1) round-trips, so random lists with digits at and
+    # next to that bound, zeros inside and at the ends, come back trimmed,
+    # and a product of packed values unpacks to the convolution while its
+    # coefficients stay below the bound.  Kronecker's box shape packs and
+    # unpacks term dicts at the same bounds, its width read off the bound
+    rng = random.Random(8)
+    for w in (1, 2, 3, 7, 8, 9, 21):
+        top = (1 << (8 * w - 1)) - 1
+        assert digit_width(top) == w and digit_width(top + 1) == w + 1
+
+        def digit():
+            return rng.choice((top, -top, top - 1, 1 - top, 0, rng.randint(-top, top)))
+
+        for _ in range(20):
+            entries = [[digit() for _ in range(rng.randint(0, 9))] for _ in range(3)]
+            for e, x in zip(entries, pack_digits(entries, w)):
+                trimmed = list(e)
+                while trimmed and not trimmed[-1]:
+                    trimmed.pop()
+                assert unpack_digits(x, w) == trimmed, (w, e)
+        a, b = [rng.randint(-9, 9) for _ in range(5)], [rng.randint(-9, 9) for _ in range(4)]
+        product = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+                   for k in range(len(a) + len(b) - 1)]
+        x, y = pack_digits([a, b], w)
+        if max(map(abs, product)) <= top:
+            while product and not product[-1]:
+                product.pop()
+            assert unpack_digits(x * y, w) == product, w
+
+        spans, lo = [3, 4, 2], (2, 0, 5)
+        kr = Kronecker(spans, top)
+        assert kr.width == w
+        for _ in range(10):
+            polys = [{(i + 2, j, k + 5): digit() for i in range(3) for j in range(4)
+                      for k in range(2) if rng.random() < 0.5} for _ in range(2)] + [{}]
+            for terms, x in zip(polys, kr.pack(polys, lo)):
+                assert kr.unpack(x, lo) == {e: c for e, c in terms.items() if c}, (w, terms)
+        with pytest.raises(OverflowError):  # a digit past the box's 24 slots
+            kr.unpack(1 << (8 * w * 24), lo)
+        f = random_multipoly(rng, ("L", "M", "u"), 2, 6, 9)
+        g = random_multipoly(rng, ("L", "M", "u"), 1, 4, 9)
+        product = schoolbook_product(f, g)
+        if f.terms and g.terms and max(map(abs, product.terms.values()), default=0) <= top:
+            kr = Kronecker([4, 4, 4], top)
+            (x,), (y,) = kr.pack([f.terms], (0, 0, 0)), kr.pack([g.terms], (0, 0, 0))
+            assert MultiPoly(f.variables, kr.unpack(x * y, (0, 0, 0))) == product, w
 
 
 def test_packed_product_matches_schoolbook(monkeypatch):

@@ -75,8 +75,12 @@ def test_double_twist_symmetric_in_arguments():
 
 
 def test_paper_report_json_roundtrip():
-    report = run_paper_suite(2, 3, with_apoly=False)
+    # with the A-polynomial block: its check and its notes round-trip too
+    report = run_paper_suite(2, 3)
     assert report.passed
+    for record in report.records:
+        assert "apoly-edge-slopes" in [c.name for c in record.checks]
+        assert record.notes
     assert PaperReport.from_json(report.to_json()) == report
 
 
@@ -308,6 +312,15 @@ def test_cli_expand_refuses_huge_repetition():
                       timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2, proc.stderr
     assert "100000 entries" in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["[1,-1]", "[2,-1,2]"])
+def test_cli_expand_refuses_a_zero_partial_denominator(text):
+    # text that names no number is invalid input: exit 2 and one error
+    # line, not a ZeroDenominatorError traceback
+    proc = run_python(["-m", "tbk.cli", "expand", text], timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: zero partial denominator in {text}\n"
 
 
 def test_cli_expand_refuses_long_walk():
